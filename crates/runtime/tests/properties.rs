@@ -718,3 +718,133 @@ fn fleet_accounting_is_the_bitwise_sum_and_ignores_health_history() {
         assert_eq!(build(root).accounting(), baseline);
     });
 }
+
+/// The serving fold, pinned end to end on a gated fleet: a pipelined
+/// session batch is the one-at-a-time `offer_one` fold, and an
+/// admission-gated open-loop run is the `offer_one` fold with
+/// per-request arrivals — same chips, same sheds, same bits, same
+/// session counters — for arbitrary inputs, frame splits, arrival
+/// schedules and policies, on a 3-pool R = 2 fleet whose gate sheds.
+#[test]
+fn session_batches_and_admitted_runs_equal_the_offer_one_fold() {
+    use runtime::{
+        AdmissionConfig, BatchItem, Fleet, FleetConfig, LeastLoaded, Offer, PlacementPolicy,
+        RoundRobin, SizeAware,
+    };
+
+    let bits = |values: &[f64]| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
+    let (mut saw_shed, mut saw_served) = (false, false);
+    prop_check!(|g| {
+        let root = g.u64_any();
+        let chips: Vec<usize> = (0..3).map(|_| g.usize_in(1, 4)).collect();
+        let policy = g.usize_in(0, 3);
+        // Costs are input lengths (1..=4) at 10 µs per unit: a frame of a
+        // few requests on one chip overruns a bound of up to 100 µs.
+        let admission = AdmissionConfig {
+            max_delay_secs: g.f64_in(0.0, 1e-4),
+            secs_per_cost: 1e-5,
+        };
+        let engine = |pool: usize| {
+            let policy: Box<dyn PlacementPolicy> = match policy {
+                0 => Box::new(RoundRobin),
+                1 => Box::new(LeastLoaded),
+                _ => Box::new(SizeAware),
+            };
+            Engine::new(seeded_pool(substream(root, pool as u64), chips[pool]))
+                .with_boxed_policy(policy)
+                .with_admission(admission)
+        };
+        let fleet = Fleet::new(
+            (0..3).map(engine).collect(),
+            FleetConfig::new(root).with_replication(2),
+        );
+
+        let n = g.usize_in(1, 40);
+        let inputs: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                let len = g.usize_in(1, 5);
+                g.vec_f64(-1.0, 1.0, len)
+            })
+            .collect();
+        // Random frame splits, each stamped with a nondecreasing arrival.
+        let mut frames: Vec<(std::ops::Range<usize>, f64)> = Vec::new();
+        let (mut start, mut arrival) = (0usize, 0.0f64);
+        while start < n {
+            let end = (start + g.usize_in(1, 9)).min(n);
+            arrival += g.f64_in(0.0, 3e-5);
+            frames.push((start..end, arrival));
+            start = end;
+        }
+
+        // 1. Fleet: session batches over the splits ≡ offer_one per request.
+        let mut batched = fleet.session("prop");
+        let mut one = fleet.session("prop");
+        for (range, arrival) in &frames {
+            let items =
+                fleet.serve_session_batch(&mut batched, &inputs[range.clone()], Some(*arrival));
+            assert_eq!(items.len(), range.len());
+            for (item, input) in items.iter().zip(&inputs[range.clone()]) {
+                match (item, fleet.offer_one(&mut one, input, *arrival)) {
+                    (BatchItem::Served(b), Offer::Served(o)) => {
+                        assert_eq!(b.chip, o.chip, "global chip diverged");
+                        assert_eq!(bits(&b.output), bits(&o.output), "output bits diverged");
+                        saw_served = true;
+                    }
+                    (
+                        BatchItem::Shed {
+                            chip,
+                            estimated_wait_secs,
+                        },
+                        Offer::Shed {
+                            chip: c,
+                            estimated_wait_secs: w,
+                        },
+                    ) => {
+                        assert_eq!(*chip, c, "shed chip diverged");
+                        assert_eq!(estimated_wait_secs.to_bits(), w.to_bits());
+                        saw_shed = true;
+                    }
+                    (b, o) => panic!("batch item {b:?} but offer_one {o:?}"),
+                }
+            }
+        }
+        assert_eq!(batched.routed(), one.routed());
+        assert_eq!(batched.served(), one.served());
+
+        // 2. Engine: the admitted open-loop run ≡ offer_one with
+        // per-request arrivals.
+        let arrivals: Vec<f64> = frames
+            .iter()
+            .flat_map(|(range, arrival)| range.clone().map(move |_| *arrival))
+            .collect();
+        let engine = fleet.engine(g.usize_in(0, 3));
+        let offsets: Vec<Duration> = arrivals
+            .iter()
+            .map(|&a| Duration::from_secs_f64(a))
+            .collect();
+        let run = engine.serve_open_loop_admitted(&inputs, &offsets);
+        let mut session = engine.session();
+        let (mut admitted, mut shed, mut outputs) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, input) in inputs.iter().enumerate() {
+            match engine.offer_one(&mut session, input, offsets[i].as_secs_f64()) {
+                Offer::Served(served) => {
+                    admitted.push(i);
+                    outputs.push(bits(&served.output));
+                }
+                Offer::Shed { .. } => shed.push(i),
+            }
+        }
+        assert_eq!(run.admitted, admitted, "admitted indices diverged");
+        assert_eq!(run.shed, shed, "shed indices diverged");
+        assert_eq!(Some(run.gate_stats), session.gate_stats());
+        let run_outputs: Vec<Vec<u64>> = run
+            .outcome
+            .map(|o| o.outputs.iter().map(|v| bits(v)).collect())
+            .unwrap_or_default();
+        assert_eq!(run_outputs, outputs, "admitted bits diverged");
+    });
+    assert!(
+        saw_served && saw_shed,
+        "the property must exercise both fates"
+    );
+}
