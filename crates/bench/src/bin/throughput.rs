@@ -10,9 +10,9 @@
 //!    (`mei_bench::ramp`) walks the arrival rate up on the largest pool
 //!    until p99 latency knees, reporting the knee rate and p50/p99 there
 //!    instead of a blind fixed-utilization point;
-//! 3. **loopback-TCP knee** — the same ramp driven through
-//!    `runtime::net` over 127.0.0.1, a real socket round-trip per
-//!    request;
+//! 3. **loopback-TCP knee** — the same ramp driven as v1 text lines
+//!    through the event server's v1 path over 127.0.0.1, a real socket
+//!    round-trip per request;
 //! 4. **wire protocol v2** — one client against the event-driven server
 //!    over loopback, closed loop: strict v1 text round trips versus
 //!    pipelined v2 binary batches, reporting both requests/sec and the
@@ -53,9 +53,7 @@ use mei_bench::{
 };
 use neural::TrainConfig;
 use runtime::net::frame::ItemResponse;
-use runtime::net::{
-    Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response, Server, ServerConfig,
-};
+use runtime::net::{Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response};
 use runtime::{
     json_num, resolve_threads, Chip, ChipPool, CostModel, Engine, LeastLoaded, RoundRobin,
     ServeStats, SizeAware,
@@ -399,15 +397,16 @@ fn main() {
         knee_table("in_process", &in_process)
     );
 
-    // Phase 3: the same ramp through the TCP front-end over loopback.
-    let server = Server::bind(
+    // Phase 3: the same ramp as v1 lines through the event server over
+    // loopback.
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new(
             "inversek2j",
             input_dim,
             Engine::new(manufacture_chips(&mei, largest, EXPERIMENT_WRITE_SIGMA, cfg.seed).boxed()),
         )],
-        ServerConfig::default(),
+        EventServerConfig::default(),
     )
     .expect("bind loopback server");
     let addr = server.addr();

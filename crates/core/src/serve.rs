@@ -321,7 +321,7 @@ mod tests {
     use crate::mei_arch::MeiConfig;
     use neural::Dataset;
     use prng::Rng;
-    use runtime::Placement;
+    use runtime::{LeastLoaded, RoundRobin};
 
     fn expfit_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -363,10 +363,9 @@ mod tests {
         for made in pool.chips() {
             assert!(Chip::wear(made).unwrap() >= rcs.total_writes());
         }
-        let outcome = pool.serve(
-            &data.iter().map(|(x, _)| x.to_vec()).collect::<Vec<_>>(),
-            Placement::RoundRobin,
-        );
+        let outcome = Engine::new(pool)
+            .with_policy(RoundRobin)
+            .serve(&data.iter().map(|(x, _)| x.to_vec()).collect::<Vec<_>>());
         assert_eq!(outcome.outputs.len(), data.len());
     }
 
@@ -402,14 +401,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_enum_adapter_place_and_serve_identically() {
+    fn default_and_boxed_engines_place_and_serve_identically() {
         let data = expfit_data(200, 5);
         let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
         let inputs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 10.0]).collect();
-        let pool_outcome =
-            manufacture_chips(&rcs, 3, 0.05, 9).serve(&inputs, Placement::LeastLoaded);
+        let pool_outcome = Engine::new(manufacture_chips(&rcs, 3, 0.05, 9))
+            .with_policy(LeastLoaded)
+            .serve(&inputs);
         // Engine default = LeastLoaded over the input-length proxy: the
-        // exact placement (and therefore bits) the enum produced.
+        // exact placement (and therefore bits) of an explicit policy.
         let engine = manufacture_engine(&rcs, 3, 0.05, 9);
         assert_eq!(engine.serve(&inputs).outputs, pool_outcome.outputs);
         // The boxed engine is the same pool behind `dyn Chip`.
@@ -557,9 +557,9 @@ mod tests {
     fn pool_serves_a_batch_through_mei_chips() {
         let data = expfit_data(250, 4);
         let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
-        let pool = manufacture_chips(&rcs, 2, 0.02, 11);
+        let engine = Engine::new(manufacture_chips(&rcs, 2, 0.02, 11)).with_policy(RoundRobin);
         let inputs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 12.0]).collect();
-        let outcome = pool.serve(&inputs, Placement::RoundRobin);
+        let outcome = engine.serve(&inputs);
         assert_eq!(outcome.outputs.len(), 12);
         assert_eq!(outcome.stats.per_chip.len(), 2);
         for (input, out) in inputs.iter().zip(&outcome.outputs) {

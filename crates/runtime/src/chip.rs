@@ -1,39 +1,25 @@
-//! Chip pools: N independently manufactured accelerator instances serving
-//! batched inference requests from per-chip queues.
+//! Chips and chip pools: N independently manufactured accelerator
+//! instances, each serving requests through the [`Chip`] trait.
 //!
 //! A deployed RRAM accelerator is not one crossbar — it is a board (or
 //! rack) of chips, each programmed from the same trained weights but
 //! carrying its *own* write-noise draw, serving a shared request stream
 //! (cf. the multi-array throughput evaluations of arXiv:1811.02187 and
 //! arXiv:2505.07490). [`ChipPool`] reproduces that shape in the
-//! behavioural simulator:
+//! behavioural simulator: [`ChipPool::manufacture`] builds N chips,
+//! handing each factory call a seed derived from `(root_seed,
+//! chip_index)` via [`prng::substream`], so chip `i` is the same device on
+//! every run and for every pool size ≥ i.
 //!
-//! * [`ChipPool::manufacture`] builds N chips, handing each factory call a
-//!   seed derived from `(root_seed, chip_index)` via [`prng::substream`] —
-//!   chip `i` is the same device on every run and for every pool size ≥ i;
-//! * [`ChipPool::serve`] / [`ChipPool::serve_open_loop`] split a request
-//!   batch across per-chip FIFO queues under a [`Placement`] policy and
-//!   run one worker thread per chip;
-//! * placement is decided up front from request *cost* (input length), so
-//!   the request → chip assignment — and therefore every output bit — is
-//!   a pure function of the batch, never of thread timing.
-//!
-//! The serve entry points here are **thin adapters**: [`Placement`] maps
-//! onto the [`PlacementPolicy`](crate::PlacementPolicy) trait
-//! ([`Placement::policy`]) and the execution lives in
-//! [`Engine`](crate::Engine). Code that wants calibrated cost models,
-//! the size-aware policy, coalescing control, or streaming sessions
-//! should build an `Engine` directly; these adapters exist so existing
-//! callers keep their exact placement behaviour.
+//! Serving a pool — placement, admission, per-chip queues — is the
+//! [`Engine`](crate::Engine)'s job.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rram::RetentionModel;
 
 use crate::accounting::{ChipCostSheet, PoolAccounting};
-use crate::engine::run_batch;
-use crate::policy::{self, CostModel, LeastLoaded, PlacementPolicy, RoundRobin};
 use crate::stats::ServeStats;
 
 /// Anything the pool can serve requests on. One chip is used by exactly
@@ -287,34 +273,6 @@ impl<C: Chip> Chip for DriftingChip<C> {
     }
 }
 
-/// How requests are placed onto chips — the legacy enum, kept as a thin
-/// adapter over the [`PlacementPolicy`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Request `i` goes to chip `i mod N`.
-    RoundRobin,
-    /// Each request (in order) goes to the chip with the least total
-    /// assigned cost so far — cost being the request's input length, a
-    /// proxy for its service time. Ties break toward the lowest chip id
-    /// (see the tie-breaking contract in [`crate::policy`]), so the
-    /// assignment is deterministic.
-    LeastLoaded,
-}
-
-impl Placement {
-    /// The trait-object equivalent of this enum variant. Placement
-    /// computed through the returned policy (over the
-    /// [`CostModel::input_length`] proxy) is bit-identical to what the
-    /// enum historically produced.
-    #[must_use]
-    pub fn policy(self) -> &'static dyn PlacementPolicy {
-        match self {
-            Placement::RoundRobin => &RoundRobin,
-            Placement::LeastLoaded => &LeastLoaded,
-        }
-    }
-}
-
 /// What a serve run returns: outputs in request order plus the run's
 /// statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -437,78 +395,11 @@ impl<C: Chip> ChipPool<C> {
     pub fn accounting(&self) -> PoolAccounting {
         PoolAccounting::from_sheets(&self.cost_sheets())
     }
-
-    /// The deterministic request → chip assignment a serve run will use:
-    /// `assignment[i]` is the chip id serving request `i`. Exposed so
-    /// callers (and tests) can reason about placement without timing.
-    #[must_use]
-    pub fn assignment(&self, costs: &[usize], placement: Placement) -> Vec<usize> {
-        policy::assign_batch(
-            costs,
-            placement.policy(),
-            &CostModel::input_length(self.chips.len()),
-        )
-    }
-
-    /// Serve a closed batch: every request is ready at time zero. Outputs
-    /// come back in request order; request latency is measured from the
-    /// start of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    #[must_use]
-    pub fn serve(&self, inputs: &[Vec<f64>], placement: Placement) -> ServeOutcome {
-        self.run(inputs, None, placement)
-    }
-
-    /// Serve an open-loop load: request `i` *arrives* at `arrivals[i]`
-    /// (offsets from the start of the run) and may not start earlier, as
-    /// in an open-loop throughput benchmark; latency is completion minus
-    /// arrival, so queueing delay is included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or the lengths differ.
-    #[must_use]
-    pub fn serve_open_loop(
-        &self,
-        inputs: &[Vec<f64>],
-        arrivals: &[Duration],
-        placement: Placement,
-    ) -> ServeOutcome {
-        assert_eq!(
-            inputs.len(),
-            arrivals.len(),
-            "one arrival offset per request"
-        );
-        self.run(inputs, Some(arrivals), placement)
-    }
-
-    fn run(
-        &self,
-        inputs: &[Vec<f64>],
-        arrivals: Option<&[Duration]>,
-        placement: Placement,
-    ) -> ServeOutcome {
-        assert!(!inputs.is_empty(), "a serve run needs requests");
-        let costs: Vec<usize> = inputs.iter().map(Vec::len).collect();
-        let assignment = self.assignment(&costs, placement);
-        run_batch(
-            &self.chips,
-            inputs,
-            arrivals,
-            &assignment,
-            0,
-            placement.policy().name(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     /// A toy chip: output = input scaled by a per-chip factor derived from
     /// the manufacture seed, so different chips are distinguishable.
@@ -520,12 +411,6 @@ mod tests {
         fn infer(&self, input: &[f64]) -> Vec<f64> {
             input.iter().map(|x| x * self.scale).collect()
         }
-    }
-
-    fn toy_pool(n: usize) -> ChipPool<ToyChip> {
-        ChipPool::manufacture(77, n, |_, seed| ToyChip {
-            scale: 1.0 + (seed % 1000) as f64 / 1000.0,
-        })
     }
 
     #[test]
@@ -549,80 +434,6 @@ mod tests {
     #[should_panic(expected = "at least one chip")]
     fn empty_pool_rejected() {
         let _ = ChipPool::<ToyChip>::from_chips(Vec::new());
-    }
-
-    #[test]
-    fn round_robin_cycles_over_chips() {
-        let pool = toy_pool(3);
-        let costs = [1usize; 7];
-        assert_eq!(
-            pool.assignment(&costs, Placement::RoundRobin),
-            vec![0, 1, 2, 0, 1, 2, 0]
-        );
-    }
-
-    #[test]
-    fn least_loaded_balances_uneven_costs() {
-        let pool = toy_pool(2);
-        // Costs 10, 1, 1, 1: after the big request lands on chip 0, the
-        // small ones should all go to chip 1 until it catches up.
-        let assignment = pool.assignment(&[10, 1, 1, 1], Placement::LeastLoaded);
-        assert_eq!(assignment, vec![0, 1, 1, 1]);
-    }
-
-    /// The documented least-loaded tie-break (lowest chip index wins) at
-    /// the enum adapter level: equal-cost requests sweep the chips in
-    /// index order, exactly as before the policy refactor.
-    #[test]
-    fn least_loaded_tie_break_is_lowest_chip_index() {
-        let pool = toy_pool(3);
-        let costs = [4usize; 7];
-        assert_eq!(
-            pool.assignment(&costs, Placement::LeastLoaded),
-            vec![0, 1, 2, 0, 1, 2, 0]
-        );
-    }
-
-    #[test]
-    fn outputs_come_back_in_request_order() {
-        let pool = toy_pool(3);
-        let inputs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let outcome = pool.serve(&inputs, Placement::RoundRobin);
-        assert_eq!(outcome.outputs.len(), 10);
-        for (i, out) in outcome.outputs.iter().enumerate() {
-            let chip = i % 3;
-            let expected = inputs[i][0] * pool.chips()[chip].scale;
-            assert_eq!(out, &vec![expected], "request {i}");
-        }
-    }
-
-    #[test]
-    fn serve_results_are_identical_across_runs_and_placements_agree() {
-        let pool = toy_pool(2);
-        let inputs: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64, 1.0]).collect();
-        let a = pool.serve(&inputs, Placement::RoundRobin);
-        let b = pool.serve(&inputs, Placement::RoundRobin);
-        assert_eq!(a.outputs, b.outputs, "same pool, same batch → same bits");
-        // Equal-cost requests: least-loaded degenerates to round-robin.
-        let costs = vec![2usize; 9];
-        assert_eq!(
-            pool.assignment(&costs, Placement::LeastLoaded),
-            pool.assignment(&costs, Placement::RoundRobin)
-        );
-    }
-
-    #[test]
-    fn stats_cover_every_chip_and_request() {
-        let pool = toy_pool(4);
-        let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let outcome = pool.serve(&inputs, Placement::RoundRobin);
-        let stats = &outcome.stats;
-        assert_eq!(stats.requests, 20);
-        assert_eq!(stats.policy, "round_robin");
-        assert_eq!(stats.per_chip.len(), 4);
-        assert_eq!(stats.per_chip.iter().map(|c| c.served).sum::<usize>(), 20);
-        assert!(stats.requests_per_sec > 0.0);
-        assert!(stats.p50_latency_us <= stats.p99_latency_us);
     }
 
     #[test]
@@ -751,28 +562,13 @@ mod tests {
         assert_eq!((acc.chips, acc.known_chips), (2, 1));
         assert_eq!(acc.area_um2, 1000.0);
         // The serve path attaches measured energy for the billed chip only.
-        let outcome = pool.serve(&[vec![1.0], vec![2.0]], Placement::RoundRobin);
+        let outcome = crate::Engine::new(pool)
+            .with_policy(crate::RoundRobin)
+            .serve(&[vec![1.0], vec![2.0]]);
         let energy = outcome.stats.energy.expect("one billed chip");
         assert_eq!(energy.known_chips, 1);
         assert!(energy.joules > 0.0);
         assert!(outcome.stats.per_chip[0].joules.is_some());
         assert!(outcome.stats.per_chip[1].joules.is_none());
-    }
-
-    #[test]
-    fn open_loop_respects_arrival_times() {
-        let pool = toy_pool(1);
-        let inputs: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64]).collect();
-        let arrivals = vec![
-            Duration::ZERO,
-            Duration::from_millis(5),
-            Duration::from_millis(10),
-        ];
-        let epoch = Instant::now();
-        let outcome = pool.serve_open_loop(&inputs, &arrivals, Placement::RoundRobin);
-        // The run cannot finish before the last arrival.
-        assert!(epoch.elapsed() >= Duration::from_millis(10));
-        assert_eq!(outcome.outputs.len(), 3);
-        assert!(outcome.stats.wall_secs >= 0.010);
     }
 }

@@ -1,41 +1,41 @@
 //! The serving engine: a chip pool bound to a placement policy, a cost
-//! model, and a coalescing discipline.
+//! model, an optional admission gate and a coalescing discipline.
 //!
-//! [`Engine`] is the layered replacement for the monolithic
-//! `ChipPool::serve(placement)` entry points (which survive as thin
-//! adapters over this module):
+//! Every serving entry point is the same two steps:
 //!
 //! ```text
-//! requests ──▶ CostModel ──▶ PlacementPolicy ──▶ per-chip queues ──▶ Chip::infer
-//!              (estimate)    (pure assignment)   (coalesced batches)
+//! requests ──▶ plan ──────────────────────────────▶ execute ───────────────────────────▶ items
+//!              (Session fold: CostModel estimate    (per-chip FIFO queues, arrival waits,
+//!               → policy.place → gate.offer →        coalescing, catch_unwind(infer))
+//!               commit)
 //! ```
 //!
-//! Two serving shapes share one placement definition
-//! ([`policy::assign_batch`]):
-//!
-//! * **Batch** — [`Engine::serve`] / [`Engine::serve_open_loop`]: the
-//!   whole request batch is assigned up front, split into per-chip FIFO
-//!   queues, and run on one worker thread per chip. A worker *coalesces*
-//!   contiguous runs of already-arrived requests into back-to-back
-//!   batches (no arrival re-check between them), bounded by
-//!   [`Engine::with_coalesce`].
-//! * **Stream** — [`Engine::session`] + [`Engine::serve_one`]: requests
-//!   arrive one at a time (a network connection), each placed against the
-//!   session's accumulated [`PoolState`] and run inline. Feeding a batch
-//!   through a fresh session visits exactly the chips
-//!   [`Engine::assignment`] predicts, which is what makes in-process and
-//!   over-the-wire serving bit-identical.
+//! * `Engine::plan` is the one definition of placement and admission.
+//!   Batch runs ([`Engine::serve`], [`Engine::serve_open_loop`],
+//!   [`Engine::serve_open_loop_admitted`], [`Engine::assignment`]) plan
+//!   on a fresh [`Session`]; streaming calls ([`Engine::serve_one`],
+//!   [`Engine::offer_one`], [`Engine::serve_session_batch`]) plan on the
+//!   caller's. A sequence fed through a fresh session therefore visits
+//!   exactly the chips a batch run predicts — which is what makes
+//!   in-process and over-the-wire serving bit-identical.
+//! * The executor runs the planned requests on per-chip FIFO queues: with
+//!   one busy chip inline, otherwise one scoped worker per busy chip. A
+//!   worker *coalesces* contiguous runs of already-arrived requests into
+//!   back-to-back batches, bounded by [`Engine::with_coalesce`]; release
+//!   times come only from open-loop arrival offsets. A panicking `infer`
+//!   is contained at the chip boundary and its siblings still complete.
 //!
 //! Coalescing and threading never change outputs: placement is decided
-//! before execution and each chip is deterministic, so batching only
+//! before execution and each chip is deterministic, so execution only
 //! affects *when* an inference runs, not what it returns.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
 use crate::chip::{Chip, ChipPool, ServeOutcome};
-use crate::policy::{self, CostModel, LeastLoaded, PlacementPolicy, PoolState};
+use crate::policy::{CostModel, LeastLoaded, PlacementPolicy, PoolState};
 use crate::stats::ServeStats;
 
 /// A chip pool bound to a placement policy, cost model and coalescing
@@ -221,12 +221,6 @@ impl<C: Chip> Engine<C> {
         &self.model
     }
 
-    /// The admission config, if admission control is enabled.
-    #[must_use]
-    pub fn admission(&self) -> Option<&AdmissionConfig> {
-        self.admission.as_ref()
-    }
-
     /// The current serving window.
     #[must_use]
     pub fn window(&self) -> u64 {
@@ -287,54 +281,6 @@ impl<C: Chip> Engine<C> {
         window
     }
 
-    /// The deterministic request → chip assignment a batch serve will
-    /// use, given per-request input lengths.
-    #[must_use]
-    pub fn assignment(&self, input_lens: &[usize]) -> Vec<usize> {
-        policy::assign_batch(input_lens, self.policy.as_ref(), &self.model)
-    }
-
-    /// Serve a closed batch (every request ready at time zero). Outputs
-    /// come back in request order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    #[must_use]
-    pub fn serve(&self, inputs: &[Vec<f64>]) -> ServeOutcome {
-        self.run(inputs, None)
-    }
-
-    /// Serve an open-loop load: request `i` arrives `arrivals[i]` after
-    /// the start of the run and may not start earlier; latency includes
-    /// queueing delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or the lengths differ.
-    #[must_use]
-    pub fn serve_open_loop(&self, inputs: &[Vec<f64>], arrivals: &[Duration]) -> ServeOutcome {
-        assert_eq!(
-            inputs.len(),
-            arrivals.len(),
-            "one arrival offset per request"
-        );
-        self.run(inputs, Some(arrivals))
-    }
-
-    fn run(&self, inputs: &[Vec<f64>], arrivals: Option<&[Duration]>) -> ServeOutcome {
-        let lens: Vec<usize> = inputs.iter().map(Vec::len).collect();
-        let assignment = self.assignment(&lens);
-        run_batch(
-            self.pool.chips(),
-            inputs,
-            arrivals,
-            &assignment,
-            self.coalesce,
-            self.policy.name(),
-        )
-    }
-
     /// Open a streaming placement session (one per client connection).
     /// When admission control is enabled the session carries its own
     /// fresh [`Gate`] — like placement state, admission state is scoped
@@ -350,66 +296,98 @@ impl<C: Chip> Engine<C> {
         }
     }
 
-    /// Serve one request against a session, inline on the caller's
-    /// thread: place it with the policy, commit the estimated cost to the
-    /// session state, run `infer`, and report which chip served it.
+    /// The placement fold every serving call goes through: fold
+    /// `session` over `(input length, arrival stamp)` pairs, in order.
+    /// Each request is priced by the cost model, placed by the policy,
+    /// offered to the session's gate if it carries a stamp (seconds on the
+    /// gate's clock), and commits its cost only if admitted — a shed
+    /// request commits **nothing**, so decisions are a pure function of
+    /// the sequence. It reads no clock and runs no chip.
     ///
-    /// Feeding a request sequence through a fresh session reproduces
-    /// [`Engine::assignment`] for that sequence exactly — streaming and
-    /// batch serving are the same pure placement function.
-    pub fn serve_one(&self, session: &mut Session, input: &[f64]) -> Served {
-        self.model.estimates_into(input.len(), &mut session.costs);
-        let chip = self.policy.place(&session.costs, &session.state);
-        assert!(chip < self.pool.len(), "policy chose an out-of-range chip");
-        session.state.commit(chip, session.costs[chip]);
-        let start = Instant::now();
-        let output = self.pool.chips()[chip].infer(input);
-        Served {
-            chip,
-            latency: start.elapsed(),
-            output,
-        }
+    /// # Panics
+    ///
+    /// Panics if the policy chooses an out-of-range chip.
+    pub(crate) fn plan(
+        &self,
+        session: &mut Session,
+        requests: impl IntoIterator<Item = (usize, Option<f64>)>,
+    ) -> Vec<Step> {
+        requests
+            .into_iter()
+            .map(|(len, arrival)| {
+                self.model.estimates_into(len, &mut session.costs);
+                let chip = self.policy.place(&session.costs, &session.state);
+                assert!(chip < self.pool.len(), "policy chose an out-of-range chip");
+                let cost = session.costs[chip];
+                if let (Some(arrival), Some(gate)) = (arrival, session.gate.as_mut()) {
+                    if let Decision::Shed {
+                        estimated_wait_secs,
+                    } = gate.offer(chip, cost, arrival)
+                    {
+                        return Step::Shed {
+                            chip,
+                            estimated_wait_secs,
+                        };
+                    }
+                }
+                session.state.commit(chip, cost);
+                Step::Run(chip)
+            })
+            .collect()
     }
 
-    /// [`Engine::serve_one`] behind the session's admission gate: place
-    /// the request, offer `(chip, cost, arrival_secs)` to the gate, and
-    /// either serve it or shed it. A shed request commits **nothing** —
-    /// neither placement load nor virtual queue time — so the decision
-    /// stream stays a pure function of the `(input, arrival)` sequence.
-    ///
-    /// Without admission configured this is exactly `serve_one`.
-    pub fn offer_one(&self, session: &mut Session, input: &[f64], arrival_secs: f64) -> Offer {
-        self.model.estimates_into(input.len(), &mut session.costs);
-        let chip = self.policy.place(&session.costs, &session.state);
-        assert!(chip < self.pool.len(), "policy chose an out-of-range chip");
-        let cost = session.costs[chip];
-        if let Some(gate) = session.gate.as_mut() {
-            if let Decision::Shed {
-                estimated_wait_secs,
-            } = gate.offer(chip, cost, arrival_secs)
-            {
-                return Offer::Shed {
-                    chip,
-                    estimated_wait_secs,
-                };
-            }
-        }
-        session.state.commit(chip, cost);
-        let start = Instant::now();
-        let output = self.pool.chips()[chip].infer(input);
-        Offer::Served(Served {
-            chip,
-            latency: start.elapsed(),
-            output,
-        })
+    /// The deterministic request → chip assignment a batch serve will
+    /// use, given per-request input lengths: `Engine::plan` over a
+    /// fresh session.
+    #[must_use]
+    pub fn assignment(&self, input_lens: &[usize]) -> Vec<usize> {
+        self.plan(
+            &mut self.session(),
+            input_lens.iter().map(|&len| (len, None)),
+        )
+        .iter()
+        .map(Step::chip)
+        .collect()
     }
 
-    /// Admission-gated open-loop serve: replay the batch through a fresh
-    /// session's gate (requests in order, each with its arrival offset),
-    /// then run only the admitted subset as a batch. Decisions and
-    /// outputs are a pure function of `(inputs, arrivals)` — the gate
-    /// simulation never reads a clock — so reruns and different server
-    /// thread counts shed the same requests and return the same bits.
+    /// Serve a closed batch (every request ready at time zero). Outputs
+    /// come back in request order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty.
+    #[must_use]
+    pub fn serve(&self, inputs: &[Vec<f64>]) -> ServeOutcome {
+        self.serve_open_loop(inputs, &vec![Duration::ZERO; inputs.len()])
+    }
+
+    /// Serve an open-loop load: request `i` arrives `arrivals[i]` after
+    /// the start of the run and may not start earlier; latency includes
+    /// queueing delay. Placement ignores the arrivals (no gate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty or the lengths differ.
+    #[must_use]
+    pub fn serve_open_loop(&self, inputs: &[Vec<f64>], arrivals: &[Duration]) -> ServeOutcome {
+        assert!(!inputs.is_empty(), "a serve run needs requests");
+        assert_eq!(
+            inputs.len(),
+            arrivals.len(),
+            "one arrival offset per request"
+        );
+        let steps = self.plan(&mut self.session(), inputs.iter().map(|x| (x.len(), None)));
+        self.run_outcome(&steps, inputs, arrivals)
+            .expect("an unstamped plan runs every request")
+    }
+
+    /// Admission-gated open-loop serve: plan the batch through a fresh
+    /// session's gate (requests in order, each stamped with its arrival
+    /// offset), then run only the admitted subset, each released at its
+    /// arrival. Decisions and outputs are a pure function of `(inputs,
+    /// arrivals)` — the plan never reads a clock — so reruns and
+    /// different server thread counts shed the same requests and return
+    /// the same bits.
     ///
     /// Without admission configured, every request is admitted.
     ///
@@ -428,170 +406,176 @@ impl<C: Chip> Engine<C> {
             arrivals.len(),
             "one arrival offset per request"
         );
-        let mut state = PoolState::new(self.pool.len());
-        let mut costs = Vec::with_capacity(self.pool.len());
-        let mut gate = self
-            .admission
-            .map(|config| Gate::new(config, self.pool.len()));
-        let mut admitted = Vec::with_capacity(inputs.len());
-        let mut assignment = Vec::with_capacity(inputs.len());
-        let mut shed = Vec::new();
-        for (i, (input, arrival)) in inputs.iter().zip(arrivals).enumerate() {
-            self.model.estimates_into(input.len(), &mut costs);
-            let chip = self.policy.place(&costs, &state);
-            assert!(chip < self.pool.len(), "policy chose an out-of-range chip");
-            let decision = gate.as_mut().map_or(
-                Decision::Admit {
-                    estimated_wait_secs: 0.0,
-                },
-                |g| g.offer(chip, costs[chip], arrival.as_secs_f64()),
-            );
-            if decision.is_admit() {
-                state.commit(chip, costs[chip]);
-                admitted.push(i);
-                assignment.push(chip);
-            } else {
-                shed.push(i);
-            }
-        }
-        let gate_stats = gate.map(|g| g.stats()).unwrap_or(GateStats {
+        let mut session = self.session();
+        let stamped = inputs.iter().zip(arrivals);
+        let steps = self.plan(
+            &mut session,
+            stamped.map(|(x, arrival)| (x.len(), Some(arrival.as_secs_f64()))),
+        );
+        let (admitted, shed): (Vec<usize>, Vec<usize>) =
+            (0..steps.len()).partition(|&i| matches!(steps[i], Step::Run(_)));
+        let gate_stats = session.gate_stats().unwrap_or(GateStats {
             offered: inputs.len() as u64,
             admitted: admitted.len() as u64,
             shed: 0,
         });
-        let outcome = if admitted.is_empty() {
-            None
-        } else {
-            let sub_inputs: Vec<Vec<f64>> = admitted.iter().map(|&i| inputs[i].clone()).collect();
-            let sub_arrivals: Vec<Duration> = admitted.iter().map(|&i| arrivals[i]).collect();
-            Some(run_batch(
-                self.pool.chips(),
-                &sub_inputs,
-                Some(&sub_arrivals),
-                &assignment,
-                self.coalesce,
-                self.policy.name(),
-            ))
-        };
         AdmittedOutcome {
-            outcome,
+            outcome: self.run_outcome(&steps, inputs, arrivals),
             admitted,
             shed,
             gate_stats,
         }
     }
 
+    /// Execute a plan's runs, each released at its arrival offset, and
+    /// fold them into a [`ServeOutcome`] over the requests that ran (in
+    /// request order; `None` when every request was shed). Latency is
+    /// completion minus arrival.
+    fn run_outcome(
+        &self,
+        steps: &[Step],
+        inputs: &[Vec<f64>],
+        arrivals: &[Duration],
+    ) -> Option<ServeOutcome> {
+        let chips = self.pool.chips();
+        let (ran, per_chip, wall) = execute(chips, steps, inputs, Some(arrivals), self.coalesce);
+        let (mut outputs, mut latencies, mut failed) = (Vec::new(), Vec::new(), Vec::new());
+        for (ran, arrival) in ran.into_iter().zip(arrivals) {
+            let Some(ran) = ran else { continue };
+            latencies.push(ran.done.saturating_sub(*arrival));
+            outputs.push(ran.output.unwrap_or_else(|_| {
+                failed.push(outputs.len());
+                Vec::new()
+            }));
+        }
+        if outputs.is_empty() {
+            return None;
+        }
+        let mut stats = ServeStats::from_run(self.policy.name(), &latencies, wall, per_chip);
+        // The one place serving runs are valued in joules, for every chip
+        // that publishes a cost sheet.
+        stats.attach_energy(&self.pool.cost_sheets());
+        Some(ServeOutcome {
+            outputs,
+            failed,
+            stats,
+        })
+    }
+
+    /// Plan `inputs` against `session` (every request stamped `arrival`)
+    /// and execute the runs. Returns one item per request, in request
+    /// order, plus the payload of a contained chip panic (the streaming
+    /// entry points re-raise it).
+    pub(crate) fn serve_frame<I: AsRef<[f64]> + Sync>(
+        &self,
+        session: &mut Session,
+        inputs: &[I],
+        arrival: Option<f64>,
+    ) -> (Vec<BatchItem>, Option<Panic>) {
+        let steps = self.plan(session, inputs.iter().map(|x| (x.as_ref().len(), arrival)));
+        let (ran, ..) = execute(self.pool.chips(), &steps, inputs, None, self.coalesce);
+        let mut panic = None;
+        let items = steps
+            .into_iter()
+            .zip(ran)
+            .map(|(step, ran)| match step {
+                Step::Shed {
+                    chip,
+                    estimated_wait_secs,
+                } => BatchItem::Shed {
+                    chip,
+                    estimated_wait_secs,
+                },
+                Step::Run(chip) => {
+                    let ran = ran.expect("every planned run executes");
+                    match ran.output {
+                        Ok(output) => BatchItem::Served(Served {
+                            chip,
+                            latency: ran.done - ran.start,
+                            output,
+                        }),
+                        Err(payload) => {
+                            panic.get_or_insert(payload);
+                            BatchItem::Failed { chip }
+                        }
+                    }
+                }
+            })
+            .collect();
+        (items, panic)
+    }
+
+    /// Serve one request against a session, inline on the caller's
+    /// thread, and report which chip served it: a one-request
+    /// `Engine::plan` (no arrival stamp, so no gate) and execution.
+    ///
+    /// Feeding a request sequence through a fresh session reproduces
+    /// [`Engine::assignment`] for that sequence exactly — streaming and
+    /// batch serving are the same pure placement function.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from `Chip::infer` with its original payload
+    /// (the placement load stays committed, as for a failed batch item).
+    pub fn serve_one(&self, session: &mut Session, input: &[f64]) -> Served {
+        into_served(self.serve_frame(session, &[input], None))
+    }
+
+    /// [`Engine::serve_one`] behind the session's admission gate: the
+    /// request is planned with `arrival_secs`, then served or shed. A
+    /// shed request commits **nothing** — neither placement load nor
+    /// virtual queue time. Without admission configured this is exactly
+    /// `serve_one`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::serve_one`].
+    pub fn offer_one(&self, session: &mut Session, input: &[f64], arrival_secs: f64) -> Offer {
+        into_offer(self.serve_frame(session, &[input], Some(arrival_secs)))
+    }
+
     /// Serve a pipelined batch against a session: the wire-protocol-v2
     /// serving shape, where one frame carries many requests for the same
     /// workload and the whole batch shares one arrival stamp (taken at
-    /// frame decode).
+    /// frame decode; `None` bypasses the gate).
     ///
-    /// Placement is the exact [`Engine::serve_one`] /
-    /// [`Engine::offer_one`] fold — requests placed in order against the
-    /// session's accumulated state, the gate (when `arrival_secs` is
-    /// `Some` and admission is enabled) offered each `(chip, cost,
-    /// arrival)` in turn, shed requests committing nothing. Execution
-    /// then groups admitted requests per chip and runs the busy chips on
-    /// scoped threads (inline when the batch lands on a single chip), so
-    /// a pipelining client overlaps the whole pool. Chips are
-    /// deterministic pure functions and placement is decided before
-    /// execution, so the items — chip ids and output bits — are identical
-    /// to feeding the same sequence through `serve_one`/`offer_one` one
-    /// request at a time, whatever the threading.
-    ///
-    /// A panicking `infer` is contained at the chip boundary and reported
-    /// as [`BatchItem::Failed`]; sibling requests still complete.
+    /// The batch is one `Engine::plan` over the session, so the items —
+    /// chip ids and output bits — are identical to feeding the same
+    /// sequence through `serve_one`/`offer_one` one request at a time,
+    /// whatever the threading. Execution overlaps the busy chips (see the
+    /// module docs). A panicking `infer` is contained at the chip boundary
+    /// and reported as [`BatchItem::Failed`]; sibling requests still
+    /// complete.
     pub fn serve_session_batch(
         &self,
         session: &mut Session,
         inputs: &[Vec<f64>],
         arrival_secs: Option<f64>,
     ) -> Vec<BatchItem> {
-        let mut items: Vec<Option<BatchItem>> = (0..inputs.len()).map(|_| None).collect();
-        // (request index, chip) pairs, in request order.
-        let mut admitted: Vec<(usize, usize)> = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            self.model.estimates_into(input.len(), &mut session.costs);
-            let chip = self.policy.place(&session.costs, &session.state);
-            assert!(chip < self.pool.len(), "policy chose an out-of-range chip");
-            let cost = session.costs[chip];
-            if let Some(arrival) = arrival_secs {
-                if let Some(gate) = session.gate.as_mut() {
-                    if let Decision::Shed {
-                        estimated_wait_secs,
-                    } = gate.offer(chip, cost, arrival)
-                    {
-                        items[i] = Some(BatchItem::Shed {
-                            chip,
-                            estimated_wait_secs,
-                        });
-                        continue;
-                    }
-                }
-            }
-            session.state.commit(chip, cost);
-            admitted.push((i, chip));
-        }
+        self.serve_frame(session, inputs, arrival_secs).0
+    }
+}
 
-        let chips = self.pool.chips();
-        let run_one = |chip: usize, request: usize| -> BatchItem {
-            let start = Instant::now();
-            let output =
-                catch_unwind(AssertUnwindSafe(|| chips[chip].infer(&inputs[request]))).ok();
-            let latency = start.elapsed();
-            match output {
-                Some(output) => BatchItem::Served(Served {
-                    chip,
-                    latency,
-                    output,
-                }),
-                None => BatchItem::Failed { chip },
-            }
-        };
+/// Where [`Engine::plan`] sends one request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Step {
+    /// Run on this chip; the request's estimated cost was committed.
+    Run(usize),
+    /// Shed by the session's gate; nothing was committed.
+    Shed {
+        /// The chip the request would have been placed on.
+        chip: usize,
+        /// The estimated queueing delay that tripped the bound, seconds.
+        estimated_wait_secs: f64,
+    },
+}
 
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); chips.len()];
-        for &(request, chip) in &admitted {
-            queues[chip].push(request);
+impl Step {
+    /// The chip the policy chose, whether or not the request runs.
+    fn chip(&self) -> usize {
+        match *self {
+            Step::Run(chip) | Step::Shed { chip, .. } => chip,
         }
-        let busy_chips = queues.iter().filter(|q| !q.is_empty()).count();
-        if busy_chips <= 1 || admitted.len() <= 1 {
-            for &(request, chip) in &admitted {
-                items[request] = Some(run_one(chip, request));
-            }
-        } else {
-            let per_chip: Vec<Vec<(usize, BatchItem)>> = std::thread::scope(|scope| {
-                let run_one = &run_one;
-                let handles: Vec<_> = queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, queue)| !queue.is_empty())
-                    .map(|(chip, queue)| {
-                        scope.spawn(move || {
-                            // Advisory: keep this chip's worker (and its
-                            // thread-local workspace) on one core.
-                            let _ = crate::affinity::pin_worker(chip);
-                            queue
-                                .iter()
-                                .map(|&request| (request, run_one(chip, request)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chip worker does not panic"))
-                    .collect()
-            });
-            for worker in per_chip {
-                for (request, item) in worker {
-                    items[request] = Some(item);
-                }
-            }
-        }
-        items
-            .into_iter()
-            .map(|item| item.expect("every request resolved"))
-            .collect()
     }
 }
 
@@ -623,12 +607,47 @@ pub enum BatchItem {
         estimated_wait_secs: f64,
     },
     /// `Chip::infer` panicked; the panic was contained at the chip
-    /// boundary (placement load *was* committed, matching `run_batch`'s
-    /// accounting of failed requests).
+    /// boundary (placement load *was* committed, matching the batch
+    /// runs' accounting of failed requests).
     Failed {
         /// The chip whose `infer` panicked.
         chip: usize,
     },
+}
+
+impl BatchItem {
+    /// The item's chip id, for a fleet to shift into its global range.
+    pub(crate) fn chip_mut(&mut self) -> &mut usize {
+        match self {
+            BatchItem::Served(Served { chip, .. })
+            | BatchItem::Shed { chip, .. }
+            | BatchItem::Failed { chip } => chip,
+        }
+    }
+}
+
+/// The one item of a one-request frame as an [`Offer`], re-raising a
+/// contained chip panic with its original payload.
+pub(crate) fn into_offer((mut items, panic): (Vec<BatchItem>, Option<Panic>)) -> Offer {
+    match items.pop().expect("one request, one item") {
+        BatchItem::Served(served) => Offer::Served(served),
+        BatchItem::Shed {
+            chip,
+            estimated_wait_secs,
+        } => Offer::Shed {
+            chip,
+            estimated_wait_secs,
+        },
+        BatchItem::Failed { .. } => resume_unwind(panic.expect("a failed run keeps its panic")),
+    }
+}
+
+/// [`into_offer`] for an unstamped request, which the gate never sees.
+pub(crate) fn into_served(frame: (Vec<BatchItem>, Option<Panic>)) -> Served {
+    match into_offer(frame) {
+        Offer::Served(served) => served,
+        Offer::Shed { .. } => unreachable!("an unstamped request bypasses the gate"),
+    }
 }
 
 /// Streaming placement state for one request source (e.g. one TCP
@@ -662,148 +681,137 @@ impl Session {
 pub struct Served {
     /// Chip id that ran the request.
     pub chip: usize,
-    /// Service latency of the inline `infer` call.
+    /// Service latency of the `infer` call.
     pub latency: Duration,
     /// The output vector.
     pub output: Vec<f64>,
 }
 
-/// Execute a pre-assigned batch on one worker thread per chip, coalescing
-/// contiguous already-arrived requests into back-to-back runs (capped at
-/// `coalesce` when non-zero). Shared by [`Engine`] and the legacy
-/// `ChipPool::serve` adapters.
+/// A panic payload contained at the chip boundary.
+pub(crate) type Panic = Box<dyn Any + Send>;
+
+/// One executed run: the chip's output (or the payload of the panic
+/// `infer` raised), and when `infer` started and finished.
+struct Ran {
+    output: Result<Vec<f64>, Panic>,
+    start: Duration,
+    done: Duration,
+}
+
+/// One chip's share of a run, as [`ServeStats::from_run`] takes it.
+type ChipRun = (usize, usize, usize, Duration);
+
+/// The executor: run a plan's [`Step::Run`] requests on per-chip FIFO
+/// queues. With at most one busy chip the queue drains inline on the
+/// caller's thread; otherwise every busy chip gets one scoped worker
+/// (pinned under `MEI_AFFINITY`). A worker waits for the head request's
+/// release time (its open-loop arrival offset, if any), then coalesces
+/// every queued request already released into one back-to-back batch,
+/// capped at `coalesce` when non-zero. `infer` runs inside
+/// `catch_unwind`, so a panicking chip fails only its own requests.
 ///
-/// # Panics
-///
-/// Panics if `inputs` is empty or `assignment` length differs.
-#[must_use]
-pub(crate) fn run_batch<C: Chip>(
+/// Returns one entry per planned request, in request order (`None` =
+/// shed); per chip `(runs, coalesced batches, failures, busy time)`; and
+/// the run's wall time. Times count from the run's start.
+fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
     chips: &[C],
-    inputs: &[Vec<f64>],
-    arrivals: Option<&[Duration]>,
-    assignment: &[usize],
+    steps: &[Step],
+    inputs: &[I],
+    releases: Option<&[Duration]>,
     coalesce: usize,
-    policy_name: &str,
-) -> ServeOutcome {
-    assert!(!inputs.is_empty(), "a serve run needs requests");
-    assert_eq!(inputs.len(), assignment.len(), "one chip per request");
-
-    // Per-chip FIFO queues of request indices, in arrival order.
+) -> (Vec<Option<Ran>>, Vec<ChipRun>, Duration) {
     let mut queues: Vec<Vec<usize>> = vec![Vec::new(); chips.len()];
-    for (request, &chip) in assignment.iter().enumerate() {
-        queues[chip].push(request);
-    }
-
-    // One worker per chip; each returns (request, output, latency)
-    // triples (output `None` = `infer` panicked and was contained) plus
-    // its busy time, coalesced-batch count and failure count.
-    type WorkerLog = (
-        Vec<(usize, Option<Vec<f64>>, Duration)>,
-        Duration,
-        usize,
-        usize,
-    );
-
-    let arrival_of = |request: usize| arrivals.map_or(Duration::ZERO, |a| a[request]);
-    let epoch = Instant::now();
-    let per_worker: Vec<WorkerLog> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chips
-            .iter()
-            .zip(&queues)
-            .enumerate()
-            .map(|(w, (chip, queue))| {
-                scope.spawn(move || {
-                    let _ = crate::affinity::pin_worker(w);
-                    let mut served = Vec::with_capacity(queue.len());
-                    let mut busy = Duration::ZERO;
-                    let mut batches = 0usize;
-                    let mut failures = 0usize;
-                    let mut i = 0usize;
-                    while i < queue.len() {
-                        // Wait for the head request, then coalesce every
-                        // queued request that has already arrived into
-                        // one contiguous batch.
-                        let head = arrival_of(queue[i]);
-                        let mut now = epoch.elapsed();
-                        if head > now {
-                            std::thread::sleep(head - now);
-                            now = epoch.elapsed();
-                        }
-                        let cap = if coalesce == 0 {
-                            queue.len()
-                        } else {
-                            (i + coalesce).min(queue.len())
-                        };
-                        let mut j = i + 1;
-                        while j < cap && arrival_of(queue[j]) <= now {
-                            j += 1;
-                        }
-                        batches += 1;
-                        for &request in &queue[i..j] {
-                            let start = epoch.elapsed();
-                            // Contain a panicking `infer` at the chip
-                            // boundary: the worker keeps draining its
-                            // queue (no deadlock, every other request on
-                            // this chip still completes) and the failure
-                            // is tallied instead of unwinding the pool.
-                            let output =
-                                catch_unwind(AssertUnwindSafe(|| chip.infer(&inputs[request])))
-                                    .ok();
-                            let done = epoch.elapsed();
-                            busy += done - start;
-                            if output.is_none() {
-                                failures += 1;
-                            }
-                            served.push((
-                                request,
-                                output,
-                                done.saturating_sub(arrival_of(request)),
-                            ));
-                        }
-                        i = j;
-                    }
-                    (served, busy, batches, failures)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chip worker does not panic"))
-            .collect()
-    });
-    let wall = epoch.elapsed();
-
-    let mut outputs: Vec<Option<Vec<f64>>> = vec![None; inputs.len()];
-    let mut latencies: Vec<Duration> = vec![Duration::ZERO; inputs.len()];
-    let mut per_chip = Vec::with_capacity(chips.len());
-    let mut failed = Vec::new();
-    for (served, busy, batches, failures) in per_worker {
-        per_chip.push((served.len(), batches, failures, busy));
-        for (request, output, latency) in served {
-            latencies[request] = latency;
-            if output.is_none() {
-                failed.push(request);
-            }
-            outputs[request] = Some(output.unwrap_or_default());
+    for (request, step) in steps.iter().enumerate() {
+        if let Step::Run(chip) = *step {
+            queues[chip].push(request);
         }
     }
-    failed.sort_unstable();
-
-    let mut stats = ServeStats::from_run(policy_name, &latencies, wall, per_chip);
-    // Value the measured window in joules for every chip that publishes a
-    // cost sheet — this single call is what puts energy in every serving
-    // bench's JSON, from `ChipPool::serve` up through `Fleet`.
-    let sheets: Vec<_> = chips.iter().map(Chip::cost_sheet).collect();
-    stats.attach_energy(&sheets);
-
-    ServeOutcome {
-        outputs: outputs
-            .into_iter()
-            .map(|o| o.expect("every request served"))
-            .collect(),
-        failed,
-        stats,
-    }
+    let release = |request: usize| releases.map_or(Duration::ZERO, |r| r[request]);
+    let epoch = Instant::now();
+    let drain = |chip: usize| {
+        let queue = &queues[chip];
+        let (mut ran, mut batches, mut i) = (Vec::with_capacity(queue.len()), 0, 0);
+        while i < queue.len() {
+            let mut now = epoch.elapsed();
+            if release(queue[i]) > now {
+                std::thread::sleep(release(queue[i]) - now);
+                now = epoch.elapsed();
+            }
+            let cap = match coalesce {
+                0 => queue.len(),
+                cap => (i + cap).min(queue.len()),
+            };
+            let mut j = i + 1;
+            while j < cap && release(queue[j]) <= now {
+                j += 1;
+            }
+            batches += 1;
+            for &request in &queue[i..j] {
+                let input = inputs[request].as_ref();
+                let start = epoch.elapsed();
+                let output = catch_unwind(AssertUnwindSafe(|| chips[chip].infer(input)));
+                let done = epoch.elapsed();
+                ran.push(Ran {
+                    output,
+                    start,
+                    done,
+                });
+            }
+            i = j;
+        }
+        (ran, batches)
+    };
+    let busy_chips = queues.iter().filter(|q| !q.is_empty()).count();
+    let drained: Vec<(Vec<Ran>, usize)> = if busy_chips <= 1 {
+        (0..chips.len()).map(drain).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let drain = &drain;
+            let workers: Vec<_> = (0..chips.len())
+                .map(|chip| {
+                    (!queues[chip].is_empty()).then(|| {
+                        scope.spawn(move || {
+                            // Advisory: keep this chip's worker (and its
+                            // thread-local workspace) on one core.
+                            let _ = crate::affinity::pin_worker(chip);
+                            drain(chip)
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .enumerate()
+                .map(|(chip, worker)| match worker {
+                    Some(worker) => worker.join().expect("chip workers contain infer panics"),
+                    None => drain(chip),
+                })
+                .collect()
+        })
+    };
+    let wall = epoch.elapsed();
+    let per_chip = drained
+        .iter()
+        .map(|(ran, batches)| {
+            let failures = ran.iter().filter(|r| r.output.is_err()).count();
+            let busy = ran.iter().map(|r| r.done - r.start).sum();
+            (ran.len(), *batches, failures, busy)
+        })
+        .collect();
+    // Each chip's queue is in request order, so a request's run is the
+    // next unclaimed entry of its chip's log.
+    let mut logs: Vec<_> = drained
+        .into_iter()
+        .map(|(ran, _)| ran.into_iter())
+        .collect();
+    let ran = steps
+        .iter()
+        .map(|step| match *step {
+            Step::Run(chip) => logs[chip].next(),
+            Step::Shed { .. } => None,
+        })
+        .collect();
+    (ran, per_chip, wall)
 }
 
 #[cfg(test)]
@@ -840,6 +848,35 @@ mod tests {
             let scale = engine.pool().chips()[assignment[i]].scale;
             assert_eq!(out, &vec![inputs[i][0] * scale], "request {i}");
         }
+    }
+
+    #[test]
+    fn serve_results_are_identical_across_runs_and_placements_agree() {
+        let engine = toy_engine(2).with_policy(RoundRobin);
+        let inputs: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64, 1.0]).collect();
+        let a = engine.serve(&inputs);
+        let b = engine.serve(&inputs);
+        assert_eq!(a.outputs, b.outputs, "same pool, same batch → same bits");
+        // Equal-cost requests: least-loaded degenerates to round-robin.
+        let costs = vec![2usize; 9];
+        assert_eq!(
+            toy_engine(2).with_policy(LeastLoaded).assignment(&costs),
+            engine.assignment(&costs)
+        );
+    }
+
+    #[test]
+    fn stats_cover_every_chip_and_request() {
+        let engine = toy_engine(4).with_policy(RoundRobin);
+        let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
+        let outcome = engine.serve(&inputs);
+        let stats = &outcome.stats;
+        assert_eq!(stats.requests, 20);
+        assert_eq!(stats.policy, "round_robin");
+        assert_eq!(stats.per_chip.len(), 4);
+        assert_eq!(stats.per_chip.iter().map(|c| c.served).sum::<usize>(), 20);
+        assert!(stats.requests_per_sec > 0.0);
+        assert!(stats.p50_latency_us <= stats.p99_latency_us);
     }
 
     #[test]
@@ -1115,6 +1152,19 @@ mod tests {
                 .count(),
             3
         );
+        // The streaming entry points re-raise the contained panic with
+        // its original payload.
+        for offered in [false, true] {
+            // Round-robin: the next request lands on chip 0, the one
+            // after on the broken chip 1.
+            let _ = engine.serve_one(&mut session, &inputs[0]);
+            let payload = catch_unwind(AssertUnwindSafe(|| match offered {
+                false => drop(engine.serve_one(&mut session, &inputs[1])),
+                true => drop(engine.offer_one(&mut session, &inputs[1], 0.0)),
+            }))
+            .expect_err("the chip panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected fault"));
+        }
     }
 
     #[test]

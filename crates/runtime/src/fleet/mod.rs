@@ -46,7 +46,7 @@ pub mod router;
 pub use health::{EjectReason, HealthPolicy, PoolHealth, Transition};
 
 use crate::chip::Chip;
-use crate::engine::{BatchItem, Engine, Offer, Served, Session};
+use crate::engine::{into_offer, into_served, BatchItem, Engine, Offer, Panic, Served, Session};
 
 /// Fleet-wide knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,10 +280,14 @@ impl<C: Chip> Fleet<C> {
     /// nothing is healthy).
     #[must_use]
     pub fn replicas(&self, key: &str) -> Vec<usize> {
+        self.ranked(router::key_hash(key))
+    }
+
+    /// [`Fleet::replicas`] for an already-hashed key.
+    fn ranked(&self, key: u64) -> Vec<usize> {
         let healthy = self.healthy();
         let ids: Vec<u64> = healthy.iter().map(|&i| self.pools[i].id).collect();
-        let hashed = router::key_hash(key);
-        router::rank(self.config.seed, hashed, &ids)
+        router::rank(self.config.seed, key, &ids)
             .into_iter()
             .take(self.config.replication)
             .map(|rank_index| healthy[rank_index])
@@ -428,16 +432,19 @@ impl<C: Chip> Fleet<C> {
         }
     }
 
-    /// The replica set for a session's key (same as [`Fleet::replicas`]
-    /// on the session's key string).
+    /// The session's replica set, which cannot change under `&self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pool is healthy.
     fn session_replicas(&self, session: &FleetSession) -> Vec<usize> {
-        let healthy = self.healthy();
-        let ids: Vec<u64> = healthy.iter().map(|&i| self.pools[i].id).collect();
-        router::rank(self.config.seed, session.key, &ids)
-            .into_iter()
-            .take(self.config.replication)
-            .map(|rank_index| healthy[rank_index])
-            .collect()
+        let replicas = self.ranked(session.key);
+        assert!(
+            !replicas.is_empty(),
+            "no healthy pool to serve workload '{}'",
+            session.key_name
+        );
+        replicas
     }
 
     /// The pool the session's next request will land on. Pure function
@@ -449,11 +456,6 @@ impl<C: Chip> Fleet<C> {
     #[must_use]
     pub fn next_pool(&self, session: &FleetSession) -> usize {
         let replicas = self.session_replicas(session);
-        assert!(
-            !replicas.is_empty(),
-            "no healthy pool to serve workload '{}'",
-            session.key_name
-        );
         replicas[(session.sequence % replicas.len() as u64) as usize]
     }
 
@@ -463,14 +465,10 @@ impl<C: Chip> Fleet<C> {
     ///
     /// # Panics
     ///
-    /// Panics if no pool is healthy.
+    /// Panics if no pool is healthy; re-raises a chip panic as
+    /// [`Engine::serve_one`] does.
     pub fn serve_one(&self, session: &mut FleetSession, input: &[f64]) -> Served {
-        let pool = self.next_pool(session);
-        session.sequence += 1;
-        let slot = &self.pools[pool];
-        let mut served = slot.engine.serve_one(&mut session.sessions[pool], input);
-        served.chip += slot.chip_offset;
-        served
+        into_served(self.serve_frame(session, &[input], None))
     }
 
     /// [`Fleet::serve_one`] behind the target pool's admission gate
@@ -480,38 +478,16 @@ impl<C: Chip> Fleet<C> {
     ///
     /// # Panics
     ///
-    /// Panics if no pool is healthy.
+    /// As [`Fleet::serve_one`].
     pub fn offer_one(&self, session: &mut FleetSession, input: &[f64], arrival_secs: f64) -> Offer {
-        let pool = self.next_pool(session);
-        session.sequence += 1;
-        let slot = &self.pools[pool];
-        match slot
-            .engine
-            .offer_one(&mut session.sessions[pool], input, arrival_secs)
-        {
-            Offer::Served(mut served) => {
-                served.chip += slot.chip_offset;
-                Offer::Served(served)
-            }
-            Offer::Shed {
-                chip,
-                estimated_wait_secs,
-            } => Offer::Shed {
-                chip: chip + slot.chip_offset,
-                estimated_wait_secs,
-            },
-        }
+        into_offer(self.serve_frame(session, &[input], Some(arrival_secs)))
     }
 
     /// Serve a pipelined batch through the session — the wire-protocol
-    /// v2 shape. Each request is routed exactly as [`Fleet::serve_one`]
-    /// would route it (replica = sequence mod R), the per-pool
-    /// sub-batches run through [`Engine::serve_session_batch`] (which
-    /// parallelizes across each pool's chips), and results come back in
-    /// request order with global chip ids. Routing happens before
-    /// execution, so the items are bit-identical to feeding the same
-    /// sequence through `serve_one`/`offer_one` one request at a time,
-    /// whatever the threading.
+    /// v2 shape. Requests are routed exactly as one-at-a-time
+    /// [`Fleet::serve_one`] calls would route them (replica = sequence
+    /// mod R) before anything runs, so the items — global chip ids and
+    /// output bits — equal that fold, whatever the threading.
     ///
     /// # Panics
     ///
@@ -522,50 +498,43 @@ impl<C: Chip> Fleet<C> {
         inputs: &[Vec<f64>],
         arrival_secs: Option<f64>,
     ) -> Vec<BatchItem> {
-        // Route the whole batch first: request order within each pool's
-        // sub-batch matches global request order, so per-pool session
-        // folds see the same sequence serve_one would feed them.
+        self.serve_frame(session, inputs, arrival_secs).0
+    }
+
+    /// Route `inputs` across the replica set, feed each pool's sub-batch
+    /// (in request order) to that pool's plan and executor, and map the
+    /// items to global chip ids — the one place fleet chip ids are made.
+    fn serve_frame<I: AsRef<[f64]> + Sync>(
+        &self,
+        session: &mut FleetSession,
+        inputs: &[I],
+        arrival: Option<f64>,
+    ) -> (Vec<BatchItem>, Option<Panic>) {
+        let replicas = self.session_replicas(session);
         let mut per_pool: Vec<Vec<usize>> = vec![Vec::new(); self.pools.len()];
         for request in 0..inputs.len() {
-            let pool = self.next_pool(session);
+            per_pool[replicas[(session.sequence % replicas.len() as u64) as usize]].push(request);
             session.sequence += 1;
-            per_pool[pool].push(request);
         }
         let mut items: Vec<Option<BatchItem>> = (0..inputs.len()).map(|_| None).collect();
-        for (pool, requests) in per_pool.iter().enumerate() {
-            if requests.is_empty() {
-                continue;
-            }
+        let mut panic = None;
+        for (pool, requests) in per_pool.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
             let slot = &self.pools[pool];
-            let sub_inputs: Vec<Vec<f64>> = requests.iter().map(|&r| inputs[r].clone()).collect();
-            let sub_items = slot.engine.serve_session_batch(
-                &mut session.sessions[pool],
-                &sub_inputs,
-                arrival_secs,
-            );
-            for (&request, item) in requests.iter().zip(sub_items) {
-                items[request] = Some(match item {
-                    BatchItem::Served(mut served) => {
-                        served.chip += slot.chip_offset;
-                        BatchItem::Served(served)
-                    }
-                    BatchItem::Shed {
-                        chip,
-                        estimated_wait_secs,
-                    } => BatchItem::Shed {
-                        chip: chip + slot.chip_offset,
-                        estimated_wait_secs,
-                    },
-                    BatchItem::Failed { chip } => BatchItem::Failed {
-                        chip: chip + slot.chip_offset,
-                    },
-                });
+            let sub: Vec<&[f64]> = requests.iter().map(|&r| inputs[r].as_ref()).collect();
+            let (sub_items, sub_panic) =
+                slot.engine
+                    .serve_frame(&mut session.sessions[pool], &sub, arrival);
+            panic = panic.or(sub_panic);
+            for (&request, mut item) in requests.iter().zip(sub_items) {
+                *item.chip_mut() += slot.chip_offset;
+                items[request] = Some(item);
             }
         }
-        items
+        let items = items
             .into_iter()
             .map(|item| item.expect("every request routed"))
-            .collect()
+            .collect();
+        (items, panic)
     }
 
     /// Record a measured capacity point for [`Fleet::pools_for`].

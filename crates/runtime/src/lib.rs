@@ -17,17 +17,21 @@
 //!   of the same borrowed task closure, so an iterative hot loop (the
 //!   trainer's per-mini-batch shards) pays a condvar wake per round
 //!   instead of a thread spawn.
-//! * [`ChipPool`] — N independently manufactured [`Chip`] instances (each
-//!   with its own `(root_seed, chip_index)`-derived write-noise draw)
-//!   with legacy [`Placement`] serve adapters.
-//! * [`Engine`] — the layered serving stack: a [`PlacementPolicy`]
-//!   ([`RoundRobin`], [`LeastLoaded`], [`SizeAware`]) over a [`CostModel`]
-//!   (unit input-length proxy, or [`CostModel::calibrate`]d from measured
-//!   per-chip inference times), request coalescing, batch and open-loop
-//!   runs, and streaming [`Session`]s for request-at-a-time sources.
-//! * [`net`] — a hermetic `std::net` TCP front-end: a line-oriented
-//!   protocol ([`net::Server`] / [`net::Client`]) serving engines to
-//!   clients outside the process, one placement session per connection.
+//! * [`ChipPool`] — N independently manufactured [`Chip`] instances, each
+//!   with its own `(root_seed, chip_index)`-derived write-noise draw.
+//! * [`Engine`] — the serving stack over one pool: a [`PlacementPolicy`]
+//!   ([`RoundRobin`], [`LeastLoaded`], [`SizeAware`], [`WearAware`]) over
+//!   a [`CostModel`] (unit input-length proxy, or
+//!   [`CostModel::calibrate`]d from measured per-chip inference times).
+//!   Every serving call is one pure `Engine::plan` — the placement and
+//!   admission fold over a [`Session`] — followed by one executor that
+//!   owns the per-chip queues, coalescing, arrival waits and the
+//!   `catch_unwind` around `Chip::infer`.
+//! * [`net`] — a hermetic `std::net` TCP front-end: the event-driven
+//!   [`net::EventServer`] speaks pipelined binary frames (v2, via
+//!   [`net::ClientV2`]) and falls back to text lines (v1, via
+//!   [`net::Client`]) per connection, one routing session per connection
+//!   and workload.
 //! * [`DriftingChip`] + [`Engine::recalibrate_window`] — deterministic
 //!   retention-drift injection (per-window, `rram::retention` power law)
 //!   and versioned online cost refresh, so placement re-routes around
@@ -82,7 +86,7 @@ pub mod stats;
 pub use accounting::{ChipCostSheet, EnergyStats, FleetAccounting, PoolAccounting};
 pub use admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
 pub use affinity::{pin_worker, AffinityMode};
-pub use chip::{Chip, ChipPool, DriftProfile, DriftingChip, Placement, ServeOutcome};
+pub use chip::{Chip, ChipPool, DriftProfile, DriftingChip, ServeOutcome};
 pub use crew::Crew;
 pub use engine::{BatchItem, Engine, Offer, Served, Session, MODEL_HISTORY_CAP};
 pub use fleet::{

@@ -32,7 +32,7 @@ pub enum ConnMode {
 pub enum ConnEvent {
     /// The client negotiated v2; answer the negotiation line.
     NegotiatedV2,
-    /// A v1 request line (newline stripped), ready for `serve_line`.
+    /// A v1 request line (newline stripped), served as a one-request batch.
     Line(String),
     /// A v2 request batch.
     Request(RequestFrame),

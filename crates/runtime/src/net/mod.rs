@@ -1,6 +1,6 @@
 //! Hermetic TCP front-end: two wire protocols over `std::net` exposing
-//! one or more serving [`Engine`]s to clients outside the process. No
-//! HTTP crate, no async runtime, no `libc`.
+//! one or more serving [`Fleet`]s (or single [`Engine`]s) to clients
+//! outside the process. No HTTP crate, no async runtime, no `libc`.
 //!
 //! The module tree:
 //!
@@ -11,9 +11,9 @@
 //! * [`conn`] — the sans-IO per-connection state machine: version
 //!   negotiation, v1 line framing and v2 frame decoding over a byte
 //!   buffer, with no sockets (unit-testable in memory).
-//! * [`server`] — the blocking prefork [`Server`]/[`Client`] (v1 only)
-//!   and the event-driven [`EventServer`]/[`ClientV2`] (v2 with v1
-//!   fallback).
+//! * [`server`] — the event-driven [`EventServer`] (v2 with v1 text
+//!   fallback per connection) and its blocking clients, [`Client`] (v1)
+//!   and [`ClientV2`].
 //!
 //! ## Wire protocol v1 (text)
 //!
@@ -28,18 +28,20 @@
 //!
 //! `workload` names a registered [`NetWorkload`]; `csv` is the request's
 //! input vector (request) or output vector (response); `chip-id` is the
-//! pool chip that served it and `latency-us` the integer microseconds of
-//! the inline `infer` call. Floats are formatted with Rust's shortest
+//! (global) chip that served it and `latency-us` the integer microseconds
+//! of its `infer` call. Floats are formatted with Rust's shortest
 //! round-trip `Display`, so **the output CSV is a bit-exact encoding**:
 //! parsing it back yields the identical `f64` bits the in-process engine
 //! produced. `chip-id` and the CSV are covered by the determinism
 //! contract; `latency-us` is a measurement and is not.
 //!
 //! Malformed lines, unknown workloads and wrong-arity inputs get an
-//! `err` line and the connection keeps serving; a line longer than
-//! [`ServerConfig::max_line_bytes`] gets an `err` line and a clean close
-//! (the stream can no longer be framed); a client disconnect mid-stream
-//! closes the handler without disturbing sibling connections.
+//! `err` line and the connection keeps serving; a request whose chip
+//! panics gets `err chip <id> failed` and the connection keeps serving
+//! too. A line longer than [`EventServerConfig::max_line_bytes`] gets an
+//! `err` line and a clean close (the stream can no longer be framed); a
+//! client disconnect mid-stream closes the connection without disturbing
+//! its siblings.
 //!
 //! ## Wire protocol v2 (binary, pipelined)
 //!
@@ -65,8 +67,8 @@
 //! payload is the concatenated input vectors (`dim` implied by the
 //! workload), and the matching response frame answers every request in
 //! order. A pipelining client keeps several frames in flight and a
-//! single connection saturates the whole chip pool
-//! ([`Engine::serve_session_batch`] fans the batch out per chip).
+//! single connection saturates the whole fleet
+//! ([`Fleet::serve_session_batch`] fans the batch out per pool and chip).
 //! Malformed frame *bodies* get an in-band error frame and the
 //! connection keeps serving; an oversized frame length gets an error
 //! frame and a close (the stream can no longer be framed) — sibling
@@ -74,10 +76,9 @@
 //!
 //! ## Admission control
 //!
-//! When any served engine has admission enabled
-//! ([`Engine::with_admission`]), connections gate requests: each
-//! request's arrival is stamped the moment its line (v1) or frame (v2)
-//! is decoded off the socket, and the session's virtual-time
+//! Every request's arrival is stamped the moment its line (v1) or frame
+//! (v2) is decoded off the socket. When the serving engine has admission
+//! enabled ([`Engine::with_admission`]), the session's virtual-time
 //! [`Gate`](crate::Gate) is offered the request before it runs. A shed
 //! request gets the fixed in-band line `err overloaded` (v1) or a shed
 //! record (v2) — the exact bytes carry no measurement, so responses stay
@@ -87,25 +88,23 @@
 //!
 //! ## Determinism
 //!
-//! Each connection gets its own placement [`Session`] per workload, so
-//! the chip sequence a client observes is a pure function of *its own*
-//! request sequence — independent of server thread count, worker pool
-//! size, protocol version and of any other connection. That is what
-//! makes loopback serving byte-identical (modulo the latency field) to
-//! feeding the same sequence through [`Engine::serve_one`] in process,
-//! asserted in `tests/serving_engine.rs`.
+//! Each connection gets its own routing [`FleetSession`] per workload,
+//! so the chip sequence a client observes is a pure function of *its
+//! own* request sequence — independent of worker count, protocol version
+//! and of any other connection. That is what makes loopback serving
+//! byte-identical (modulo the latency field) to feeding the same
+//! sequence through [`Fleet::serve_one`] (or [`Engine::serve_one`]) in
+//! process, asserted in `tests/serving_engine.rs`.
 
 pub mod conn;
 pub mod frame;
 pub mod server;
 
-pub use server::{Client, ClientV2, EventServer, EventServerConfig, Server, ServerConfig};
-
-use std::io::{BufRead, BufReader, Read};
+pub use server::{Client, ClientV2, EventServer, EventServerConfig};
 
 use crate::chip::Chip;
-use crate::engine::{BatchItem, Engine, Offer, Served, Session};
-use crate::fleet::{Fleet, FleetSession};
+use crate::engine::{BatchItem, Engine, Offer};
+use crate::fleet::{Fleet, FleetConfig, FleetSession};
 
 /// Upper bound on a request line, including the newline.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
@@ -172,6 +171,13 @@ impl Response {
         }
     }
 
+    /// The protocol line with its newline, as wire bytes.
+    pub(crate) fn line_bytes(&self) -> Vec<u8> {
+        let mut bytes = self.format().into_bytes();
+        bytes.push(b'\n');
+        bytes
+    }
+
     /// Parse a protocol line (newline already stripped).
     ///
     /// # Errors
@@ -202,40 +208,24 @@ impl Response {
     }
 }
 
-/// What actually serves a workload's requests: one engine pool, or a
-/// whole [`Fleet`] of them routed by workload key. Private — the servers
-/// go through the dispatching methods on [`NetWorkload`].
-enum Backend {
-    Engine(Engine<Box<dyn Chip>>),
-    Fleet(Fleet<Box<dyn Chip>>),
-}
+/// Per-connection serving state for one workload: the routing session
+/// of the workload's fleet.
+pub type WorkloadSession = FleetSession;
 
-/// Per-connection serving state for one workload: the backend-shaped
-/// mirror of [`Session`]. Create with [`NetWorkload::open_session`]; the
-/// chip sequence it yields is a pure function of the connection's own
-/// request sequence either way.
-pub enum WorkloadSession {
-    /// Placement session over a single engine.
-    Engine(Session),
-    /// Routing session over a fleet (replica rotation + per-pool
-    /// placement sessions).
-    Fleet(FleetSession),
-}
-
-/// A named workload the server exposes: a serving backend (engine or
-/// fleet) over type-erased chips plus the input arity it validates
-/// before letting a request reach `Chip::infer` (chips panic on wrong
-/// lengths by contract, so the server must reject, not forward, bad
-/// arities).
+/// A named workload the server exposes: a [`Fleet`] over type-erased
+/// chips plus the input arity it validates before letting a request
+/// reach `Chip::infer` (chips panic on wrong lengths by contract, so the
+/// server must reject, not forward, bad arities).
 pub struct NetWorkload {
     name: String,
     input_dim: usize,
-    backend: Backend,
+    fleet: Fleet<Box<dyn Chip>>,
 }
 
 impl NetWorkload {
     /// Register `engine` under `name`, validating requests to
-    /// `input_dim` elements.
+    /// `input_dim` elements: a one-pool, one-replica fleet, so chip ids
+    /// on the wire are the engine's own.
     ///
     /// # Panics
     ///
@@ -243,7 +233,8 @@ impl NetWorkload {
     /// single protocol token), or if `input_dim` is zero.
     #[must_use]
     pub fn new(name: impl Into<String>, input_dim: usize, engine: Engine<Box<dyn Chip>>) -> Self {
-        Self::build(name, input_dim, Backend::Engine(engine))
+        let fleet = Fleet::new(vec![engine], FleetConfig::new(0).with_replication(1));
+        Self::fleet(name, input_dim, fleet)
     }
 
     /// Register a whole `fleet` under `name`: requests route across the
@@ -256,10 +247,6 @@ impl NetWorkload {
     /// As [`NetWorkload::new`].
     #[must_use]
     pub fn fleet(name: impl Into<String>, input_dim: usize, fleet: Fleet<Box<dyn Chip>>) -> Self {
-        Self::build(name, input_dim, Backend::Fleet(fleet))
-    }
-
-    fn build(name: impl Into<String>, input_dim: usize, backend: Backend) -> Self {
         let name = name.into();
         assert!(
             !name.is_empty() && !name.contains(char::is_whitespace),
@@ -269,7 +256,7 @@ impl NetWorkload {
         Self {
             name,
             input_dim,
-            backend,
+            fleet,
         }
     }
 
@@ -285,148 +272,54 @@ impl NetWorkload {
         self.input_dim
     }
 
-    /// The serving engine, when the backend is a single engine (`None`
-    /// for fleet-backed workloads).
-    #[must_use]
-    pub fn engine(&self) -> Option<&Engine<Box<dyn Chip>>> {
-        match &self.backend {
-            Backend::Engine(engine) => Some(engine),
-            Backend::Fleet(_) => None,
-        }
-    }
-
-    /// The serving fleet, when the backend is a fleet.
+    /// The serving fleet (always present: an engine registered with
+    /// [`NetWorkload::new`] is a one-pool fleet).
     #[must_use]
     pub fn as_fleet(&self) -> Option<&Fleet<Box<dyn Chip>>> {
-        match &self.backend {
-            Backend::Engine(_) => None,
-            Backend::Fleet(fleet) => Some(fleet),
-        }
-    }
-
-    /// Whether any serving path of this workload gates requests through
-    /// admission control (for a fleet: any pool's engine does).
-    #[must_use]
-    pub fn has_admission(&self) -> bool {
-        match &self.backend {
-            Backend::Engine(engine) => engine.admission().is_some(),
-            Backend::Fleet(fleet) => {
-                (0..fleet.len()).any(|p| fleet.engine(p).admission().is_some())
-            }
-        }
+        Some(&self.fleet)
     }
 
     /// Open a fresh per-connection session for this workload.
     #[must_use]
     pub fn open_session(&self) -> WorkloadSession {
-        match &self.backend {
-            Backend::Engine(engine) => WorkloadSession::Engine(engine.session()),
-            Backend::Fleet(fleet) => WorkloadSession::Fleet(fleet.session(&self.name)),
-        }
+        self.fleet.session(&self.name)
     }
 
-    /// Serve one request through the session (fleet chip ids are
-    /// global).
+    /// Serve one request behind the fleet's admission gates (see
+    /// [`Fleet::offer_one`]).
     ///
     /// # Panics
     ///
-    /// Panics if `session` came from a different-backed workload.
-    pub fn serve_one(&self, session: &mut WorkloadSession, input: &[f64]) -> Served {
-        match (&self.backend, session) {
-            (Backend::Engine(engine), WorkloadSession::Engine(s)) => engine.serve_one(s, input),
-            (Backend::Fleet(fleet), WorkloadSession::Fleet(s)) => fleet.serve_one(s, input),
-            _ => panic!("session opened on a different-backed workload"),
-        }
-    }
-
-    /// Serve one request behind the backend's admission gate.
-    ///
-    /// # Panics
-    ///
-    /// As [`NetWorkload::serve_one`].
+    /// Re-raises a chip panic, as [`Fleet::offer_one`] does.
     pub fn offer_one(
         &self,
         session: &mut WorkloadSession,
         input: &[f64],
         arrival_secs: f64,
     ) -> Offer {
-        match (&self.backend, session) {
-            (Backend::Engine(engine), WorkloadSession::Engine(s)) => {
-                engine.offer_one(s, input, arrival_secs)
-            }
-            (Backend::Fleet(fleet), WorkloadSession::Fleet(s)) => {
-                fleet.offer_one(s, input, arrival_secs)
-            }
-            _ => panic!("session opened on a different-backed workload"),
-        }
+        self.fleet.offer_one(session, input, arrival_secs)
     }
 
-    /// Serve a pipelined batch through the session (the v2 path),
-    /// results in request order.
-    ///
-    /// # Panics
-    ///
-    /// As [`NetWorkload::serve_one`].
+    /// Serve a batch through the session, results in request order: the
+    /// path both wire protocols take (a v1 line is a one-request batch).
     pub fn serve_batch(
         &self,
         session: &mut WorkloadSession,
         inputs: &[Vec<f64>],
         arrival_secs: Option<f64>,
     ) -> Vec<BatchItem> {
-        match (&self.backend, session) {
-            (Backend::Engine(engine), WorkloadSession::Engine(s)) => {
-                engine.serve_session_batch(s, inputs, arrival_secs)
-            }
-            (Backend::Fleet(fleet), WorkloadSession::Fleet(s)) => {
-                fleet.serve_session_batch(s, inputs, arrival_secs)
-            }
-            _ => panic!("session opened on a different-backed workload"),
-        }
-    }
-}
-
-/// [`serve_line`] behind the session's admission gate: the request is
-/// offered with its arrival stamp, and a shed answers the fixed
-/// `err overloaded` line (no interpolated measurement — response bytes
-/// stay deterministic).
-fn serve_line_admitted(
-    line: &str,
-    arrival_secs: f64,
-    workloads: &[NetWorkload],
-    sessions: &mut [WorkloadSession],
-) -> Response {
-    let (index, input) = match parse_request(line, workloads) {
-        Ok(parsed) => parsed,
-        Err(response) => return response,
-    };
-    match workloads[index].offer_one(&mut sessions[index], &input, arrival_secs) {
-        Offer::Served(served) => Response::Ok {
-            chip: served.chip,
-            latency_us: served.latency.as_micros(),
-            output: served.output,
-        },
-        Offer::Shed { .. } => Response::Error("overloaded".to_string()),
-    }
-}
-
-/// Parse and serve one request line against per-connection sessions.
-fn serve_line(line: &str, workloads: &[NetWorkload], sessions: &mut [WorkloadSession]) -> Response {
-    let (index, input) = match parse_request(line, workloads) {
-        Ok(parsed) => parsed,
-        Err(response) => return response,
-    };
-    let served = workloads[index].serve_one(&mut sessions[index], &input);
-    Response::Ok {
-        chip: served.chip,
-        latency_us: served.latency.as_micros(),
-        output: served.output,
+        self.fleet
+            .serve_session_batch(session, inputs, arrival_secs)
     }
 }
 
 /// Validate one request line: workload lookup, CSV parse, arity check.
 /// Returns the workload index and the parsed input, or the in-band
 /// `err` response to send back.
-fn parse_request(line: &str, workloads: &[NetWorkload]) -> Result<(usize, Vec<f64>), Response> {
+pub(crate) fn parse_request(
+    line: &str,
+    workloads: &[NetWorkload],
+) -> Result<(usize, Vec<f64>), Response> {
     let Some((name, csv)) = line.split_once(' ') else {
         return Err(Response::Error(
             "malformed request: expected '<workload> <v1,v2,...>'".to_string(),
@@ -444,44 +337,6 @@ fn parse_request(line: &str, workloads: &[NetWorkload]) -> Result<(usize, Vec<f6
         )));
     }
     Ok((index, input))
-}
-
-enum ReadLineError {
-    TooLong,
-    Io,
-}
-
-/// Read one `\n`-terminated line of at most `max` bytes. `Ok(None)` on
-/// EOF before any newline (a partial trailing line is a disconnect, not
-/// a request). The trailing `\r`, if any, is stripped.
-fn read_line_bounded<R: Read>(
-    reader: &mut BufReader<R>,
-    max: usize,
-) -> Result<Option<String>, ReadLineError> {
-    let mut acc: Vec<u8> = Vec::new();
-    loop {
-        let buf = reader.fill_buf().map_err(|_| ReadLineError::Io)?;
-        if buf.is_empty() {
-            return Ok(None); // EOF
-        }
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            acc.extend_from_slice(&buf[..pos]);
-            reader.consume(pos + 1);
-            if acc.len() > max {
-                return Err(ReadLineError::TooLong);
-            }
-            if acc.last() == Some(&b'\r') {
-                acc.pop();
-            }
-            return Ok(Some(String::from_utf8_lossy(&acc).into_owned()));
-        }
-        let taken = buf.len();
-        acc.extend_from_slice(buf);
-        reader.consume(taken);
-        if acc.len() > max {
-            return Err(ReadLineError::TooLong);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -507,14 +362,15 @@ mod tests {
         Engine::new(pool.boxed()).with_policy(RoundRobin)
     }
 
-    fn toy_server(threads: usize) -> Server {
+    fn toy_server(workers: usize) -> EventServer {
         let workloads = vec![NetWorkload::new("toy", 2, toy_engine(3))];
-        Server::bind(
+        EventServer::bind(
             "127.0.0.1:0",
             workloads,
-            ServerConfig {
-                threads,
+            EventServerConfig {
+                workers,
                 max_line_bytes: 256,
+                ..EventServerConfig::default()
             },
         )
         .expect("bind ephemeral")
@@ -542,35 +398,6 @@ mod tests {
         let err = Response::Error("wrong arity".to_string());
         assert_eq!(Response::parse(&err.format()), Ok(err));
         assert!(Response::parse("what 1 2 3").is_err());
-    }
-
-    #[test]
-    fn bounded_reader_frames_lines_and_caps_length() {
-        let data = b"short line\r\nsecond\n".to_vec();
-        let mut reader = BufReader::new(&data[..]);
-        assert_eq!(
-            read_line_bounded(&mut reader, 64).ok().flatten(),
-            Some("short line".to_string())
-        );
-        assert_eq!(
-            read_line_bounded(&mut reader, 64).ok().flatten(),
-            Some("second".to_string())
-        );
-        assert!(read_line_bounded(&mut reader, 64).ok().flatten().is_none());
-        // A partial trailing line (client died mid-write) is EOF.
-        let partial = b"no newline".to_vec();
-        let mut reader = BufReader::new(&partial[..]);
-        assert!(read_line_bounded(&mut reader, 64).ok().flatten().is_none());
-        // Over-cap lines are rejected even when a newline follows.
-        let long = vec![b'x'; 100]
-            .into_iter()
-            .chain(*b"\n")
-            .collect::<Vec<u8>>();
-        let mut reader = BufReader::new(&long[..]);
-        assert!(matches!(
-            read_line_bounded(&mut reader, 32),
-            Err(ReadLineError::TooLong)
-        ));
     }
 
     #[test]
@@ -661,18 +488,19 @@ mod tests {
         server.shutdown();
     }
 
-    fn gated_server(chips: usize, max_delay_secs: f64, secs_per_cost: f64) -> Server {
+    fn gated_server(chips: usize, max_delay_secs: f64, secs_per_cost: f64) -> EventServer {
         let engine = toy_engine(chips).with_admission(crate::AdmissionConfig {
             max_delay_secs,
             secs_per_cost,
         });
         let workloads = vec![NetWorkload::new("toy", 2, engine)];
-        Server::bind(
+        EventServer::bind(
             "127.0.0.1:0",
             workloads,
-            ServerConfig {
-                threads: 1,
+            EventServerConfig {
+                workers: 1,
                 max_line_bytes: 256,
+                ..EventServerConfig::default()
             },
         )
         .expect("bind ephemeral")

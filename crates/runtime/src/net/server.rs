@@ -1,14 +1,12 @@
-//! The two server shapes and their clients.
+//! The server and its clients.
 //!
-//! * [`Server`]/[`Client`] — the original blocking prefork pair: one
-//!   acceptor thread per concurrent connection, v1 text only. Kept as
-//!   the portable fallback and the reference implementation the
-//!   event-driven path is tested against.
-//! * [`EventServer`]/[`ClientV2`] — the event-driven connection layer:
-//!   nonblocking sockets driven by one readiness-scan thread plus a
-//!   fixed worker pool, so thousands of idle connections cost one
-//!   thread, not one each. Speaks v2 binary frames with transparent v1
-//!   text fallback per connection.
+//! * [`EventServer`] — the event-driven connection layer: nonblocking
+//!   sockets driven by one readiness-scan thread plus a fixed worker
+//!   pool, so thousands of idle connections cost one thread, not one
+//!   each. Speaks v2 binary frames with transparent v1 text fallback per
+//!   connection.
+//! * [`Client`] — a blocking v1 text client; [`ClientV2`] — a blocking
+//!   v2 client that negotiates binary frames on connect.
 //!
 //! ## The readiness loop
 //!
@@ -20,7 +18,7 @@
 //!            │ collect results → per-conn write buffers      │◀── done queue
 //!            │ flush (nonblocking)                           │
 //!            └───────────────────────────────────────────────┘
-//!                                  workers (fixed pool) ──▶ Engine
+//!                                  workers (fixed pool) ──▶ Fleet
 //! ```
 //!
 //! The scan is a level-triggered readiness loop over nonblocking
@@ -35,10 +33,12 @@
 //!
 //! Each connection's requests are serialized: one job (a v1 line or a
 //! whole v2 batch) is in flight at a time, carrying the connection's
-//! placement [`Session`]s out to a worker and back. Responses therefore
-//! come back in request order and the chip sequence is a pure function
-//! of the connection's own request sequence — independent of the worker
-//! count, asserted in `tests/serving_engine.rs`.
+//! routing sessions out to a worker and back. Responses therefore come
+//! back in request order and the chip sequence is a pure function of the
+//! connection's own request sequence — independent of the worker count,
+//! asserted in `tests/serving_engine.rs`. Both protocols serve through
+//! [`NetWorkload::serve_batch`] (a v1 line is a one-request batch), so a
+//! chip panic is contained and answered in band on either.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -51,253 +51,17 @@ use std::time::{Duration, Instant};
 use super::conn::{ConnEvent, ConnMachine, ConnMode};
 use super::frame::{self, Frame, ItemResponse, RequestFrame, ResponseFrame};
 use super::WorkloadSession;
-use super::{
-    format_csv, read_line_bounded, serve_line, serve_line_admitted, NetWorkload, ReadLineError,
-    Response, DEFAULT_MAX_LINE_BYTES,
-};
+use super::{format_csv, parse_request, NetWorkload, Response, DEFAULT_MAX_LINE_BYTES};
 use crate::engine::BatchItem;
 
-/// Depth of the gated handler's reader → server queue. Bounds how far a
-/// pipelining client can run ahead of arrival stamping; past this the
-/// reader thread blocks on the queue (TCP backpressure), which only
-/// *delays* stamps — admission decisions remain a pure function of the
+/// Per-connection cap on decoded-but-unserved jobs; past this the loop
+/// stops reading that socket (TCP backpressure), which only *delays*
+/// arrival stamps — admission decisions remain a pure function of the
 /// stamped sequence.
-const ADMITTED_QUEUE_DEPTH: usize = 1024;
-
-/// Per-connection cap on decoded-but-unserved jobs in the event server;
-/// past this the loop stops reading that socket (TCP backpressure),
-/// mirroring [`ADMITTED_QUEUE_DEPTH`] on the prefork path.
 const EVENT_PENDING_CAP: usize = 1024;
 
 /// How long the event loop sleeps when one full scan makes no progress.
 const EVENT_IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Accept-loop threads; each handles one connection at a time, so
-    /// this is also the concurrent-connection capacity.
-    pub threads: usize,
-    /// Hard cap on a request line; longer lines are rejected and the
-    /// connection closed (the stream can no longer be framed).
-    pub max_line_bytes: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            threads: 2,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-        }
-    }
-}
-
-/// A running server: `threads` prefork acceptors sharing one listener.
-/// Dropping the handle leaks the threads — call [`Server::shutdown`].
-pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    // One slot per acceptor: the live connection it is handling, if any.
-    // The slot is cleared when the handler returns — a lingering clone
-    // would hold the socket open past the handler's close (the peer
-    // would never see EOF) and leak one fd per served connection.
-    conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
-    acceptors: Vec<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start serving
-    /// `workloads`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from bind/clone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workloads` is empty or `config.threads` is zero.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        workloads: Vec<NetWorkload>,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
-        assert!(!workloads.is_empty(), "a server needs a workload");
-        assert!(config.threads > 0, "a server needs an acceptor thread");
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<Option<TcpStream>>>> =
-            Arc::new(Mutex::new((0..config.threads).map(|_| None).collect()));
-        let gated = workloads.iter().any(NetWorkload::has_admission);
-        let workloads = Arc::new(workloads);
-        let acceptors = (0..config.threads)
-            .map(|slot| {
-                let listener = listener.try_clone()?;
-                let stop = Arc::clone(&stop);
-                let conns = Arc::clone(&conns);
-                let workloads = Arc::clone(&workloads);
-                let max_line = config.max_line_bytes;
-                Ok(std::thread::spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            if let Ok(clone) = stream.try_clone() {
-                                conns.lock().expect("conn registry")[slot] = Some(clone);
-                            }
-                            let _ = stream.set_nodelay(true);
-                            if gated {
-                                handle_connection_admitted(stream, &workloads, max_line);
-                            } else {
-                                handle_connection(stream, &workloads, max_line);
-                            }
-                            // Drop the registry clone with the handler:
-                            // the fd must close with the connection so
-                            // the peer sees EOF.
-                            conns.lock().expect("conn registry")[slot] = None;
-                        }
-                        Err(_) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                    }
-                }))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(Self {
-            addr,
-            stop,
-            conns,
-            acceptors,
-        })
-    }
-
-    /// The bound address (with the resolved ephemeral port).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Graceful shutdown: stop accepting, close every live connection so
-    /// blocked reads return, wake each acceptor, and join them all.
-    pub fn shutdown(self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for conn in self.conns.lock().expect("conn registry").iter().flatten() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        for _ in &self.acceptors {
-            // A throwaway connect unblocks one accept(); the acceptor
-            // sees the stop flag and exits before handling it.
-            let _ = TcpStream::connect(self.addr);
-        }
-        for handle in self.acceptors {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Serve one connection to completion: one placement session per
-/// workload, one response line per request line, errors reported
-/// in-band. Returns when the client disconnects, a write fails, or a
-/// line exceeds the cap.
-fn handle_connection(stream: TcpStream, workloads: &[NetWorkload], max_line: usize) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut sessions: Vec<WorkloadSession> =
-        workloads.iter().map(NetWorkload::open_session).collect();
-    loop {
-        let line = match read_line_bounded(&mut reader, max_line) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // clean client disconnect
-            Err(ReadLineError::TooLong) => {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    Response::Error(format!("request line exceeds {max_line} bytes")).format()
-                );
-                let _ = writer.flush();
-                return;
-            }
-            Err(ReadLineError::Io) => return,
-        };
-        let response = serve_line(&line, workloads, &mut sessions);
-        if writeln!(writer, "{}", response.format()).is_err() || writer.flush().is_err() {
-            return; // client went away mid-response
-        }
-    }
-}
-
-/// Serve one connection through admission control: a reader thread
-/// stamps each request line's arrival at socket-read time and feeds a
-/// bounded queue; this thread gates and serves. A shed request answers
-/// the fixed line `err overloaded` and the connection keeps going.
-fn handle_connection_admitted(stream: TcpStream, workloads: &[NetWorkload], max_line: usize) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = BufWriter::new(stream);
-    let mut sessions: Vec<WorkloadSession> =
-        workloads.iter().map(NetWorkload::open_session).collect();
-    let epoch = Instant::now();
-    std::thread::scope(|scope| {
-        let (tx, rx) =
-            mpsc::sync_channel::<Result<(String, f64), ReadLineError>>(ADMITTED_QUEUE_DEPTH);
-        scope.spawn(move || {
-            let mut reader = BufReader::new(read_half);
-            loop {
-                match read_line_bounded(&mut reader, max_line) {
-                    Ok(Some(line)) => {
-                        // The stamp happens here — when the bytes left
-                        // the socket — so a pipelining client that
-                        // outruns service accumulates real arrival
-                        // backlog for the gate to see.
-                        let arrival = epoch.elapsed().as_secs_f64();
-                        if tx.send(Ok((line, arrival))).is_err() {
-                            return; // serving side gave up
-                        }
-                    }
-                    Ok(None) => return, // clean client disconnect
-                    Err(error) => {
-                        let _ = tx.send(Err(error));
-                        return;
-                    }
-                }
-            }
-        });
-        for message in rx {
-            match message {
-                Ok((line, arrival)) => {
-                    let response = serve_line_admitted(&line, arrival, workloads, &mut sessions);
-                    if writeln!(writer, "{}", response.format()).is_err() || writer.flush().is_err()
-                    {
-                        break; // client went away mid-response
-                    }
-                }
-                Err(ReadLineError::TooLong) => {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        Response::Error(format!("request line exceeds {max_line} bytes")).format()
-                    );
-                    let _ = writer.flush();
-                    break;
-                }
-                Err(ReadLineError::Io) => break,
-            }
-        }
-        // Unblock the reader (it may be parked in a socket read) so the
-        // scope can join it; dropping rx already unblocks a parked send.
-        let _ = writer.get_ref().shutdown(Shutdown::Both);
-    });
-}
 
 /// Event server tuning knobs.
 #[derive(Debug, Clone)]
@@ -309,7 +73,8 @@ pub struct EventServerConfig {
     /// Hard cap on one v2 frame; longer frames get an error frame and a
     /// close (the stream can no longer be framed).
     pub max_frame_bytes: usize,
-    /// Hard cap on a v1 request line, as in [`ServerConfig`].
+    /// Hard cap on a v1 request line; longer lines get an `err` line and
+    /// a close.
     pub max_line_bytes: usize,
 }
 
@@ -422,7 +187,6 @@ impl EventServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let gated = workloads.iter().any(NetWorkload::has_admission);
         let workloads = Arc::new(workloads);
 
         let (work_tx, work_rx) = mpsc::channel::<Job>();
@@ -441,7 +205,7 @@ impl EventServer {
                     let Ok(mut job) = job else {
                         return; // sender dropped: server shut down
                     };
-                    let bytes = run_job(&job.kind, gated, &workloads, &mut job.sessions);
+                    let bytes = run_job(&job.kind, &workloads, &mut job.sessions);
                     let done = Done {
                         slot: job.slot,
                         generation: job.generation,
@@ -500,23 +264,31 @@ impl EventServer {
 }
 
 /// Execute one job against the connection's sessions.
-fn run_job(
-    kind: &JobKind,
-    gated: bool,
-    workloads: &[NetWorkload],
-    sessions: &mut [WorkloadSession],
-) -> Vec<u8> {
+fn run_job(kind: &JobKind, workloads: &[NetWorkload], sessions: &mut [WorkloadSession]) -> Vec<u8> {
     match kind {
         JobKind::Reply(bytes) => bytes.clone(),
         JobKind::V1Line { line, arrival } => {
-            let response = if gated {
-                serve_line_admitted(line, *arrival, workloads, sessions)
-            } else {
-                serve_line(line, workloads, sessions)
+            let response = match parse_request(line, workloads) {
+                Ok((index, input)) => {
+                    let inputs = std::slice::from_ref(&input);
+                    let mut items =
+                        workloads[index].serve_batch(&mut sessions[index], inputs, Some(*arrival));
+                    match items.pop().expect("one request, one item") {
+                        BatchItem::Served(served) => Response::Ok {
+                            chip: served.chip,
+                            latency_us: served.latency.as_micros(),
+                            output: served.output,
+                        },
+                        // Fixed text: the bytes carry no measurement.
+                        BatchItem::Shed { .. } => Response::Error("overloaded".to_string()),
+                        BatchItem::Failed { chip } => {
+                            Response::Error(format!("chip {chip} failed"))
+                        }
+                    }
+                }
+                Err(response) => response,
             };
-            let mut bytes = response.format().into_bytes();
-            bytes.push(b'\n');
-            bytes
+            response.line_bytes()
         }
         JobKind::V2Batch { frame, arrival } => {
             serve_frame(frame, *arrival, workloads, sessions).encode()
@@ -525,9 +297,9 @@ fn run_job(
 }
 
 /// Serve one v2 request batch: workload lookup, arity check, then
-/// [`NetWorkload::serve_batch`] over the whole batch (engine- or
-/// fleet-backed alike). The arrival stamp (taken at frame decode) rides
-/// into the session's admission gate when one is configured.
+/// [`NetWorkload::serve_batch`] over the whole batch. The arrival stamp
+/// (taken at frame decode) rides into the session's admission gate when
+/// one is configured.
 fn serve_frame(
     request: &RequestFrame,
     arrival: f64,
@@ -690,23 +462,15 @@ fn event_loop(
                     ConnEvent::Corrupt(message) => {
                         let reply = match conn.machine.mode() {
                             ConnMode::BinaryV2 => Frame::Error(message).encode(),
-                            _ => {
-                                let mut bytes = Response::Error(message).format().into_bytes();
-                                bytes.push(b'\n');
-                                bytes
-                            }
+                            _ => Response::Error(message).line_bytes(),
                         };
                         conn.pending.push_back(JobKind::Reply(reply));
                     }
                     ConnEvent::TooLong => {
-                        let mut bytes = Response::Error(format!(
-                            "request line exceeds {} bytes",
-                            config.max_line_bytes
-                        ))
-                        .format()
-                        .into_bytes();
-                        bytes.push(b'\n');
-                        conn.pending.push_back(JobKind::Reply(bytes));
+                        let message =
+                            format!("request line exceeds {} bytes", config.max_line_bytes);
+                        let reply = Response::Error(message).line_bytes();
+                        conn.pending.push_back(JobKind::Reply(reply));
                         conn.closing = true;
                     }
                     ConnEvent::Fatal(message) => {
@@ -885,7 +649,7 @@ impl ClientV2 {
     /// # Errors
     ///
     /// Propagates socket errors; `InvalidData` when the server does not
-    /// speak v2 (e.g. the prefork [`Server`]).
+    /// speak v2.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;

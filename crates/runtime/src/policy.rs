@@ -9,8 +9,7 @@
 //!   [`PoolState`], and returns a chip id. Placement must be a **pure
 //!   function** of `(costs, state)` — never of wall-clock time or thread
 //!   timing — so a request sequence maps to the same chips on every run.
-//! * [`RoundRobin`], [`LeastLoaded`] — the classic policies, behaviour-
-//!   compatible with the legacy [`Placement`](crate::Placement) enum.
+//! * [`RoundRobin`], [`LeastLoaded`] — the classic policies.
 //! * [`SizeAware`] — greedy earliest-finish-time: picks the chip that
 //!   would *complete* the request soonest (`load + cost` argmin), which
 //!   routes work away from slow chips when the [`CostModel`] knows chips
@@ -29,9 +28,8 @@
 //! [`LeastLoaded`] and [`SizeAware`] resolve ties toward the **lowest
 //! chip index**: a candidate chip replaces the incumbent only when its
 //! key is *strictly* smaller. Equal-cost request streams therefore
-//! degenerate to round-robin-like sweeps deterministically, and the
-//! policy refactor cannot silently move equal-cost requests between
-//! chips (pinned by `tie_break_prefers_lowest_chip_index` below).
+//! degenerate to round-robin-like sweeps deterministically (pinned by
+//! `tie_break_prefers_lowest_chip_index` below).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -271,8 +269,7 @@ fn argmin(values: impl Iterator<Item = f64>) -> usize {
 /// Two unit conventions coexist deliberately:
 ///
 /// * [`CostModel::input_length`] — `a = 0, b = 1`: cost *is* the input
-///   length, the legacy proxy the [`Placement`](crate::Placement) enum
-///   used. Deterministic, no measurement needed.
+///   length. Deterministic, no measurement needed.
 /// * [`CostModel::calibrate`] — coefficients are least-squares fits of
 ///   measured `infer` wall time in **seconds**. The measurement itself is
 ///   host-dependent, but once frozen the model (and all placement
@@ -285,7 +282,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// The unit cost model for `chips` chips: cost = input length
-    /// (clamped to ≥ 1), matching the legacy `Placement` enum's proxy.
+    /// (clamped to ≥ 1).
     ///
     /// # Panics
     ///
@@ -475,38 +472,29 @@ fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
     (intercept, slope)
 }
 
-/// Replay a policy over a whole batch: `assignment[i]` is the chip id
-/// serving request `i`, with per-request costs taken from `model` and
-/// state threaded through `policy` in request order. This is the single
-/// definition of batch placement — the engine, the legacy enum adapters
-/// and the tests all call it.
-///
-/// # Panics
-///
-/// Panics if a policy returns a chip id out of range.
-#[must_use]
-pub fn assign_batch(
-    input_lens: &[usize],
-    policy: &dyn PlacementPolicy,
-    model: &CostModel,
-) -> Vec<usize> {
-    let mut state = PoolState::new(model.chips());
-    let mut costs = Vec::with_capacity(model.chips());
-    input_lens
-        .iter()
-        .map(|&len| {
-            model.estimates_into(len, &mut costs);
-            let chip = policy.place(&costs, &state);
-            assert!(chip < state.chips(), "policy chose an out-of-range chip");
-            state.commit(chip, costs[chip]);
-            chip
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Replay `policy` over a request sequence from a fresh state: the
+    /// placement half of `Engine::plan`, without an engine.
+    fn assign_batch(
+        input_lens: &[usize],
+        policy: &dyn PlacementPolicy,
+        model: &CostModel,
+    ) -> Vec<usize> {
+        let mut state = PoolState::new(model.chips());
+        let mut costs = Vec::new();
+        input_lens
+            .iter()
+            .map(|&len| {
+                model.estimates_into(len, &mut costs);
+                let chip = policy.place(&costs, &state);
+                state.commit(chip, costs[chip]);
+                chip
+            })
+            .collect()
+    }
 
     #[test]
     fn round_robin_cycles() {
@@ -528,8 +516,8 @@ mod tests {
     }
 
     /// The documented tie-break: on equal keys the lowest chip index
-    /// wins, for both load-based policies, so equal-cost streams place
-    /// identically under the enum and under the trait forever.
+    /// wins, for both load-based policies, so equal-cost streams sweep
+    /// the chips in index order.
     #[test]
     fn tie_break_prefers_lowest_chip_index() {
         let model = CostModel::input_length(4);

@@ -8,10 +8,16 @@
 //!    `ServeOutcome::failed` names the requests;
 //! 3. after a window recalibration the broken chip is quarantined and
 //!    subsequent placement routes around it — deterministically, so two
-//!    identically-built engines degrade identically.
+//!    identically-built engines degrade identically;
+//! 4. over the wire, a request whose chip panics is answered in band and
+//!    costs the server neither a worker nor the connection.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
+use runtime::net::{EventServer, EventServerConfig, NetWorkload, Response};
 use runtime::{Chip, ChipPool, Engine, RoundRobin, SizeAware, QUARANTINE_COST};
 
 /// Healthy chip: output is a pure function of the input and its offset.
@@ -172,4 +178,69 @@ fn calibration_of_an_all_dead_pool_still_terminates() {
     assert!(outcome.outputs.iter().all(Vec::is_empty));
     let total_failures: usize = outcome.stats.per_chip.iter().map(|c| c.failures).sum();
     assert_eq!(total_failures, 4);
+}
+
+/// A chip that panics on negative inputs: a request-dependent fault.
+struct PanicsOnNegative;
+
+impl Chip for PanicsOnNegative {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        assert!(input[0] >= 0.0, "injected fault: negative input");
+        input.to_vec()
+    }
+}
+
+#[test]
+fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
+    const WORKERS: usize = 2;
+    let chips: Vec<Box<dyn Chip>> = vec![Box::new(PanicsOnNegative)];
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        vec![NetWorkload::new(
+            "fragile",
+            1,
+            Engine::new(ChipPool::from_chips(chips)),
+        )],
+        EventServerConfig {
+            workers: WORKERS,
+            ..EventServerConfig::default()
+        },
+    )
+    .expect("bind event server");
+    // Raw v1 connections with a read timeout: a stranded request fails
+    // the test instead of hanging it.
+    let connect = || {
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    let round_trip = |(reader, writer): &mut (BufReader<TcpStream>, TcpStream), line: &str| {
+        writeln!(writer, "{line}").expect("send");
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("an answer before the timeout");
+        Response::parse(reply.trim_end()).expect("a protocol line")
+    };
+
+    let mut conn = connect();
+    // More panicking lines than there are workers: each is answered.
+    for i in 0..=WORKERS {
+        assert_eq!(
+            round_trip(&mut conn, "fragile -1"),
+            Response::Error("chip 0 failed".to_string()),
+            "panicking line {i}"
+        );
+    }
+    // The same connection and a fresh one still serve healthy lines.
+    for conn in [&mut conn, &mut connect()] {
+        match round_trip(conn, "fragile 0.5") {
+            Response::Ok { chip, output, .. } => assert_eq!((chip, output), (0, vec![0.5])),
+            other => panic!("healthy line not served: {other:?}"),
+        }
+    }
+    drop(conn);
+    server.shutdown();
 }

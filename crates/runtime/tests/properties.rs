@@ -13,8 +13,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use prng::{prop_check, substream};
-use runtime::net::{format_csv, parse_csv, Client, NetWorkload, Response, Server, ServerConfig};
-use runtime::{Chip, ChipPool, Engine, Placement, ThreadPool};
+use runtime::net::{
+    format_csv, parse_csv, Client, EventServer, EventServerConfig, NetWorkload, Response,
+};
+use runtime::{Chip, ChipPool, Engine, LeastLoaded, RoundRobin, ThreadPool};
 
 /// Parallel map equals the serial map, for arbitrary inputs, task counts
 /// and thread counts.
@@ -74,7 +76,7 @@ fn seeded_pool(root: u64, n: usize) -> ChipPool<SeededChip> {
 
 /// Serving a batch is deterministic: same pool, same batch, same
 /// placement → bit-identical outputs, for arbitrary batches and pool
-/// sizes, under both placement policies.
+/// sizes, under both classic placement policies.
 #[test]
 fn chip_pool_outputs_are_deterministic() {
     prop_check!(|g| {
@@ -87,18 +89,20 @@ fn chip_pool_outputs_are_deterministic() {
                 g.vec_f64(0.0, 1.0, len)
             })
             .collect();
-        let pool = seeded_pool(root, chips);
-        for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
-            let a = pool.serve(&inputs, placement);
-            let b = pool.serve(&inputs, placement);
+        for engine in [
+            Engine::new(seeded_pool(root, chips)).with_policy(RoundRobin),
+            Engine::new(seeded_pool(root, chips)).with_policy(LeastLoaded),
+        ] {
+            let a = engine.serve(&inputs);
+            let b = engine.serve(&inputs);
             assert_eq!(a.outputs, b.outputs);
             // And the outputs follow the published assignment exactly.
             let costs: Vec<usize> = inputs.iter().map(Vec::len).collect();
-            let assignment = pool.assignment(&costs, placement);
+            let assignment = engine.assignment(&costs);
             for (i, out) in a.outputs.iter().enumerate() {
                 let expect: Vec<f64> = inputs[i]
                     .iter()
-                    .map(|x| x + pool.chips()[assignment[i]].offset)
+                    .map(|x| x + engine.pool().chips()[assignment[i]].offset)
                     .collect();
                 assert_eq!(out, &expect);
             }
@@ -115,8 +119,8 @@ fn least_loaded_keeps_loads_balanced() {
         let chips = g.usize_in(1, 6);
         let n = g.usize_in(1, 30);
         let costs: Vec<usize> = (0..n).map(|_| g.usize_in(1, 20)).collect();
-        let pool = seeded_pool(1, chips);
-        let assignment = pool.assignment(&costs, Placement::LeastLoaded);
+        let engine = Engine::new(seeded_pool(1, chips)).with_policy(LeastLoaded);
+        let assignment = engine.assignment(&costs);
         let mut load = vec![0usize; chips];
         for (&chip, &cost) in assignment.iter().zip(&costs) {
             load[chip] += cost;
@@ -273,7 +277,7 @@ fn wire_protocol_abuse_yields_err_without_corrupting_sessions() {
             offset: (seed % 997) as f64,
         }))
     };
-    let server = Server::bind(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new(
             "prop",
@@ -285,9 +289,10 @@ fn wire_protocol_abuse_yields_err_without_corrupting_sessions() {
                 .boxed(),
             ),
         )],
-        ServerConfig {
-            threads: 1,
+        EventServerConfig {
+            workers: 1,
             max_line_bytes: MAX_LINE,
+            ..EventServerConfig::default()
         },
     )
     .expect("bind ephemeral");
@@ -365,7 +370,7 @@ fn wire_protocol_abuse_yields_err_without_corrupting_sessions() {
 #[test]
 fn oversized_lines_always_err_and_close_only_their_own_connection() {
     const MAX_LINE: usize = 128;
-    let server = Server::bind(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new(
             "prop",
@@ -377,9 +382,10 @@ fn oversized_lines_always_err_and_close_only_their_own_connection() {
                 .boxed(),
             ),
         )],
-        ServerConfig {
-            threads: 2,
+        EventServerConfig {
+            workers: 2,
             max_line_bytes: MAX_LINE,
+            ..EventServerConfig::default()
         },
     )
     .expect("bind ephemeral");
@@ -411,10 +417,10 @@ fn oversized_lines_always_err_and_close_only_their_own_connection() {
 /// Open-loop serving honours arrivals and reports sane statistics.
 #[test]
 fn open_loop_stats_are_consistent() {
-    let pool = seeded_pool(3, 2);
+    let engine = Engine::new(seeded_pool(3, 2)).with_policy(RoundRobin);
     let inputs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
     let arrivals: Vec<Duration> = (0..8).map(|i| Duration::from_micros(200 * i)).collect();
-    let outcome = pool.serve_open_loop(&inputs, &arrivals, Placement::RoundRobin);
+    let outcome = engine.serve_open_loop(&inputs, &arrivals);
     let stats = &outcome.stats;
     assert_eq!(stats.requests, 8);
     assert_eq!(stats.per_chip.iter().map(|c| c.served).sum::<usize>(), 8);
@@ -728,8 +734,7 @@ fn fleet_accounting_is_the_bitwise_sum_and_ignores_health_history() {
 #[test]
 fn session_batches_and_admitted_runs_equal_the_offer_one_fold() {
     use runtime::{
-        AdmissionConfig, BatchItem, Fleet, FleetConfig, LeastLoaded, Offer, PlacementPolicy,
-        RoundRobin, SizeAware,
+        AdmissionConfig, BatchItem, Fleet, FleetConfig, Offer, PlacementPolicy, SizeAware,
     };
 
     let bits = |values: &[f64]| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };

@@ -14,13 +14,13 @@
 //!
 //! Each connection gets its own placement session, so the chip sequence
 //! (and therefore the response bits) is a pure function of that
-//! connection's request order, whatever the server's thread or worker
-//! count — and identical across v1 and v2.
+//! connection's request order, whatever the server's worker count — and
+//! identical across v1 and v2.
 //!
-//! This example trains a small MEI system, serves it over the prefork v1
-//! `Server` with `runtime::net::Client`, then over the event-driven
-//! `EventServer` with the batch `ClientV2`, shows in-band protocol errors
-//! on both, and shuts everything down gracefully.
+//! This example trains a small MEI system, serves it from one
+//! event-driven `EventServer`, queries it with the v1 `Client` and the
+//! batch `ClientV2` on the same port, shows in-band protocol errors on
+//! both, and shuts the server down gracefully.
 //!
 //! Run with: `cargo run --release --example serve_tcp`
 
@@ -29,9 +29,7 @@ use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use runtime::net::frame::ItemResponse;
-use runtime::net::{
-    Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response, Server, ServerConfig,
-};
+use runtime::net::{Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train a small MEI system on exp(−x²).
@@ -55,16 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // A 4-chip pool behind the default least-loaded policy, published as
-    // the workload "expfit" (1 input element per request).
+    // the workload "expfit" (1 input element per request). One readiness
+    // thread holds every connection; a small worker pool runs inference.
     let engine = manufacture_boxed_engine(&mei, 4, 0.02, 42);
-    let server = Server::bind(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        ServerConfig::default(),
+        EventServerConfig::default(),
     )?;
     let addr = server.addr();
     println!("serving 'expfit' on {addr}");
 
+    // A v1 client never negotiates: its first line is a request, so the
+    // connection stays on text lines.
     let mut client = Client::connect(addr)?;
     for i in 0..4 {
         let x = f64::from(i) / 4.0;
@@ -92,22 +93,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Response::Ok { .. } => unreachable!("workload names are validated"),
     }
 
-    server.shutdown();
-    println!("v1 server drained and shut down");
-
-    // The same pool behind the event-driven server: one readiness thread
-    // holds every connection, a small worker pool runs the inference.
-    let engine = manufacture_boxed_engine(&mei, 4, 0.02, 42);
-    let event_server = EventServer::bind(
-        "127.0.0.1:0",
-        vec![NetWorkload::new("expfit", 1, engine)],
-        EventServerConfig::default(),
-    )?;
-    let addr = event_server.addr();
-    println!("\nserving 'expfit' (protocol v2) on {addr}");
-
-    // `ClientV2::connect` sends the `v2` upgrade line and parses the
-    // server's workload directory from the negotiation reply.
+    // `ClientV2::connect` sends the `v2` upgrade line on a new connection
+    // to the same port and parses the server's workload directory from
+    // the negotiation reply.
+    println!("\nprotocol v2 on the same port");
     let mut v2 = ClientV2::connect(addr)?;
     println!("negotiated workloads: {:?}", v2.workloads());
 
@@ -141,7 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => println!("unexpected follow-up response: {other:?}"),
     }
 
-    event_server.shutdown();
-    println!("v2 server drained and shut down");
+    drop((client, v2));
+    server.shutdown();
+    println!("server drained and shut down");
     Ok(())
 }

@@ -15,7 +15,7 @@ use mei::{
 use neural::{Dataset, MlpBuilder, TrainConfig, TrainReport, Trainer, WeightedMse};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
-use runtime::{Chip, Placement, ThreadPool};
+use runtime::{Chip, Engine, RoundRobin, ThreadPool};
 
 fn expfit(n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -195,8 +195,8 @@ fn manufactured_pool_outputs_are_reproducible() {
     let inputs: Vec<Vec<f64>> = (0..16).map(|i| vec![i as f64 / 16.0]).collect();
 
     let serve = || {
-        let pool = manufacture_chips(&rcs, 3, 0.05, 11);
-        pool.serve(&inputs, Placement::RoundRobin).outputs
+        let engine = Engine::new(manufacture_chips(&rcs, 3, 0.05, 11)).with_policy(RoundRobin);
+        engine.serve(&inputs).outputs
     };
     assert_eq!(serve(), serve(), "two serve runs over the same pool differ");
 

@@ -4,10 +4,9 @@
 //! For a fixed root seed and request sequence, the response bits must be
 //! identical across every way of driving the same pool:
 //!
-//! * the legacy `Placement` enum adapters vs the policy objects they
-//!   delegate to;
-//! * the in-process `Engine` vs the loopback TCP front-end;
-//! * a 1-thread server vs an N-thread server (placement sessions are
+//! * the in-process `Engine` vs the loopback TCP front-end, over v1 text
+//!   lines and v2 binary frames;
+//! * a 1-worker server vs an N-worker server (placement sessions are
 //!   per-connection, so server parallelism cannot move a request to a
 //!   different chip).
 //!
@@ -22,13 +21,9 @@ use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use runtime::net::frame::ItemResponse;
 use runtime::net::{
-    format_csv, Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response, Server,
-    ServerConfig,
+    format_csv, Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response,
 };
-use runtime::{
-    AdmissionConfig, Chip, ChipPool, DriftProfile, DriftingChip, Engine, LeastLoaded, Placement,
-    RoundRobin,
-};
+use runtime::{AdmissionConfig, Chip, ChipPool, DriftProfile, DriftingChip, Engine};
 
 const ROOT_SEED: u64 = 42;
 const CHIPS: usize = 3;
@@ -48,16 +43,17 @@ fn request_sequence() -> Vec<Vec<f64>> {
     (0..17).map(|i| vec![f64::from(i) / 17.0]).collect()
 }
 
-/// Serve the fixed sequence over one TCP connection against a server
-/// with the given acceptor-thread count; return `(chip, output)` pairs.
-fn serve_over_tcp(mei: &MeiRcs, threads: usize) -> Vec<(usize, Vec<f64>)> {
+/// Serve the fixed sequence as v1 text lines over one TCP connection
+/// against an event server with the given worker count; return
+/// `(chip, output)` pairs.
+fn serve_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
     let engine = manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
-    let server = Server::bind(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        ServerConfig {
-            threads,
-            ..ServerConfig::default()
+        EventServerConfig {
+            workers,
+            ..EventServerConfig::default()
         },
     )
     .expect("bind loopback");
@@ -72,27 +68,6 @@ fn serve_over_tcp(mei: &MeiRcs, threads: usize) -> Vec<(usize, Vec<f64>)> {
     drop(client);
     server.shutdown();
     served
-}
-
-#[test]
-fn enum_adapters_match_their_policy_objects() {
-    let mei = trained_mei();
-    let inputs = request_sequence();
-    for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
-        let via_enum =
-            manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED).serve(&inputs, placement);
-        let boxed: Box<dyn runtime::PlacementPolicy> = match placement {
-            Placement::RoundRobin => Box::new(RoundRobin),
-            Placement::LeastLoaded => Box::new(LeastLoaded),
-        };
-        let engine = Engine::new(manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED))
-            .with_boxed_policy(boxed);
-        let via_policy = engine.serve(&inputs);
-        assert_eq!(
-            via_enum.outputs, via_policy.outputs,
-            "{placement:?} adapter and its policy object must serve identical bits"
-        );
-    }
 }
 
 #[test]
@@ -183,14 +158,14 @@ fn generous_admission() -> AdmissionConfig {
 
 /// Serve the fixed sequence over one connection against a *gated*
 /// server whose engine drifted two windows; panic on any shed.
-fn serve_drifted_gated_over_tcp(mei: &MeiRcs, threads: usize) -> Vec<(usize, Vec<f64>)> {
+fn serve_drifted_gated_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
     let engine = drifted_boxed_engine(mei, 2, Some(generous_admission()));
-    let server = Server::bind(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        ServerConfig {
-            threads,
-            ..ServerConfig::default()
+        EventServerConfig {
+            workers,
+            ..EventServerConfig::default()
         },
     )
     .expect("bind loopback");
@@ -349,7 +324,7 @@ fn serve_over_v2(mei: &MeiRcs, workers: usize, splits: &[usize]) -> Vec<(usize, 
 #[test]
 fn v2_frames_serve_the_same_bits_as_v1_lines() {
     let mei = trained_mei();
-    // v1 reference: strict text round trips against the prefork server.
+    // v1 reference: strict text round trips over the v1 fallback.
     let v1 = serve_over_tcp(&mei, 1);
     // v2: one pipelined connection, uneven frame boundaries — framing
     // must not leak into placement or payload bits.
@@ -401,25 +376,6 @@ fn v2_unknown_workload_is_rejected_client_side() {
     assert!(matches!(items[0], ItemResponse::Ok { .. }));
     drop(client);
     server.shutdown();
-}
-
-#[test]
-fn v1_fallback_over_the_event_server_matches_the_prefork_server() {
-    let mei = trained_mei();
-    let prefork = serve_over_tcp(&mei, 1);
-    let server = bind_event_server(&mei, 2);
-    // A v1-only client that has never heard of negotiation.
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let mut served = Vec::new();
-    for input in request_sequence() {
-        match client.request("expfit", &input).expect("round trip") {
-            Response::Ok { chip, output, .. } => served.push((chip, output)),
-            Response::Error(e) => panic!("request rejected: {e}"),
-        }
-    }
-    drop(client);
-    server.shutdown();
-    assert_eq!(served, prefork, "the v1 fallback must be bit-transparent");
 }
 
 #[test]
@@ -574,9 +530,6 @@ fn batch_and_streaming_assignments_agree_end_to_end() {
         .map(|input| engine.serve_one(&mut session, input).chip)
         .collect();
     assert_eq!(batch, streamed);
-    // And the pool's enum surface still agrees with both.
-    let pool = manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
-    assert_eq!(pool.assignment(&lens, Placement::LeastLoaded), batch);
     // Sanity: work is actually spread, not funneled to one chip.
     let mut seen = batch.clone();
     seen.sort_unstable();
