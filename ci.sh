@@ -46,6 +46,24 @@ cargo test -q --offline -p mei-bench --test json_validity > /dev/null
 echo "==> TCP front-end smoke (loopback round trip, in-band errors, shutdown)"
 cargo run --release --offline --example serve_tcp > /dev/null
 
+echo "==> servebench (own package): tests + wire-level runs checked against the in-process fold"
+# servebench has its own [workspace], so --workspace never compiles it.
+# Each run exits non-zero when the served wire bits differ from the
+# in-process fold; the negative control (a twin built from another seed)
+# must be refused.
+cargo test -q --offline --release --manifest-path servebench/Cargo.toml > /dev/null
+servebench() {
+    cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- "$@" \
+        > /dev/null 2>&1
+}
+servebench --workload mlp-pipelined --seed 1 --seconds 1 --trace 0
+servebench --workload mlp-roundtrip --seed 1 --seconds 1 --trace 0
+servebench --workload mlp-pipelined --seed 1 --seconds 1 --trace 1
+if servebench --workload mlp-pipelined --seed 1 --twin-seed 2 --seconds 1 --trace 0; then
+    echo "ERROR: servebench accepted a twin built from another seed" >&2
+    exit 1
+fi
+
 echo "==> drift + admission bench smoke (online recalibration, knee-derived gate)"
 # Asserts the host-independent gate invariants: zero sheds at 0.5x the
 # measured knee, positive shed rate at 1.5x over it. The frozen-vs-
