@@ -443,10 +443,10 @@ impl<C: Chip> Engine<C> {
         for (ran, arrival) in ran.into_iter().zip(arrivals) {
             let Some(ran) = ran else { continue };
             latencies.push(ran.done.saturating_sub(*arrival));
-            outputs.push(ran.output.unwrap_or_else(|_| {
+            if ran.output.is_err() {
                 failed.push(outputs.len());
-                Vec::new()
-            }));
+            }
+            outputs.push(ran.output.unwrap_or_default());
         }
         if outputs.is_empty() {
             return None;
