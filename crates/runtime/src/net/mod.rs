@@ -290,7 +290,8 @@ impl NetWorkload {
     ///
     /// # Panics
     ///
-    /// Re-raises a chip panic, as [`Fleet::offer_one`] does.
+    /// As [`Fleet::offer_one`]: no healthy pool, or a chip panic, which
+    /// is re-raised.
     pub fn offer_one(
         &self,
         session: &mut WorkloadSession,
@@ -302,6 +303,10 @@ impl NetWorkload {
 
     /// Serve a batch through the session, results in request order: the
     /// path both wire protocols take (a v1 line is a one-request batch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pool of the fleet is healthy.
     pub fn serve_batch(
         &self,
         session: &mut WorkloadSession,

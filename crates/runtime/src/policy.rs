@@ -476,24 +476,18 @@ fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
 mod tests {
     use super::*;
 
-    /// Replay `policy` over a request sequence from a fresh state: the
-    /// placement half of `Engine::plan`, without an engine.
+    /// The assignment an engine over `model.chips()` chips plans for
+    /// requests of these input lengths.
     fn assign_batch(
         input_lens: &[usize],
-        policy: &dyn PlacementPolicy,
+        policy: impl PlacementPolicy + 'static,
         model: &CostModel,
     ) -> Vec<usize> {
-        let mut state = PoolState::new(model.chips());
-        let mut costs = Vec::new();
-        input_lens
-            .iter()
-            .map(|&len| {
-                model.estimates_into(len, &mut costs);
-                let chip = policy.place(&costs, &state);
-                state.commit(chip, costs[chip]);
-                chip
-            })
-            .collect()
+        let chips = (0..model.chips()).map(|_| FixedChip(0.0)).collect();
+        crate::Engine::new(ChipPool::from_chips(chips))
+            .with_policy(policy)
+            .with_cost_model(model.clone())
+            .assignment(input_lens)
     }
 
     #[test]
@@ -501,7 +495,7 @@ mod tests {
         let model = CostModel::input_length(3);
         let lens = [5usize, 1, 9, 2, 2, 7, 1];
         assert_eq!(
-            assign_batch(&lens, &RoundRobin, &model),
+            assign_batch(&lens, RoundRobin, &model),
             vec![0, 1, 2, 0, 1, 2, 0]
         );
     }
@@ -510,7 +504,7 @@ mod tests {
     fn least_loaded_balances_by_cost() {
         let model = CostModel::input_length(2);
         assert_eq!(
-            assign_batch(&[10, 1, 1, 1], &LeastLoaded, &model),
+            assign_batch(&[10, 1, 1, 1], LeastLoaded, &model),
             vec![0, 1, 1, 1]
         );
     }
@@ -523,8 +517,8 @@ mod tests {
         let model = CostModel::input_length(4);
         let lens = [3usize; 8];
         let expected = vec![0, 1, 2, 3, 0, 1, 2, 3];
-        assert_eq!(assign_batch(&lens, &LeastLoaded, &model), expected);
-        assert_eq!(assign_batch(&lens, &SizeAware, &model), expected);
+        assert_eq!(assign_batch(&lens, LeastLoaded, &model), expected);
+        assert_eq!(assign_batch(&lens, SizeAware, &model), expected);
         // And a literal all-zero-load tie picks chip 0.
         let state = PoolState::new(4);
         assert_eq!(LeastLoaded.place(&[1.0; 4], &state), 0);
@@ -536,8 +530,8 @@ mod tests {
         let model = CostModel::input_length(3);
         let lens = [4usize, 9, 1, 1, 6, 2, 8, 3, 3, 5];
         assert_eq!(
-            assign_batch(&lens, &SizeAware, &model),
-            assign_batch(&lens, &LeastLoaded, &model)
+            assign_batch(&lens, SizeAware, &model),
+            assign_batch(&lens, LeastLoaded, &model)
         );
     }
 
@@ -547,7 +541,7 @@ mod tests {
         // give it the bulk of a uniform stream.
         let model = CostModel::from_coefficients(vec![(0.0, 4.0), (0.0, 1.0)]);
         let lens = [2usize; 10];
-        let assignment = assign_batch(&lens, &SizeAware, &model);
+        let assignment = assign_batch(&lens, SizeAware, &model);
         let to_fast = assignment.iter().filter(|&&c| c == 1).count();
         assert!(
             to_fast >= 7,
@@ -555,7 +549,7 @@ mod tests {
         );
         // Least-loaded on the same calibrated model also skews fast-ward,
         // but earliest-finish-time never does worse.
-        let ll = assign_batch(&lens, &LeastLoaded, &model);
+        let ll = assign_batch(&lens, LeastLoaded, &model);
         let ll_fast = ll.iter().filter(|&&c| c == 1).count();
         assert!(to_fast >= ll_fast);
     }
@@ -567,8 +561,8 @@ mod tests {
         let unworn = WearAware::from_wear(&[None, Some(0), None], 0.5);
         assert_eq!(unworn.penalties(), &[0.0, 0.0, 0.0]);
         assert_eq!(
-            assign_batch(&lens, &unworn, &model),
-            assign_batch(&lens, &SizeAware, &model)
+            assign_batch(&lens, unworn, &model),
+            assign_batch(&lens, SizeAware, &model)
         );
     }
 
@@ -578,7 +572,7 @@ mod tests {
         let lens = [3usize; 10];
         // Chip 0 heavily written, chip 1 pristine.
         let policy = WearAware::from_wear(&[Some(1000), Some(10)], 1.0);
-        let assignment = assign_batch(&lens, &policy, &model);
+        let assignment = assign_batch(&lens, policy, &model);
         let to_worn = assignment.iter().filter(|&&c| c == 0).count();
         let to_fresh = assignment.iter().filter(|&&c| c == 1).count();
         assert!(
@@ -674,7 +668,7 @@ mod tests {
         assert!(model.is_quarantined(0));
         assert!(!model.is_quarantined(1));
         assert_eq!(model.coefficients()[0], (QUARANTINE_COST, 0.0));
-        let assignment = assign_batch(&[8, 8, 8, 8], &SizeAware, &model);
+        let assignment = assign_batch(&[8, 8, 8, 8], SizeAware, &model);
         assert_eq!(assignment, vec![1, 1, 1, 1]);
     }
 

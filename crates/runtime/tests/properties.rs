@@ -76,7 +76,7 @@ fn seeded_pool(root: u64, n: usize) -> ChipPool<SeededChip> {
 
 /// Serving a batch is deterministic: same pool, same batch, same
 /// placement → bit-identical outputs, for arbitrary batches and pool
-/// sizes, under both classic placement policies.
+/// sizes, under both placement policies.
 #[test]
 fn chip_pool_outputs_are_deterministic() {
     prop_check!(|g| {
