@@ -23,6 +23,9 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the crossbar substrate hot paths on the in-repo
 //! `Instant`-based runner (`mei_bench::timing`): analog matrix-vector
 //! multiply at Table 1 array sizes, the resistive divider readout, and
-//! the IR-drop conjugate-gradient solver.
+//! the red-black Gauss–Seidel IR-drop solver.
 
 use crossbar::{CrossbarArray, DifferentialPair, IrDropConfig, MappingConfig};
 use mei_bench::timing::{print_header, Runner};

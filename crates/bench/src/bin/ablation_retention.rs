@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin ablation_retention`
 
-use mei::{evaluate_mse, MeiConfig, MeiRcs};
+use mei::{evaluate_mse, MeiConfig, MeiRcs, Rcs};
 use mei_bench::{format_table, ExperimentConfig};
 use rram::RetentionModel;
 use workloads::{sobel::Sobel, Workload};

@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use crossbar::{direct_conv, TiledConv};
-use mei::{argmax, manufacture_engine, manufacture_fleet, CnnConfig, CnnRcs};
+use mei::{argmax, manufacture_engine, manufacture_fleet, CnnConfig, CnnRcs, Rcs};
 use mei_bench::{
     fast_mode, format_table, measure_window, ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };

@@ -15,13 +15,13 @@
 //!    placement advantage cannot show up in wall-clock latency.
 //! 2. **admission** — a healthy pool is ramped to its latency knee
 //!    (`mei_bench::ramp`), the knee is converted into an
-//!    [`AdmissionConfig`] (3× p99 headroom), and the gated engine is
-//!    offered 0.5× and 1.5× the knee rate. The gate simulates queueing
-//!    in *virtual time* — decisions never read a clock — so two
-//!    properties hold on any host and **are asserted**: under the knee
-//!    nothing is shed, 1.5× over it the shed rate is positive. The p99
-//!    of the admitted traffic at the over-knee rate is reported against
-//!    the ungated run's p99 (the bound the gate buys).
+//!    [`AdmissionConfig`](runtime::AdmissionConfig) (3× p99 headroom),
+//!    and the gated engine is offered 0.5× and 1.5× the knee rate. The
+//!    gate simulates queueing in *virtual time* — decisions never read a
+//!    clock — so two properties hold on any host and **are asserted**:
+//!    under the knee nothing is shed, 1.5× over it the shed rate is
+//!    positive. The p99 of the admitted traffic at the over-knee rate is
+//!    reported against the ungated run's p99 (the bound the gate buys).
 //!
 //! Human-readable tables go to stderr; the machine-diffable JSON report
 //! goes to stdout (and to `MEI_BENCH_JSON` when set).
@@ -37,50 +37,20 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin drift_admission`
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mei::{manufacture_drifting_engine, manufacture_engine, MeiConfig, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, RampConfig};
 use mei_bench::{
-    fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
-    EXPERIMENT_WRITE_SIGMA,
+    closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, table1_setups,
+    ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
 use neural::TrainConfig;
-use runtime::{
-    json_num, AdmittedOutcome, Chip, DriftProfile, DriftingChip, Engine, ServeStats, SizeAware,
-};
+use runtime::{json_num, AdmittedOutcome, Chip, DriftProfile, DriftingChip, Engine, SizeAware};
 
 const CHIPS: usize = 4;
 const DRIFT_WINDOWS: u64 = 2;
 const ADMIT_HEADROOM: f64 = 3.0;
-
-/// Uniform open-loop request schedule at `rate` req/s over `window`.
-fn schedule(inputs: &[Vec<f64>], rate: f64, window: Duration) -> (Vec<Vec<f64>>, Vec<Duration>) {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    (requests, arrivals)
-}
-
-fn open_phase<C: Chip>(
-    engine: &Engine<C>,
-    inputs: &[Vec<f64>],
-    rate: f64,
-    window: Duration,
-) -> ServeStats {
-    let (requests, arrivals) = schedule(inputs, rate, window);
-    engine.serve_open_loop(&requests, &arrivals).stats
-}
-
-fn closed_rate<C: Chip>(engine: &Engine<C>, inputs: &[Vec<f64>], window: Duration) -> f64 {
-    let start = Instant::now();
-    let mut requests = 0usize;
-    while start.elapsed() < window {
-        requests += engine.serve(inputs).outputs.len();
-    }
-    requests as f64 / start.elapsed().as_secs_f64()
-}
 
 fn gated_phase<C: Chip>(
     engine: &Engine<C>,

@@ -36,45 +36,18 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin fleet_cost`
 
-use std::time::Duration;
-
 use mei::{manufacture_fleet, MeiConfig, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig};
 use mei_bench::{
-    fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
+    fast_mode, format_table, measure_window, open_phase, table1_setups, ExperimentConfig,
     EXPERIMENT_WRITE_SIGMA,
 };
 use neural::TrainConfig;
 use runtime::fleet::dse::{self, CandidateModel, DseBudget, DseCandidate};
-use runtime::{json_num, Chip, Fleet, FleetConfig, ServeStats};
+use runtime::{json_num, Chip, FleetConfig};
 
 const CHIPS_PER_POOL: usize = 2;
 const WORKLOAD: &str = "inversek2j";
-
-/// Uniform open-loop schedule at `rate` req/s over `window`.
-fn schedule(inputs: &[Vec<f64>], rate: f64, window: Duration) -> (Vec<Vec<f64>>, Vec<Duration>) {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    (requests, arrivals)
-}
-
-/// Serve one pool an open-loop load and return its stats (with measured
-/// energy attached by the engine).
-fn pool_measure<C: Chip>(
-    fleet: &Fleet<C>,
-    pool: usize,
-    inputs: &[Vec<f64>],
-    rate: f64,
-    window: Duration,
-) -> ServeStats {
-    let (requests, arrivals) = schedule(inputs, rate, window);
-    fleet
-        .engine(pool)
-        .serve_open_loop(&requests, &arrivals)
-        .stats
-}
 
 /// One accounted pool's reported row.
 struct PoolRow {
@@ -146,7 +119,7 @@ fn main() {
         knee_factor: 4.0,
     };
     let ramp = ramp_to_knee(&ramp_config, |rate| {
-        pool_measure(&fleet1, 0, &inputs, rate, window)
+        open_phase(fleet1.engine(0), &inputs, rate, window)
     });
     let sla = sla_search(
         &ramp,
@@ -155,7 +128,7 @@ fn main() {
             max_iters: if fast { 3 } else { 6 },
             rel_tol: 0.05,
         },
-        |rate| pool_measure(&fleet1, 0, &inputs, rate, window),
+        |rate| open_phase(fleet1.engine(0), &inputs, rate, window),
     );
     // The per-pool rate the DSE plans with: the SLA-compliant rate when
     // found, the ramp knee otherwise (an unmet SLA on a tiny CI host
@@ -196,7 +169,7 @@ fn main() {
         let rate = (per_pool_rps * 0.6).max(50.0);
         let rows: Vec<PoolRow> = (0..pools)
             .map(|pool| {
-                let stats = pool_measure(&fleet, pool, &inputs, rate, window);
+                let stats = open_phase(fleet.engine(pool), &inputs, rate, window);
                 let energy = stats.energy.as_ref().expect("accounted chips bill energy");
                 let pool_acc = &accounting.per_pool[pool];
                 let j_per_inference = energy.j_per_request;

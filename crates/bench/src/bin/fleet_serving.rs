@@ -51,13 +51,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mei::{manufacture_chips, manufacture_fleet, MeiConfig, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig, SlaReport};
 use mei_bench::{
-    fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
-    EXPERIMENT_WRITE_SIGMA,
+    closed_rate, fast_mode, format_table, measure_window, schedule, table1_setups,
+    ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
 use neural::TrainConfig;
 use runtime::{
@@ -67,15 +67,6 @@ use runtime::{
 
 const CHIPS_PER_POOL: usize = 2;
 const WORKLOAD: &str = "inversek2j";
-
-/// Uniform open-loop request schedule at `rate` req/s over `window`.
-fn schedule(inputs: &[Vec<f64>], rate: f64, window: Duration) -> (Vec<Vec<f64>>, Vec<Duration>) {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    (requests, arrivals)
-}
 
 /// Offer the fleet an aggregate open-loop load: the schedule is split
 /// across the workload's replica set by the fleet's own deterministic
@@ -128,17 +119,6 @@ fn fleet_measure<C: Chip>(
         Duration::from_secs_f64(wall.max(f64::MIN_POSITIVE)),
         vec![],
     )
-}
-
-/// Closed-loop rate of one pool (saturating batches until `window`
-/// elapses) — seeds the ramp's starting rate.
-fn closed_rate<C: Chip>(engine: &Engine<C>, inputs: &[Vec<f64>], window: Duration) -> f64 {
-    let start = Instant::now();
-    let mut requests = 0usize;
-    while start.elapsed() < window {
-        requests += engine.serve(inputs).outputs.len();
-    }
-    requests as f64 / start.elapsed().as_secs_f64()
 }
 
 /// A chip that can be broken at runtime: `infer` panics while the

@@ -1,6 +1,6 @@
 //! Kernel-layer micro-benchmarks: the bit-packed / cache-blocked matvec
 //! paths against the scalar and uncached references, and the red-black
-//! Gauss–Seidel IR-drop sweep against the conjugate-gradient fallback.
+//! Gauss–Seidel IR-drop sweep against the conjugate-gradient reference.
 //!
 //! Before timing anything the binary asserts the correctness contracts
 //! the kernels are sold on — packed output bit-identical to the scalar
@@ -16,7 +16,7 @@
 //! if the ISSUE floors — packed matvec ≥ 4× baseline at 64×448,
 //! IR-drop ≥ 3× baseline at 32×32 — are not met.
 
-use crossbar::{BitInput, CrossbarArray, DifferentialPair, IrDropConfig, IrSolver, MappingConfig};
+use crossbar::{ir_drop, BitInput, CrossbarArray, DifferentialPair, IrDropConfig, MappingConfig};
 use mei_bench::timing::{print_header, Runner};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
@@ -95,7 +95,7 @@ fn bench_matvec_paths(r: &mut Runner) {
 }
 
 /// IR-drop solve at the crossbar_ops sizes: the default red-black
-/// Gauss–Seidel line sweep vs. the conjugate-gradient fallback.
+/// Gauss–Seidel line sweep vs. the conjugate-gradient reference.
 fn bench_ir_drop(r: &mut Runner) {
     for &n in &[16usize, 32] {
         let mut xbar = CrossbarArray::new(n, n, DeviceParams::hfox());
@@ -105,15 +105,11 @@ fn bench_ir_drop(r: &mut Runner) {
             .collect();
         xbar.program_clamped(&g);
         let x = vec![0.8; n];
-        let gs = IrDropConfig::with_wire_resistance(2.5);
-        let cg = IrDropConfig {
-            solver: IrSolver::ConjugateGradient,
-            ..gs
-        };
+        let cfg = IrDropConfig::with_wire_resistance(2.5);
 
         // Both solvers must land on the same currents within tolerance.
-        let i_gs = xbar.column_currents_ir(&x, &gs);
-        let i_cg = xbar.column_currents_ir(&x, &cg);
+        let i_gs = xbar.column_currents_ir(&x, &cfg);
+        let i_cg = ir_drop::solve_grid_cg(&xbar, &x, &cfg);
         let scale = i_cg.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (a, b) in i_gs.iter().zip(&i_cg) {
             assert!(
@@ -123,10 +119,10 @@ fn bench_ir_drop(r: &mut Runner) {
         }
 
         r.bench(&format!("ir_drop_solve/{n}"), || {
-            xbar.column_currents_ir(black_box(&x), &gs)
+            xbar.column_currents_ir(black_box(&x), &cfg)
         });
         r.bench(&format!("ir_drop_solve_cg/{n}"), || {
-            xbar.column_currents_ir(black_box(&x), &cg)
+            ir_drop::solve_grid_cg(&xbar, black_box(&x), &cfg)
         });
     }
 }

@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 use mei::{manufacture_chips, MeiConfig, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, RampConfig, RampReport};
 use mei_bench::{
-    fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
-    EXPERIMENT_WRITE_SIGMA,
+    closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, table1_setups,
+    ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
 use neural::TrainConfig;
 use runtime::net::frame::ItemResponse;
@@ -58,31 +58,6 @@ use runtime::{
     json_num, resolve_threads, Chip, ChipPool, CostModel, Engine, LeastLoaded, RoundRobin,
     ServeStats, SizeAware,
 };
-
-/// Closed phase: serve saturating batches until the window elapses.
-fn closed_phase<C: Chip>(engine: &Engine<C>, inputs: &[Vec<f64>], window: Duration) -> f64 {
-    let start = Instant::now();
-    let mut requests = 0usize;
-    while start.elapsed() < window {
-        let outcome = engine.serve(inputs);
-        requests += outcome.outputs.len();
-    }
-    requests as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Open phase: uniform arrivals at `rate` req/s for the window.
-fn open_phase<C: Chip>(
-    engine: &Engine<C>,
-    inputs: &[Vec<f64>],
-    rate: f64,
-    window: Duration,
-) -> ServeStats {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    engine.serve_open_loop(&requests, &arrivals).stats
-}
 
 /// Open phase over loopback TCP: a paced writer thread sends requests at
 /// their scheduled arrival times over one connection; this thread reads
@@ -97,19 +72,18 @@ fn tcp_open_phase(
     rate: f64,
     window: Duration,
 ) -> ServeStats {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
+    let (requests, arrivals) = schedule(inputs, rate, window);
+    let n = requests.len();
     let stream = TcpStream::connect(addr).expect("connect to bench server");
     stream.set_nodelay(true).expect("nodelay");
     let reader_half = stream.try_clone().expect("clone stream");
 
     let epoch = Instant::now();
-    let writer_inputs: Vec<&Vec<f64>> = (0..n).map(|i| &inputs[i % inputs.len()]).collect();
+    let arrivals = &arrivals;
     std::thread::scope(|scope| {
         scope.spawn(move || {
             let mut writer = BufWriter::new(stream);
-            for (i, input) in writer_inputs.iter().enumerate() {
-                let due = spacing * i as u32;
+            for (input, &due) in requests.iter().zip(arrivals) {
                 let now = epoch.elapsed();
                 if due > now {
                     std::thread::sleep(due - now);
@@ -127,13 +101,11 @@ fn tcp_open_phase(
         let mut per_chip: Vec<(usize, usize, usize, Duration)> =
             vec![(0, 0, 0, Duration::ZERO); chips];
         let mut line = String::new();
-        for i in 0..n {
+        for &arrival in arrivals {
             line.clear();
             let bytes = reader.read_line(&mut line).expect("read response");
             assert!(bytes > 0, "server closed mid-ramp");
-            let done = epoch.elapsed();
-            let arrival = spacing * i as u32;
-            latencies.push(done.saturating_sub(arrival));
+            latencies.push(epoch.elapsed().saturating_sub(arrival));
             match Response::parse(line.trim_end()).expect("well-formed response") {
                 Response::Ok {
                     chip, latency_us, ..
@@ -352,7 +324,7 @@ fn main() {
             EXPERIMENT_WRITE_SIGMA,
             cfg.seed,
         ));
-        closed.push((chips, closed_phase(&engine, &inputs, window)));
+        closed.push((chips, closed_rate(&engine, &inputs, window)));
     }
     let rows: Vec<Vec<String>> = closed
         .iter()
@@ -501,7 +473,7 @@ fn main() {
         setup.mei_hidden * 6,
         calibration.to_json()
     );
-    let mixed_closed = closed_phase(
+    let mixed_closed = closed_rate(
         &Engine::new(build()).with_policy(LeastLoaded),
         &inputs,
         window,

@@ -44,11 +44,14 @@ pub mod json;
 pub mod ramp;
 pub mod timing;
 
+use std::time::{Duration, Instant};
+
 use mei::{AddaConfig, AddaRcs, DigitalAnn, MeiConfig, MeiRcs, Rcs};
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::SeedableRng;
 use rram::{DeviceParams, VariationModel};
+use runtime::{Chip, Engine, ServeStats};
 use workloads::{all_benchmarks, Workload};
 
 /// Lognormal σ of the write-accuracy (program-and-verify) noise applied to
@@ -343,6 +346,44 @@ pub fn measure_window(default_secs: f64) -> std::time::Duration {
     )
     .unwrap_or(default_secs);
     std::time::Duration::from_secs_f64(secs.clamp(0.05, 60.0))
+}
+
+/// Uniform open-loop request schedule at `rate` req/s over `window`:
+/// `⌈window·rate⌉` requests (at least one) cycling through `inputs`,
+/// request `i` arriving at `i / rate` (rates below 1 req/s count as 1).
+#[must_use]
+pub fn schedule(
+    inputs: &[Vec<f64>],
+    rate: f64,
+    window: Duration,
+) -> (Vec<Vec<f64>>, Vec<Duration>) {
+    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
+    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
+    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
+    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
+    (requests, arrivals)
+}
+
+/// Serve `engine` the [`schedule`] at `rate` over `window`, open loop.
+pub fn open_phase<C: Chip>(
+    engine: &Engine<C>,
+    inputs: &[Vec<f64>],
+    rate: f64,
+    window: Duration,
+) -> ServeStats {
+    let (requests, arrivals) = schedule(inputs, rate, window);
+    engine.serve_open_loop(&requests, &arrivals).stats
+}
+
+/// Closed-loop rate of `engine`: serve `inputs` as saturating batches
+/// until `window` elapses, in requests per second.
+pub fn closed_rate<C: Chip>(engine: &Engine<C>, inputs: &[Vec<f64>], window: Duration) -> f64 {
+    let start = Instant::now();
+    let mut requests = 0usize;
+    while start.elapsed() < window {
+        requests += engine.serve(inputs).outputs.len();
+    }
+    requests as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Render an aligned text table.

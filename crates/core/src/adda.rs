@@ -4,13 +4,15 @@ use std::fmt;
 
 use crossbar::{MappingConfig, SignalFluctuation};
 use interface::cost::AddaTopology;
-use interface::quantize_fraction;
+use interface::{quantize_fraction, CostModel, Throughput};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::Rng;
+use prng::{Rng, RngCore};
 use rram::{DeviceParams, VariationModel};
+use runtime::{Chip, ChipCostSheet};
 
 use crate::analog::{AnalogMlp, AnalogWorkspace};
 use crate::error::{InferError, TrainRcsError};
+use crate::eval::Rcs;
 
 /// Configuration of a traditional AD/DA-interfaced RCS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,29 +143,17 @@ impl AddaRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.check_input(x)?;
-        let dac: Vec<f64> = x.iter().map(|&v| quantize_fraction(v, self.bits)).collect();
-        let out = self.analog.forward(&dac);
-        Ok(out
-            .iter()
-            .map(|&v| quantize_fraction(v, self.bits))
-            .collect())
+        self.infer_with(x, &mut AnalogWorkspace::new())
     }
 
-    /// [`infer`](Self::infer) against a caller-owned workspace (the
-    /// allocation-free serving path); bit-identical to [`infer`](Self::infer).
+    /// [`infer`](Self::infer) against a caller-owned workspace — the body
+    /// [`Chip::infer`] runs on its thread's workspace.
     ///
     /// # Errors
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Result<Vec<f64>, InferError> {
-        self.check_input(x)?;
-        let dac: Vec<f64> = x.iter().map(|&v| quantize_fraction(v, self.bits)).collect();
-        let out = self.analog.forward_with(&dac, ws);
-        Ok(out
-            .iter()
-            .map(|&v| quantize_fraction(v, self.bits))
-            .collect())
+        self.through_converters(x, |dac| self.analog.forward_with(dac, ws))
     }
 
     /// Inference with signal fluctuation on every analog voltage (the DAC
@@ -179,39 +169,67 @@ impl AddaRcs {
         fluctuation: &SignalFluctuation,
         rng: &mut R,
     ) -> Result<Vec<f64>, InferError> {
-        self.check_input(x)?;
-        let dac: Vec<f64> = x.iter().map(|&v| quantize_fraction(v, self.bits)).collect();
-        let out = self.analog.forward_noisy(&dac, fluctuation, rng);
-        Ok(out
-            .iter()
-            .map(|&v| quantize_fraction(v, self.bits))
-            .collect())
+        self.through_converters(x, |dac| self.analog.forward_noisy(dac, fluctuation, rng))
     }
 
-    /// Apply process variation to every RRAM device.
-    pub fn disturb<R: Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
-        self.analog.disturb(variation, rng);
-    }
-
-    /// Restore all devices to their programmed targets.
-    pub fn restore(&mut self) {
-        self.analog.restore();
-    }
-
-    fn check_input(&self, x: &[f64]) -> Result<(), InferError> {
+    /// The converter wrap of every entry point: check `x`, DAC-quantize
+    /// it, run `forward` on the analog network, ADC-quantize the output.
+    fn through_converters(
+        &self,
+        x: &[f64],
+        forward: impl FnOnce(&[f64]) -> Vec<f64>,
+    ) -> Result<Vec<f64>, InferError> {
         if x.len() != self.mlp.input_dim() {
             return Err(InferError::InputLength {
                 expected: self.mlp.input_dim(),
                 found: x.len(),
             });
         }
-        Ok(())
+        let dac: Vec<f64> = x.iter().map(|&v| quantize_fraction(v, self.bits)).collect();
+        let mut out = forward(&dac);
+        for v in &mut out {
+            *v = quantize_fraction(*v, self.bits);
+        }
+        Ok(out)
     }
 }
 
 impl fmt::Display for AddaRcs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "AD/DA RCS {}", self.topology())
+    }
+}
+
+impl Chip for AddaRcs {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        AnalogWorkspace::with_thread(|ws| self.infer_with(input, ws))
+            .expect("dataset-validated input")
+    }
+
+    fn cost_sheet(&self) -> Option<ChipCostSheet> {
+        let sheet =
+            CostModel::dac2015().sheet_adda(&self.topology(), &Throughput::default_mixed_signal());
+        Some(crate::serve::to_runtime_sheet([sheet]))
+    }
+}
+
+impl Rcs for AddaRcs {
+    fn predict_noisy(
+        &self,
+        x: &[f64],
+        fluctuation: &SignalFluctuation,
+        rng: &mut dyn RngCore,
+    ) -> Vec<f64> {
+        self.infer_noisy(x, fluctuation, rng)
+            .expect("dataset-validated input")
+    }
+
+    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
+        self.analog.disturb(variation, rng);
+    }
+
+    fn restore(&mut self) {
+        self.analog.restore();
     }
 }
 

@@ -7,6 +7,7 @@
 //! the programmed devices; signal fluctuation perturbs the voltages entering
 //! each layer.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use crossbar::{
@@ -33,6 +34,19 @@ impl AnalogWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Run `f` on this thread's workspace, the scratch `Chip::infer`
+    /// serves from (chips are shared `&self` across serving threads).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a nested call: borrow only at the outermost entry point.
+    pub(crate) fn with_thread<R>(f: impl FnOnce(&mut Self) -> R) -> R {
+        thread_local! {
+            static WORKSPACE: RefCell<AnalogWorkspace> = RefCell::new(AnalogWorkspace::new());
+        }
+        WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
     }
 }
 

@@ -24,6 +24,7 @@
 //!
 //! [`MeiRcs`]: crate::MeiRcs
 
+use std::cell::RefCell;
 use std::fmt;
 
 use crossbar::conv::{tile_ranges, ConvShape, ConvWorkspace, TiledConv};
@@ -32,12 +33,14 @@ use interface::cost::MeiTopology;
 use interface::{BitCoding, InterfaceSpec};
 use neural::conv::{binarize, train_ste, BinConv, ConvSpec, SteConfig, SteReport};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::Rng;
+use prng::{Rng, RngCore};
 use rram::{DeviceParams, RetentionModel, VariationModel};
+use runtime::{Chip, ChipCostSheet};
 
 use crate::analog::{AnalogMlp, AnalogWorkspace};
 use crate::bitweights::msb_weighted_loss;
 use crate::error::{InferError, TrainRcsError};
+use crate::eval::Rcs;
 
 /// Configuration of a CNN RCS.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,6 +198,19 @@ impl CnnWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Run `f` on this thread's workspace, the scratch `Chip::infer`
+    /// serves from.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a nested call: borrow only at the outermost entry point.
+    fn with_thread<R>(f: impl FnOnce(&mut Self) -> R) -> R {
+        thread_local! {
+            static WORKSPACE: RefCell<CnnWorkspace> = RefCell::new(CnnWorkspace::new());
+        }
+        WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
     }
 }
 
@@ -434,13 +450,12 @@ impl CnnRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        let mut ws = CnnWorkspace::new();
-        self.infer_with(x, &mut ws)
+        self.infer_with(x, &mut CnnWorkspace::new())
     }
 
     /// [`infer`](Self::infer) against a caller-owned workspace — the
-    /// allocation-light serving hot path. Bit-identical to
-    /// [`infer`](Self::infer).
+    /// allocation-light body [`Chip::infer`] runs on its thread's
+    /// workspace.
     ///
     /// # Errors
     ///
@@ -503,14 +518,10 @@ impl CnnRcs {
     /// Fraction of `data` classified into its one-hot argmax class.
     #[must_use]
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let mut ws = CnnWorkspace::new();
-        let mut correct = 0usize;
-        for (x, t) in data.iter() {
-            let scores = self
-                .infer_with(x, &mut ws)
-                .expect("dataset-validated input");
-            correct += usize::from(argmax(&scores) == argmax(t));
-        }
+        let correct = data
+            .iter()
+            .filter(|(x, t)| argmax(&Chip::infer(self, x)) == argmax(t))
+            .count();
         correct as f64 / data.len() as f64
     }
 
@@ -525,19 +536,6 @@ impl CnnRcs {
     #[must_use]
     pub fn max_write_count(&self) -> u64 {
         self.conv.max_write_count().max(self.head.max_write_count())
-    }
-
-    /// Apply process variation to every RRAM device (conv tiles first,
-    /// then the head — a fixed draw order keeps this deterministic).
-    pub fn disturb<R: Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
-        self.conv.disturb(variation, rng);
-        self.head.disturb(variation, rng);
-    }
-
-    /// Restore all devices to their programmed targets.
-    pub fn restore(&mut self) {
-        self.conv.restore();
-        self.head.restore();
     }
 
     /// Age all devices by `seconds` under a retention model.
@@ -565,38 +563,53 @@ impl fmt::Display for CnnRcs {
     }
 }
 
-impl crate::eval::Rcs for CnnRcs {
-    fn output_dim(&self) -> usize {
-        self.classes
+impl Chip for CnnRcs {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        CnnWorkspace::with_thread(|ws| self.infer_with(input, ws)).expect("dataset-validated input")
     }
 
-    fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.infer(x).expect("dataset-validated input")
+    // The CNN chip is its conv tiles plus its head side by side: each
+    // tile is costed as a 1-bit-input stage with a `tile_bits`-wide sense
+    // interface (the Eq (6)/(7) machinery applied per tile), the head as
+    // a regular MEI stack. One inference evaluates all of them.
+    fn cost_sheet(&self) -> Option<ChipCostSheet> {
+        let mut stages = self.tile_topologies();
+        stages.push(self.head_topology());
+        Some(crate::serve::mei_sheet(stages))
     }
 
+    fn wear(&self) -> Option<u64> {
+        Some(self.total_writes())
+    }
+}
+
+impl Rcs for CnnRcs {
     fn predict_noisy(
         &self,
         x: &[f64],
         fluctuation: &SignalFluctuation,
-        rng: &mut dyn prng::RngCore,
+        rng: &mut dyn RngCore,
     ) -> Vec<f64> {
         self.infer_noisy(x, fluctuation, rng)
             .expect("dataset-validated input")
     }
 
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn prng::RngCore) {
-        CnnRcs::disturb(self, variation, rng);
+    // Conv tiles first, then the head: a fixed draw order keeps this
+    // deterministic.
+    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
+        self.conv.disturb(variation, rng);
+        self.head.disturb(variation, rng);
     }
 
     fn restore(&mut self) {
-        CnnRcs::restore(self);
+        self.conv.restore();
+        self.head.restore();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Rcs;
     use prng::rngs::StdRng;
     use prng::SeedableRng;
     use workloads::cnn_dataset;
@@ -685,8 +698,7 @@ mod tests {
         let mut rcs = quick_rcs();
         let data = cnn_dataset(8, 8, 2, 13);
         let (x, _) = data.iter().next().unwrap();
-        assert_eq!(Rcs::output_dim(&rcs), 3);
-        let clean = Rcs::predict(&rcs, x);
+        let clean = Chip::infer(&rcs, x);
         assert_eq!(clean.len(), 3);
         let mut rng = StdRng::seed_from_u64(1);
         let noisy = Rcs::predict_noisy(&rcs, x, &SignalFluctuation::new(0.01), &mut rng);
@@ -697,7 +709,7 @@ mod tests {
             &mut StdRng::seed_from_u64(2),
         );
         Rcs::restore(&mut rcs);
-        assert_eq!(Rcs::predict(&rcs, x), clean);
+        assert_eq!(Chip::infer(&rcs, x), clean);
     }
 
     #[test]

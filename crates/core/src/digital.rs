@@ -4,9 +4,14 @@
 
 use std::fmt;
 
+use crossbar::SignalFluctuation;
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, TrainReport, Trainer};
+use prng::RngCore;
+use rram::VariationModel;
+use runtime::{Chip, ChipCostSheet};
 
 use crate::error::TrainRcsError;
+use crate::eval::Rcs;
 
 /// The floating-point ANN baseline of Table 1's "Digital" column.
 ///
@@ -81,6 +86,37 @@ impl fmt::Display for DigitalAnn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "digital ANN: {}", self.mlp)
     }
+}
+
+// The digital baseline carries an explicit all-zero sheet rather than
+// `None`: the paper publishes no area/power model for it, and inventing
+// one would corrupt the mixed-signal comparisons — but an unaccounted
+// chip silently lands in `chips − known_chips`, which reads as an
+// accounting bug in fleet_cost-style reports. Zero cost states the truth
+// ("present, free in this model") and keeps `known_chips == chips`.
+impl Chip for DigitalAnn {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        DigitalAnn::infer(self, input)
+    }
+
+    fn cost_sheet(&self) -> Option<ChipCostSheet> {
+        Some(ChipCostSheet::new(0.0, 0.0, 0.0, 0.0))
+    }
+}
+
+impl Rcs for DigitalAnn {
+    fn predict_noisy(
+        &self,
+        x: &[f64],
+        _fluctuation: &SignalFluctuation,
+        _rng: &mut dyn RngCore,
+    ) -> Vec<f64> {
+        DigitalAnn::infer(self, x)
+    }
+
+    fn disturb(&mut self, _variation: &VariationModel, _rng: &mut dyn RngCore) {}
+
+    fn restore(&mut self) {}
 }
 
 #[cfg(test)]

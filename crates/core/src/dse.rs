@@ -546,7 +546,7 @@ mod tests {
         )
         .unwrap();
         assert!(result.design.learner_count() >= 1);
-        let y = result.design.as_rcs().predict(&[0.5]);
+        let y = result.design.as_rcs().infer(&[0.5]);
         assert_eq!(y.len(), 1);
         let _ = result.design.as_rcs_mut();
     }

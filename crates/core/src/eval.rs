@@ -8,29 +8,22 @@ use neural::Dataset;
 use prng::rngs::StdRng;
 use prng::{RngCore, SeedableRng};
 use rram::{NonIdealFactors, VariationModel};
-use runtime::ThreadPool;
-
-use crate::adda::AddaRcs;
-use crate::digital::DigitalAnn;
-use crate::mei_arch::MeiRcs;
+use runtime::{Chip, ThreadPool};
 
 /// Anything that can be evaluated like an RCS: the digital baseline, the
-/// AD/DA architecture, MEI, and SAAB ensembles.
+/// AD/DA architecture, MEI, SAAB ensembles and the CNN.
 ///
-/// All predictions are in the *analog* domain (`[0, 1]` application values);
-/// each implementation handles its own interface conversion internally.
-pub trait Rcs {
-    /// Output dimensionality in analog values.
-    fn output_dim(&self) -> usize;
-
-    /// Noise-free prediction.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on wrong input lengths (they are driven by
-    /// datasets that were validated up front).
-    fn predict(&self, x: &[f64]) -> Vec<f64>;
-
+/// An `Rcs` is first a serving [`Chip`]: its noise-free prediction *is*
+/// [`Chip::infer`], in the *analog* domain (`[0, 1]` application values),
+/// with each implementation handling its own interface conversion. This
+/// trait adds what the robustness protocol needs on top. Each
+/// architecture states its whole inference contract — inherent `infer*`
+/// methods, `Chip` and `Rcs` — in its own module (`mei_arch`, `adda`,
+/// `saab`, `cnn`, `digital`).
+///
+/// Implementations panic on wrong input lengths: they are driven by
+/// datasets that were validated up front.
+pub trait Rcs: Chip {
     /// Prediction with signal fluctuation on the analog/binary drive
     /// signals. Digital systems ignore the fluctuation.
     fn predict_noisy(
@@ -47,90 +40,11 @@ pub trait Rcs {
     fn restore(&mut self);
 }
 
-impl Rcs for DigitalAnn {
-    fn output_dim(&self) -> usize {
-        self.mlp().output_dim()
-    }
-
-    fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.infer(x)
-    }
-
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        _fluctuation: &SignalFluctuation,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        self.infer(x)
-    }
-
-    fn disturb(&mut self, _variation: &VariationModel, _rng: &mut dyn RngCore) {}
-
-    fn restore(&mut self) {}
-}
-
-impl Rcs for AddaRcs {
-    fn output_dim(&self) -> usize {
-        self.mlp().output_dim()
-    }
-
-    fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.infer(x).expect("dataset-validated input")
-    }
-
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        self.infer_noisy(x, fluctuation, rng)
-            .expect("dataset-validated input")
-    }
-
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        AddaRcs::disturb(self, variation, rng);
-    }
-
-    fn restore(&mut self) {
-        AddaRcs::restore(self);
-    }
-}
-
-impl Rcs for MeiRcs {
-    fn output_dim(&self) -> usize {
-        self.output_spec().groups()
-    }
-
-    fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.infer(x).expect("dataset-validated input")
-    }
-
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        self.infer_noisy(x, fluctuation, rng)
-            .expect("dataset-validated input")
-    }
-
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        MeiRcs::disturb(self, variation, rng);
-    }
-
-    fn restore(&mut self) {
-        MeiRcs::restore(self);
-    }
-}
-
 /// Mean per-port squared error of an RCS over a dataset (the "MSE" columns
 /// of Table 1).
 #[must_use]
 pub fn evaluate_mse(rcs: &dyn Rcs, data: &Dataset) -> f64 {
-    neural::dataset_mse(|x| rcs.predict(x), data)
+    neural::dataset_mse(|x| rcs.infer(x), data)
 }
 
 /// Evaluate an arbitrary scorer (e.g. a `workloads::ErrorMetric`) over the
@@ -141,7 +55,7 @@ pub fn evaluate_metric<F>(rcs: &dyn Rcs, data: &Dataset, scorer: F) -> f64
 where
     F: FnOnce(&[Vec<f64>], &[Vec<f64>]) -> f64,
 {
-    let predictions: Vec<Vec<f64>> = data.iter().map(|(x, _)| rcs.predict(x)).collect();
+    let predictions: Vec<Vec<f64>> = data.iter().map(|(x, _)| rcs.infer(x)).collect();
     let targets: Vec<Vec<f64>> = data.targets().to_vec();
     scorer(&predictions, &targets)
 }
@@ -371,8 +285,9 @@ pub fn mse_scorer(predictions: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adda::AddaConfig;
-    use crate::mei_arch::MeiConfig;
+    use crate::adda::{AddaConfig, AddaRcs};
+    use crate::digital::DigitalAnn;
+    use crate::mei_arch::{MeiConfig, MeiRcs};
     use neural::TrainConfig;
     use prng::Rng;
 

@@ -22,6 +22,12 @@
 //!   hidden-layer sizing by error change rate, the Eq (9) ensemble budget
 //!   `K_max`, SAAB-vs-wider-network selection, and LSB pruning.
 //!
+//! Each trained system ([`MeiRcs`], [`AddaRcs`], [`Saab`], [`CnnRcs`],
+//! [`DigitalAnn`]) states its whole inference in its own module: the
+//! inherent `infer*` methods, its [`runtime::Chip`] impl and its [`Rcs`]
+//! impl. `Rcs` extends `Chip`, so the noise-free prediction *is*
+//! `Chip::infer`, run by the same body as the inherent `infer`.
+//!
 //! ## Quickstart
 //!
 //! ```

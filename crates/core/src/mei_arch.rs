@@ -13,12 +13,14 @@ use crossbar::{Comparator, MappingConfig, SignalFluctuation};
 use interface::cost::MeiTopology;
 use interface::{BitCoding, InterfaceSpec};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::Rng;
+use prng::{Rng, RngCore};
 use rram::{DeviceParams, VariationModel};
+use runtime::{Chip, ChipCostSheet};
 
 use crate::analog::{AnalogMlp, AnalogWorkspace};
 use crate::bitweights::msb_weighted_loss;
 use crate::error::{InferError, TrainRcsError};
+use crate::eval::Rcs;
 
 /// Configuration of a merged-interface RCS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,22 +108,7 @@ impl MeiRcs {
     /// Returns [`TrainRcsError`] on invalid configuration, a malformed
     /// dataset, or an unmappable trained network.
     pub fn train(data: &Dataset, config: &MeiConfig) -> Result<Self, TrainRcsError> {
-        if config.hidden == 0 {
-            return Err(TrainRcsError::InvalidConfig(
-                "hidden size must be nonzero".into(),
-            ));
-        }
-        let max = interface::quantize::MAX_BITS;
-        if config.in_bits == 0
-            || config.in_bits > max
-            || config.out_bits == 0
-            || config.out_bits > max
-        {
-            return Err(TrainRcsError::InvalidConfig(format!(
-                "bit widths must be in 1..={max}: in={}, out={}",
-                config.in_bits, config.out_bits
-            )));
-        }
+        check_config(config, data.input_dim(), data.output_dim())?;
         let input_spec =
             InterfaceSpec::new(data.input_dim(), config.in_bits).with_coding(config.coding);
         let output_spec =
@@ -144,24 +131,34 @@ impl MeiRcs {
         };
         trainer.train(&mut mlp, &encoded);
 
-        Self::assemble(mlp, config, data.input_dim(), data.output_dim())
+        Self::from_trained(mlp, config, data.input_dim(), data.output_dim())
     }
 
-    /// Build the physical system around an already-trained network (used by
-    /// training and by deserialization).
-    pub(crate) fn assemble(
+    /// Build a system around an already-trained network: the constructor
+    /// training, pruning and deserialization share, public so externally
+    /// trained weights can be deployed onto crossbars too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainRcsError::InvalidConfig`] on a bit width outside
+    /// `1..=MAX_BITS` or a zero size, [`TrainRcsError::DimensionMismatch`]
+    /// unless the network is exactly `(in_groups·in_bits) × hidden ×
+    /// (out_groups·out_bits)`, or a mapping error.
+    pub fn from_trained(
         mlp: Mlp,
         config: &MeiConfig,
         in_groups: usize,
         out_groups: usize,
     ) -> Result<Self, TrainRcsError> {
+        check_config(config, in_groups, out_groups)?;
         let input_spec = InterfaceSpec::new(in_groups, config.in_bits).with_coding(config.coding);
         let output_spec =
             InterfaceSpec::new(out_groups, config.out_bits).with_coding(config.coding);
-        if mlp.input_dim() != input_spec.ports() || mlp.output_dim() != output_spec.ports() {
+        let expected = [input_spec.ports(), config.hidden, output_spec.ports()];
+        if mlp.layer_sizes() != expected {
             return Err(TrainRcsError::DimensionMismatch {
-                expected: format!("{}→{} ports", input_spec.ports(), output_spec.ports()),
-                found: format!("{}→{}", mlp.input_dim(), mlp.output_dim()),
+                expected: format!("{expected:?} layer sizes"),
+                found: format!("{:?}", mlp.layer_sizes()),
             });
         }
         let analog = AnalogMlp::from_mlp(&mlp, config.device, &config.mapping)?;
@@ -231,8 +228,7 @@ impl MeiRcs {
     /// Returns [`InferError::InputLength`] if `bits.len()` differs from the
     /// input port count.
     pub fn infer_bits(&self, bits: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.check_bits(bits)?;
-        Ok(self.comparator.bits(&self.analog.forward(bits)))
+        self.infer_bits_with(bits, &mut AnalogWorkspace::new())
     }
 
     /// [`infer_bits`](Self::infer_bits) against a caller-owned workspace:
@@ -276,32 +272,20 @@ impl MeiRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.input_spec.groups() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec.groups(),
-                found: x.len(),
-            });
-        }
-        let bits = self.infer_bits(&self.input_spec.encode(x))?;
-        Ok(self.output_spec.decode(&bits))
+        self.infer_with(x, &mut AnalogWorkspace::new())
     }
 
     /// [`infer`](Self::infer) against a caller-owned workspace (see
-    /// [`infer_bits_with`](Self::infer_bits_with)); bit-identical to
-    /// [`infer`](Self::infer).
+    /// [`infer_bits_with`](Self::infer_bits_with)) — the body
+    /// [`Chip::infer`] runs on its thread's workspace.
     ///
     /// # Errors
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.input_spec.groups() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec.groups(),
-                found: x.len(),
-            });
-        }
-        let bits = self.infer_bits_with(&self.input_spec.encode(x), ws)?;
-        Ok(self.output_spec.decode(&bits))
+        through_interface(self.input_spec, self.output_spec, x, |bits| {
+            self.infer_bits_with(bits, ws)
+        })
     }
 
     /// Analog-domain inference under signal fluctuation.
@@ -315,14 +299,9 @@ impl MeiRcs {
         fluctuation: &SignalFluctuation,
         rng: &mut R,
     ) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.input_spec.groups() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec.groups(),
-                found: x.len(),
-            });
-        }
-        let bits = self.infer_bits_noisy(&self.input_spec.encode(x), fluctuation, rng)?;
-        Ok(self.output_spec.decode(&bits))
+        through_interface(self.input_spec, self.output_spec, x, |bits| {
+            self.infer_bits_noisy(bits, fluctuation, rng)
+        })
     }
 
     /// Analog-domain inference through the wire-resistance (IR-drop) model —
@@ -337,27 +316,9 @@ impl MeiRcs {
         x: &[f64],
         config: &crossbar::IrDropConfig,
     ) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.input_spec.groups() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec.groups(),
-                found: x.len(),
-            });
-        }
-        let bits_in = self.input_spec.encode(x);
-        let bits_out = self
-            .comparator
-            .bits(&self.analog.forward_ir(&bits_in, config));
-        Ok(self.output_spec.decode(&bits_out))
-    }
-
-    /// Apply process variation to every RRAM device.
-    pub fn disturb<R: Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
-        self.analog.disturb(variation, rng);
-    }
-
-    /// Restore all devices to their programmed targets.
-    pub fn restore(&mut self) {
-        self.analog.restore();
+        through_interface(self.input_spec, self.output_spec, x, |bits| {
+            Ok(self.comparator.bits(&self.analog.forward_ir(bits, config)))
+        })
     }
 
     /// Age all devices by `seconds` under a retention model (drift; see
@@ -430,19 +391,14 @@ impl MeiRcs {
         new_last.weights = neural::Matrix::from_rows(&last_rows);
         new_last.biases = keep_out.iter().map(|&r| last.biases[r]).collect();
 
-        let mut new_layers = vec![new_first];
-        new_layers.extend(layers[1..layers.len() - 1].iter().cloned());
-        new_layers.push(new_last);
-        let mlp = Mlp::from_layers(new_layers);
-        let analog = AnalogMlp::from_mlp(&mlp, self.config.device, &self.config.mapping)?;
-        Ok(MeiRcs {
-            mlp,
-            analog,
-            input_spec: new_in,
-            output_spec: new_out,
-            comparator: self.comparator,
-            config: self.config,
-        })
+        // The constructor admits exactly one hidden layer.
+        let config = MeiConfig {
+            in_bits: new_in.bits(),
+            out_bits: new_out.bits(),
+            ..self.config
+        };
+        let mlp = Mlp::from_layers(vec![new_first, new_last]);
+        MeiRcs::from_trained(mlp, &config, new_in.groups(), new_out.groups())
     }
 
     fn check_bits(&self, bits: &[f64]) -> Result<(), InferError> {
@@ -460,6 +416,78 @@ impl fmt::Display for MeiRcs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "MEI RCS {}", self.topology())
     }
+}
+
+impl Chip for MeiRcs {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        AnalogWorkspace::with_thread(|ws| self.infer_with(input, ws))
+            .expect("dataset-validated input")
+    }
+
+    fn cost_sheet(&self) -> Option<ChipCostSheet> {
+        Some(crate::serve::mei_sheet([self.topology()]))
+    }
+
+    fn wear(&self) -> Option<u64> {
+        Some(self.analog.total_writes())
+    }
+}
+
+impl Rcs for MeiRcs {
+    fn predict_noisy(
+        &self,
+        x: &[f64],
+        fluctuation: &SignalFluctuation,
+        rng: &mut dyn RngCore,
+    ) -> Vec<f64> {
+        self.infer_noisy(x, fluctuation, rng)
+            .expect("dataset-validated input")
+    }
+
+    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
+        self.analog.disturb(variation, rng);
+    }
+
+    fn restore(&mut self) {
+        self.analog.restore();
+    }
+}
+
+/// The check every constructor shares ([`MeiRcs::train`] runs it before
+/// training): bit widths in `1..=MAX_BITS` and nonzero sizes.
+fn check_config(
+    config: &MeiConfig,
+    in_groups: usize,
+    out_groups: usize,
+) -> Result<(), TrainRcsError> {
+    let bits = 1..=interface::quantize::MAX_BITS;
+    let sizes = [config.hidden, in_groups, out_groups];
+    if !bits.contains(&config.in_bits) || !bits.contains(&config.out_bits) || sizes.contains(&0) {
+        return Err(TrainRcsError::InvalidConfig(format!(
+            "need bit widths in {bits:?} and nonzero sizes: ({in_groups}·{})×{}×({out_groups}·{})",
+            config.in_bits, config.hidden, config.out_bits
+        )));
+    }
+    Ok(())
+}
+
+/// The analog-domain wrap of every merged-interface entry point: check
+/// `x` against the input groups, encode it, run the binary-domain
+/// `infer_bits`, and decode the output bits.
+pub(crate) fn through_interface(
+    input_spec: InterfaceSpec,
+    output_spec: InterfaceSpec,
+    x: &[f64],
+    infer_bits: impl FnOnce(&[f64]) -> Result<Vec<f64>, InferError>,
+) -> Result<Vec<f64>, InferError> {
+    if x.len() != input_spec.groups() {
+        return Err(InferError::InputLength {
+            expected: input_spec.groups(),
+            found: x.len(),
+        });
+    }
+    let bits = infer_bits(&input_spec.encode(x))?;
+    Ok(output_spec.decode(&bits))
 }
 
 // Index loops in the tests mirror the bit-position subscripts.

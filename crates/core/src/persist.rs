@@ -210,14 +210,6 @@ impl MeiRcs {
         let body: String = lines.collect::<Vec<_>>().join("\n");
         let mlp = Mlp::from_text(&body)?;
 
-        if mlp.input_dim() != in_groups * in_bits || mlp.output_dim() != out_groups * out_bits {
-            return Err(ParseRcsError::ShapeMismatch(format!(
-                "network {}×…×{} vs interfaces ({in_groups}·{in_bits}) / ({out_groups}·{out_bits})",
-                mlp.input_dim(),
-                mlp.output_dim()
-            )));
-        }
-
         let config = MeiConfig {
             in_bits,
             out_bits,
@@ -227,28 +219,13 @@ impl MeiRcs {
             device,
             ..MeiConfig::default()
         };
-        MeiRcs::from_trained(mlp, &config, in_groups, out_groups)
-            .map_err(|e| ParseRcsError::Rebuild(e.to_string()))
-    }
-}
-
-impl MeiRcs {
-    /// Build a system around an already-trained network — the constructor
-    /// deserialization uses, public so externally-trained weights (or
-    /// hand-crafted ones in tests) can be deployed onto crossbars too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainRcsError::DimensionMismatch`] if the network's port
-    /// counts don't match `in_groups·in_bits` / `out_groups·out_bits`, or a
-    /// mapping error if the weights cannot be programmed.
-    pub fn from_trained(
-        mlp: Mlp,
-        config: &MeiConfig,
-        in_groups: usize,
-        out_groups: usize,
-    ) -> Result<MeiRcs, TrainRcsError> {
-        MeiRcs::assemble(mlp, config, in_groups, out_groups)
+        // The constructor training uses checks the header against the
+        // network.
+        MeiRcs::from_trained(mlp, &config, in_groups, out_groups).map_err(|e| match e {
+            TrainRcsError::InvalidConfig(_) => ParseRcsError::BadStructure(e.to_string()),
+            TrainRcsError::DimensionMismatch { .. } => ParseRcsError::ShapeMismatch(e.to_string()),
+            _ => ParseRcsError::Rebuild(e.to_string()),
+        })
     }
 }
 
@@ -320,6 +297,30 @@ mod tests {
         let bad = text.replace("interface 1 6 1 6", "interface 1 5 1 6");
         assert!(matches!(
             MeiRcs::from_text(&bad),
+            Err(ParseRcsError::ShapeMismatch(_))
+        ));
+        // Hand-built headers the constructor must check, not trust.
+        let device = text.lines().find(|l| l.starts_with("device ")).unwrap();
+        let hand_built = |interface: &str, hidden: usize, sizes: &[usize]| {
+            format!(
+                "meircs v1\ninterface {interface}\nhidden {hidden}\n{device}\n\
+                 weighted_loss true\n--- network ---\n{}",
+                neural::MlpBuilder::new(sizes).build().to_text()
+            )
+        };
+        // A bit width past MAX_BITS over a network it fits.
+        assert!(matches!(
+            MeiRcs::from_text(&hand_built("1 33 1 1 binary", 4, &[33, 4, 1])),
+            Err(ParseRcsError::BadStructure(_))
+        ));
+        // A hidden size the network contradicts.
+        assert!(matches!(
+            MeiRcs::from_text(&hand_built("1 4 1 4 binary", 3, &[4, 16, 4])),
+            Err(ParseRcsError::ShapeMismatch(_))
+        ));
+        // Two hidden layers where MEI has one.
+        assert!(matches!(
+            MeiRcs::from_text(&hand_built("1 4 1 4 binary", 16, &[4, 16, 16, 4])),
             Err(ParseRcsError::ShapeMismatch(_))
         ));
     }

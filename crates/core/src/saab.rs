@@ -20,10 +20,12 @@ use neural::Dataset;
 use prng::rngs::StdRng;
 use prng::{RngCore, SeedableRng};
 use rram::{NonIdealFactors, VariationModel};
-use runtime::ThreadPool;
+use runtime::{Chip, ChipCostSheet, ThreadPool};
 
+use crate::analog::AnalogWorkspace;
 use crate::error::{InferError, TrainRcsError};
-use crate::mei_arch::{MeiConfig, MeiRcs};
+use crate::eval::Rcs;
+use crate::mei_arch::{through_interface, MeiConfig, MeiRcs};
 
 /// Error floor preventing `α → ∞` when a learner is perfect on the
 /// weighted sample.
@@ -376,10 +378,20 @@ impl Saab {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_bits(&self, bits: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.vote(|learner, rng_unused| {
-            let _ = rng_unused;
-            learner.infer_bits(bits)
-        })
+        self.infer_bits_with(bits, &mut AnalogWorkspace::new())
+    }
+
+    /// [`infer_bits`](Self::infer_bits) with every learner running on `ws`.
+    fn infer_bits_with(
+        &self,
+        bits: &[f64],
+        ws: &mut AnalogWorkspace,
+    ) -> Result<Vec<f64>, InferError> {
+        let mut outputs = Vec::with_capacity(self.learners.len());
+        for (learner, alpha) in &self.learners {
+            outputs.push((learner.infer_bits_with(bits, ws)?, *alpha));
+        }
+        Ok(self.tally(outputs))
     }
 
     /// Binary-domain inference with signal fluctuation inside each learner.
@@ -406,14 +418,15 @@ impl Saab {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.input_spec().groups() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec().groups(),
-                found: x.len(),
-            });
-        }
-        let bits = self.infer_bits(&self.input_spec().encode(x))?;
-        Ok(self.output_spec().decode(&bits))
+        self.infer_with(x, &mut AnalogWorkspace::new())
+    }
+
+    /// [`infer`](Self::infer) on `ws` — the body [`Chip::infer`] runs on
+    /// its thread's workspace.
+    fn infer_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Result<Vec<f64>, InferError> {
+        through_interface(self.input_spec(), self.output_spec(), x, |bits| {
+            self.infer_bits_with(bits, ws)
+        })
     }
 
     /// Analog-domain noisy inference.
@@ -427,28 +440,9 @@ impl Saab {
         fluctuation: &SignalFluctuation,
         rng: &mut R,
     ) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.input_spec().groups() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec().groups(),
-                found: x.len(),
-            });
-        }
-        let bits = self.infer_bits_noisy(&self.input_spec().encode(x), fluctuation, rng)?;
-        Ok(self.output_spec().decode(&bits))
-    }
-
-    /// Apply process variation to every learner.
-    pub fn disturb<R: prng::Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
-        for (learner, _) in &mut self.learners {
-            learner.disturb(variation, rng);
-        }
-    }
-
-    /// Restore every learner's devices.
-    pub fn restore(&mut self) {
-        for (learner, _) in &mut self.learners {
-            learner.restore();
-        }
+        through_interface(self.input_spec(), self.output_spec(), x, |bits| {
+            self.infer_bits_noisy(bits, fluctuation, rng)
+        })
     }
 
     /// A uniformly-pruned ensemble: every learner loses the same LSB ports
@@ -464,18 +458,6 @@ impl Saab {
             .map(|(l, a)| Ok((l.pruned(in_prune, out_prune)?, *a)))
             .collect::<Result<Vec<_>, TrainRcsError>>()?;
         Ok(Saab { learners })
-    }
-
-    fn vote<F>(&self, mut predict: F) -> Result<Vec<f64>, InferError>
-    where
-        F: FnMut(&MeiRcs, &mut dyn RngCore) -> Result<Vec<f64>, InferError>,
-    {
-        let mut dummy = StdRng::seed_from_u64(0);
-        let mut outputs = Vec::with_capacity(self.learners.len());
-        for (learner, alpha) in &self.learners {
-            outputs.push((predict(learner, &mut dummy)?, *alpha));
-        }
-        Ok(self.tally(outputs))
     }
 
     /// `argmax_y Σ_k α_k·[R_k(x) = y]` with deterministic tie-breaking,
@@ -526,15 +508,22 @@ impl fmt::Display for Saab {
     }
 }
 
-impl crate::eval::Rcs for Saab {
-    fn output_dim(&self) -> usize {
-        self.output_spec().groups()
+impl Chip for Saab {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        AnalogWorkspace::with_thread(|ws| self.infer_with(input, ws))
+            .expect("dataset-validated input")
     }
 
-    fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.infer(x).expect("dataset-validated input")
+    // A SAAB chip is its learners side by side: one inference evaluates
+    // every (non-pruned) learner, so the sheets sum in learner order.
+    fn cost_sheet(&self) -> Option<ChipCostSheet> {
+        Some(crate::serve::mei_sheet(
+            self.learners.iter().map(|(learner, _)| learner.topology()),
+        ))
     }
+}
 
+impl Rcs for Saab {
     fn predict_noisy(
         &self,
         x: &[f64],
@@ -546,18 +535,22 @@ impl crate::eval::Rcs for Saab {
     }
 
     fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        Saab::disturb(self, variation, rng);
+        for (learner, _) in &mut self.learners {
+            learner.disturb(variation, rng);
+        }
     }
 
     fn restore(&mut self) {
-        Saab::restore(self);
+        for (learner, _) in &mut self.learners {
+            learner.restore();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_mse, Rcs};
+    use crate::eval::evaluate_mse;
     use prng::Rng;
 
     fn expfit_data(n: usize, seed: u64) -> Dataset {

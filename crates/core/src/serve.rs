@@ -1,7 +1,9 @@
-//! Serving integration: the trained architectures as [`runtime::Chip`]s,
-//! and chip-pool manufacturing with per-chip write-noise draws.
+//! Serving integration: chip-pool manufacturing with per-chip write-noise
+//! draws, and the Eq (6)/(7) cost-sheet bridge into the runtime.
 //!
-//! A deployment serves inference from *manufactured* chips: every chip is
+//! Every trained architecture is a [`runtime::Chip`] through [`Rcs`]; its
+//! `Chip` impl lives next to its inference in its own module. A
+//! deployment serves inference from *manufactured* chips: every chip is
 //! programmed from the same trained weights but carries its own
 //! program-and-verify (write-accuracy) noise draw. [`manufacture_chips`]
 //! builds such a pool from any trained [`Rcs`]: chip `i` is disturbed
@@ -9,8 +11,7 @@
 //! same physical device on every run and for every pool size — the
 //! serving-side face of the workspace's deterministic-parallelism rule.
 
-use std::cell::RefCell;
-
+use interface::cost::MeiTopology;
 use interface::{CostModel, Throughput};
 use prng::rngs::StdRng;
 use prng::SeedableRng;
@@ -19,147 +20,38 @@ use runtime::{
     Chip, ChipCostSheet, ChipPool, DriftProfile, DriftingChip, Engine, Fleet, FleetConfig,
 };
 
-use crate::adda::AddaRcs;
-use crate::analog::AnalogWorkspace;
-use crate::cnn::{CnnRcs, CnnWorkspace};
-use crate::digital::DigitalAnn;
 use crate::eval::Rcs;
-use crate::mei_arch::MeiRcs;
-use crate::saab::Saab;
 
-thread_local! {
-    /// Per-worker analog scratch: `Chip::infer` takes `&self` (chips are
-    /// shared across serving threads), so the workspace that makes the
-    /// crossbar matvec allocation-free lives per thread, sized once by the
-    /// largest layer the thread serves.
-    static SERVE_WORKSPACE: RefCell<AnalogWorkspace> = RefCell::new(AnalogWorkspace::new());
-
-    /// The CNN counterpart: conv tiling buffers plus head scratch.
-    static CNN_SERVE_WORKSPACE: RefCell<CnnWorkspace> = RefCell::new(CnnWorkspace::new());
-}
-
-/// Translate an interface-crate [`interface::CostSheet`] (valued from the
+/// Translate interface-crate [`interface::CostSheet`]s (valued from the
 /// paper's Eq (6)/(7) at the default mixed-signal throughput) into the
-/// runtime's plain-numbers [`ChipCostSheet`]. This is the one bridge
-/// between the physics silo and the serving-time accounting layer —
+/// runtime's plain-numbers [`ChipCostSheet`], summing the stages one
+/// inference evaluates side by side in the given order. This is the one
+/// bridge between the physics silo and the serving-time accounting layer —
 /// `runtime` cannot depend on `interface`, so the mapping lives here.
-fn to_runtime_sheet(sheet: interface::CostSheet) -> ChipCostSheet {
-    ChipCostSheet::new(
-        sheet.area_um2,
-        sheet.static_power_uw,
-        sheet.dynamic_j_per_evaluation,
-        sheet.ops_per_evaluation,
-    )
-}
-
-impl Chip for MeiRcs {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        SERVE_WORKSPACE
-            .with(|ws| MeiRcs::infer_with(self, input, &mut ws.borrow_mut()))
-            .expect("dataset-validated input")
-    }
-
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        let sheet =
-            CostModel::dac2015().sheet_mei(&self.topology(), &Throughput::default_mixed_signal());
-        Some(to_runtime_sheet(sheet))
-    }
-
-    fn wear(&self) -> Option<u64> {
-        Some(self.analog().total_writes())
-    }
-}
-
-impl Chip for AddaRcs {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        SERVE_WORKSPACE
-            .with(|ws| AddaRcs::infer_with(self, input, &mut ws.borrow_mut()))
-            .expect("dataset-validated input")
-    }
-
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        let sheet =
-            CostModel::dac2015().sheet_adda(&self.topology(), &Throughput::default_mixed_signal());
-        Some(to_runtime_sheet(sheet))
-    }
-}
-
-impl Chip for Saab {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        Saab::infer(self, input).expect("dataset-validated input")
-    }
-
-    // A SAAB chip is its learners side by side: one inference evaluates
-    // every (non-pruned) learner, so the sheets sum in learner order.
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        let model = CostModel::dac2015();
-        let throughput = Throughput::default_mixed_signal();
-        let mut area_um2 = 0.0;
-        let mut static_uw = 0.0;
-        let mut dynamic_j = 0.0;
-        let mut ops = 0.0;
-        for learner in self.learners() {
-            let sheet = model.sheet_mei(&learner.topology(), &throughput);
-            area_um2 += sheet.area_um2;
-            static_uw += sheet.static_power_uw;
-            dynamic_j += sheet.dynamic_j_per_evaluation;
-            ops += sheet.ops_per_evaluation;
+pub(crate) fn to_runtime_sheet(
+    stages: impl IntoIterator<Item = interface::CostSheet>,
+) -> ChipCostSheet {
+    let mut sum = [0.0; 4];
+    for sheet in stages {
+        let values = [
+            sheet.area_um2,
+            sheet.static_power_uw,
+            sheet.dynamic_j_per_evaluation,
+            sheet.ops_per_evaluation,
+        ];
+        for (total, value) in sum.iter_mut().zip(values) {
+            *total += value;
         }
-        Some(ChipCostSheet::new(area_um2, static_uw, dynamic_j, ops))
     }
+    ChipCostSheet::new(sum[0], sum[1], sum[2], sum[3])
 }
 
-impl Chip for CnnRcs {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        CNN_SERVE_WORKSPACE
-            .with(|ws| CnnRcs::infer_with(self, input, &mut ws.borrow_mut()))
-            .expect("dataset-validated input")
-    }
-
-    // The CNN chip is its conv tiles plus its head side by side: each
-    // tile is costed as a 1-bit-input stage with a `tile_bits`-wide sense
-    // interface (the Eq (6)/(7) machinery applied per tile), the head as
-    // a regular MEI stack. One inference evaluates all of them.
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        let model = CostModel::dac2015();
-        let throughput = Throughput::default_mixed_signal();
-        let mut area_um2 = 0.0;
-        let mut static_uw = 0.0;
-        let mut dynamic_j = 0.0;
-        let mut ops = 0.0;
-        for topology in self
-            .tile_topologies()
-            .iter()
-            .chain(std::iter::once(&self.head_topology()))
-        {
-            let sheet = model.sheet_mei(topology, &throughput);
-            area_um2 += sheet.area_um2;
-            static_uw += sheet.static_power_uw;
-            dynamic_j += sheet.dynamic_j_per_evaluation;
-            ops += sheet.ops_per_evaluation;
-        }
-        Some(ChipCostSheet::new(area_um2, static_uw, dynamic_j, ops))
-    }
-
-    fn wear(&self) -> Option<u64> {
-        Some(CnnRcs::total_writes(self))
-    }
-}
-
-// The digital baseline carries an explicit all-zero sheet rather than
-// `None`: the paper publishes no area/power model for it, and inventing
-// one would corrupt the mixed-signal comparisons — but an unaccounted
-// chip silently lands in `chips − known_chips`, which reads as an
-// accounting bug in fleet_cost-style reports. Zero cost states the truth
-// ("present, free in this model") and keeps `known_chips == chips`.
-impl Chip for DigitalAnn {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        DigitalAnn::infer(self, input)
-    }
-
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        Some(ChipCostSheet::new(0.0, 0.0, 0.0, 0.0))
-    }
+/// The bill of merged-interface stages: one for an MEI chip, learner
+/// order for SAAB, tiles then head for the CNN.
+pub(crate) fn mei_sheet(stages: impl IntoIterator<Item = MeiTopology>) -> ChipCostSheet {
+    let model = CostModel::dac2015();
+    let throughput = Throughput::default_mixed_signal();
+    to_runtime_sheet(stages.into_iter().map(|t| model.sheet_mei(&t, &throughput)))
 }
 
 /// Manufacture a pool of `chips` instances of a trained system: each chip
@@ -172,7 +64,7 @@ impl Chip for DigitalAnn {
 /// Panics if `chips` is zero.
 pub fn manufacture_chips<T>(rcs: &T, chips: usize, write_sigma: f64, root_seed: u64) -> ChipPool<T>
 where
-    T: Rcs + Chip + Clone,
+    T: Rcs + Clone,
 {
     let variation = VariationModel::process_variation(write_sigma);
     ChipPool::manufacture(root_seed, chips, |_, chip_seed| {
@@ -196,7 +88,7 @@ where
 /// Panics if `chips` is zero.
 pub fn manufacture_engine<T>(rcs: &T, chips: usize, write_sigma: f64, root_seed: u64) -> Engine<T>
 where
-    T: Rcs + Chip + Clone,
+    T: Rcs + Clone,
 {
     Engine::new(manufacture_chips(rcs, chips, write_sigma, root_seed))
 }
@@ -215,7 +107,7 @@ pub fn manufacture_boxed_engine<T>(
     root_seed: u64,
 ) -> Engine<Box<dyn Chip>>
 where
-    T: Rcs + Chip + Clone + 'static,
+    T: Rcs + Clone + 'static,
 {
     Engine::new(manufacture_chips(rcs, chips, write_sigma, root_seed).boxed())
 }
@@ -243,7 +135,7 @@ pub fn manufacture_fleet<T>(
     config: FleetConfig,
 ) -> Fleet<T>
 where
-    T: Rcs + Chip + Clone,
+    T: Rcs + Clone,
 {
     assert!(pools > 0, "a fleet needs a pool");
     let engines = (0..pools)
@@ -269,14 +161,12 @@ pub fn manufacture_boxed_fleet<T>(
     config: FleetConfig,
 ) -> Fleet<Box<dyn Chip>>
 where
-    T: Rcs + Chip + Clone + 'static,
+    T: Rcs + Clone + 'static,
 {
-    assert!(pools > 0, "a fleet needs a pool");
-    let engines = (0..pools)
-        .map(|p| {
-            let pool_seed = prng::substream(config.seed ^ FLEET_POOL_SALT, p as u64);
-            Engine::new(manufacture_chips(rcs, chips_per_pool, write_sigma, pool_seed).boxed())
-        })
+    let engines = manufacture_fleet(rcs, pools, chips_per_pool, write_sigma, config)
+        .into_engines()
+        .into_iter()
+        .map(|engine| Engine::new(engine.into_pool().boxed()))
         .collect();
     Fleet::new(engines, config)
 }
@@ -301,25 +191,31 @@ pub fn manufacture_drifting_engine<T>(
     profile: DriftProfile,
 ) -> Engine<DriftingChip<T>>
 where
-    T: Rcs + Chip + Clone,
+    T: Rcs + Clone,
 {
-    let variation = VariationModel::process_variation(write_sigma);
-    let pool = ChipPool::manufacture(root_seed, chips, |_, chip_seed| {
-        let mut chip = rcs.clone();
-        if !variation.is_ideal() {
-            let mut rng = StdRng::seed_from_u64(chip_seed);
-            chip.disturb(&variation, &mut rng);
-        }
-        DriftingChip::new(chip, profile, chip_seed)
-    });
-    Engine::new(pool)
+    // Re-deriving the pool's per-chip seeds pairs chip i with the seed
+    // that drew its write noise.
+    let mut made = manufacture_chips(rcs, chips, write_sigma, root_seed)
+        .into_chips()
+        .into_iter();
+    Engine::new(ChipPool::manufacture(root_seed, chips, |_, chip_seed| {
+        DriftingChip::new(
+            made.next().expect("one manufactured chip per seed"),
+            profile,
+            chip_seed,
+        )
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mei_arch::MeiConfig;
-    use neural::Dataset;
+    use crate::adda::{AddaConfig, AddaRcs};
+    use crate::cnn::{CnnConfig, CnnRcs};
+    use crate::digital::DigitalAnn;
+    use crate::mei_arch::{MeiConfig, MeiRcs};
+    use crate::saab::{Saab, SaabConfig};
+    use neural::{Dataset, TrainConfig};
     use prng::Rng;
     use runtime::{LeastLoaded, RoundRobin};
 
@@ -332,19 +228,78 @@ mod tests {
         .unwrap()
     }
 
+    fn to_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn chip_infer_matches_rcs_infer() {
         let data = expfit_data(200, 1);
-        let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
-        let direct = MeiRcs::infer(&rcs, &[0.3]).unwrap();
-        let chip: &dyn Chip = &rcs;
-        assert_eq!(chip.infer(&[0.3]), direct);
+        let short = TrainConfig {
+            epochs: 20,
+            learning_rate: 1.0,
+            ..TrainConfig::default()
+        };
+        let mei = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
+        let adda = AddaRcs::train(
+            &data,
+            &AddaConfig {
+                train: short,
+                ..AddaConfig::default()
+            },
+        )
+        .unwrap();
+        let saab = Saab::train(
+            &data,
+            &MeiConfig::quick_test(),
+            &SaabConfig {
+                rounds: 2,
+                compare_bits: 4,
+                ..SaabConfig::default()
+            },
+        )
+        .unwrap();
+        let ann = DigitalAnn::train(&data, 4, &short, 0).unwrap();
+        let images = workloads::cnn_dataset(8, 8, 12, 5);
+        let cnn = CnnRcs::train(&images, &CnnConfig::quick_test()).unwrap();
+        let worn_cnn = manufacture_chips(&cnn, 2, 0.05, 3).into_chips().remove(1);
+        let points = [vec![0.3], vec![0.85]];
+        let pictures = [images.inputs()[0].clone(), images.inputs()[1].clone()];
+        // (name, chip, inputs, inherent infer)
+        type Case<'a> = (
+            &'a str,
+            &'a dyn Chip,
+            &'a [Vec<f64>],
+            &'a dyn Fn(&[f64]) -> Vec<f64>,
+        );
+        let cases: [Case; 6] = [
+            ("mei", &mei, &points, &|x| mei.infer(x).unwrap()),
+            ("adda", &adda, &points, &|x| adda.infer(x).unwrap()),
+            ("saab", &saab, &points, &|x| saab.infer(x).unwrap()),
+            ("cnn", &cnn, &pictures, &|x| cnn.infer(x).unwrap()),
+            ("worn cnn", &worn_cnn, &pictures, &|x| {
+                worn_cnn.infer(x).unwrap()
+            }),
+            ("digital", &ann, &points, &|x| ann.infer(x)),
+        ];
+        // Round 1 runs every chip on a per-thread workspace that another
+        // chip and another input used last.
+        for round in 0..2 {
+            for (name, chip, inputs, direct) in &cases {
+                let x = &inputs[round];
+                assert_eq!(
+                    to_bits(&chip.infer(x)),
+                    to_bits(&direct(x)),
+                    "{name}, round {round}"
+                );
+            }
+        }
     }
 
     #[test]
     fn cnn_chips_serve_bill_and_report_wear() {
         let data = workloads::cnn_dataset(8, 8, 12, 5);
-        let rcs = crate::cnn::CnnRcs::train(&data, &crate::cnn::CnnConfig::quick_test()).unwrap();
+        let rcs = CnnRcs::train(&data, &CnnConfig::quick_test()).unwrap();
         let (x, _) = data.iter().next().unwrap();
         // Chip::infer matches the direct path and rides per-thread scratch.
         let chip: &dyn Chip = &rcs;
@@ -352,9 +307,26 @@ mod tests {
         // The sheet sums the per-tile stages and the head, so it must
         // strictly exceed the head alone.
         let sheet = chip.cost_sheet().expect("CNN chips are accounted");
-        let head_only = interface::CostModel::dac2015()
-            .sheet_mei(&rcs.head_topology(), &Throughput::default_mixed_signal());
+        let model = interface::CostModel::dac2015();
+        let throughput = Throughput::default_mixed_signal();
+        let head_only = model.sheet_mei(&rcs.head_topology(), &throughput);
         assert!(sheet.area_um2 > head_only.area_um2);
+        // Bit for bit, it is the tiles-then-head sum of the Eq (7) sheets.
+        let mut sum = [0.0; 4];
+        for topology in rcs.tile_topologies().iter().chain([&rcs.head_topology()]) {
+            let stage = model.sheet_mei(topology, &throughput);
+            sum[0] += stage.area_um2;
+            sum[1] += stage.static_power_uw;
+            sum[2] += stage.dynamic_j_per_evaluation;
+            sum[3] += stage.ops_per_evaluation;
+        }
+        let billed = [
+            sheet.area_um2,
+            sheet.leakage_uw,
+            sheet.dynamic_j_per_inference,
+            sheet.ops_per_inference,
+        ];
+        assert_eq!(to_bits(&billed), to_bits(&sum));
         // Wear rolls up through the Chip trait, manufacture included:
         // write noise is programming (`program_clamped`), so every
         // manufactured chip has more pulses than the pristine master.

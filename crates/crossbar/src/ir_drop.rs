@@ -21,25 +21,6 @@ use std::fmt;
 
 use crate::array::CrossbarArray;
 
-/// Which iterative solver runs the nodal system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IrSolver {
-    /// Line-based red-black Gauss–Seidel (the default): alternate exact
-    /// tridiagonal solves over every word line (row nodes, column voltages
-    /// frozen) and every bit line (column nodes, row voltages frozen). The
-    /// two line families form a bipartite red/black split, and because the
-    /// device/wire conductance contrast is tiny (`g·r_w ~ 1e-4`), the
-    /// cross-coupling left after each half-sweep is weak — the iteration
-    /// contracts by roughly `(g·r_w)²` per sweep and converges in a
-    /// handful of sweeps where CG needs hundreds of matrix applications.
-    #[default]
-    GaussSeidel,
-    /// Jacobi-preconditioned conjugate gradient — the previous default,
-    /// kept as the robust fallback for exotic conductance regimes (it only
-    /// assumes symmetric positive definiteness, not weak coupling).
-    ConjugateGradient,
-}
-
 /// Configuration of the wire-resistance grid solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrDropConfig {
@@ -50,11 +31,9 @@ pub struct IrDropConfig {
     /// Maximum solver sweeps/iterations before giving up.
     pub max_iterations: usize,
     /// Convergence threshold on the largest node-voltage change per sweep,
-    /// relative to the largest input magnitude (for CG: on the residual
-    /// norm relative to the source norm).
+    /// relative to the largest input magnitude (for the reference CG
+    /// solver: on the residual norm relative to the source norm).
     pub tolerance: f64,
-    /// The iterative solver to run ([`IrSolver::GaussSeidel`] by default).
-    pub solver: IrSolver,
 }
 
 impl Default for IrDropConfig {
@@ -63,7 +42,6 @@ impl Default for IrDropConfig {
             wire_resistance: 2.5,
             max_iterations: 20_000,
             tolerance: 1e-12,
-            solver: IrSolver::default(),
         }
     }
 }
@@ -111,36 +89,23 @@ impl fmt::Display for IrDropConfig {
 ///
 /// The nodal system `A·v = b` (with `A` the symmetric positive-definite
 /// conductance Laplacian over the `2·n·m` row/column wire nodes) is solved
-/// by the iterative method named in `config.solver`: line-based red-black
-/// Gauss–Seidel by default ([`solve_grid_gs`]), or Jacobi-preconditioned
-/// conjugate gradient ([`solve_grid_cg`]) as the documented fallback. Both
-/// converge to the same nodal solution within `config.tolerance`.
+/// by red-black Gauss–Seidel over grid *lines*: one sweep solves every word
+/// line exactly (a tridiagonal system along its `m` row nodes, with the
+/// column-node voltages frozen), then every bit line exactly (tridiagonal
+/// along its `n` column nodes, row voltages frozen). Word lines only couple
+/// to bit lines and vice versa — a bipartite red/black split at line
+/// granularity — so each half-sweep uses fully updated values from the
+/// other color, and because the device/wire conductance contrast is tiny
+/// (`g·r_w ~ 1e-4`) the iteration contracts by roughly `(g·r_w)²` per
+/// sweep: a handful of sweeps where conjugate gradient needs hundreds of
+/// matrix applications. [`solve_grid_cg`] is the reference it is tested
+/// against.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len() != array.rows()`.
 #[must_use]
 pub fn solve_grid(array: &CrossbarArray, inputs: &[f64], config: &IrDropConfig) -> Vec<f64> {
-    match config.solver {
-        IrSolver::GaussSeidel => solve_grid_gs(array, inputs, config),
-        IrSolver::ConjugateGradient => solve_grid_cg(array, inputs, config),
-    }
-}
-
-/// Red-black Gauss–Seidel over grid *lines*: one sweep solves every word
-/// line exactly (a tridiagonal system along its `m` row nodes, with the
-/// column-node voltages frozen), then every bit line exactly (tridiagonal
-/// along its `n` column nodes, row voltages frozen). Word lines only couple
-/// to bit lines and vice versa — a bipartite red/black split at line
-/// granularity — so each half-sweep uses fully updated values from the
-/// other color and the iteration contracts by the (tiny) device/wire
-/// coupling ratio squared per sweep.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != array.rows()`.
-#[must_use]
-pub fn solve_grid_gs(array: &CrossbarArray, inputs: &[f64], config: &IrDropConfig) -> Vec<f64> {
     let n = array.rows();
     let m = array.cols();
     assert_eq!(inputs.len(), n, "input vector length");
@@ -229,9 +194,9 @@ pub fn solve_grid_gs(array: &CrossbarArray, inputs: &[f64], config: &IrDropConfi
 }
 
 /// Jacobi-preconditioned conjugate gradient over the full nodal system —
-/// the fallback solver ([`IrSolver::ConjugateGradient`]), robust across any
-/// wire/device conductance contrast because it only relies on `A` being
-/// symmetric positive definite.
+/// the reference [`solve_grid`] is tested and benchmarked against, robust
+/// across any wire/device conductance contrast because it only relies on
+/// `A` being symmetric positive definite.
 ///
 /// # Panics
 ///
@@ -482,11 +447,9 @@ mod tests {
         let x = varied_array(9, 7);
         let inputs: Vec<f64> = (0..9).map(|k| 0.1 + 0.1 * k as f64).collect();
         for r in [0.5, 2.5, 25.0] {
-            let mut cfg = IrDropConfig::with_wire_resistance(r);
-            cfg.solver = IrSolver::GaussSeidel;
+            let cfg = IrDropConfig::with_wire_resistance(r);
             let gs = solve_grid(&x, &inputs, &cfg);
-            cfg.solver = IrSolver::ConjugateGradient;
-            let cg = solve_grid(&x, &inputs, &cfg);
+            let cg = solve_grid_cg(&x, &inputs, &cfg);
             let scale = cg.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
             // Each solver stops on its own criterion (max voltage change vs
             // residual norm); agreement to 1e-7 of the largest current means
@@ -498,10 +461,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn default_solver_is_gauss_seidel() {
-        assert_eq!(IrDropConfig::default().solver, IrSolver::GaussSeidel);
     }
 }

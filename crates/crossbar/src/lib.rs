@@ -24,7 +24,7 @@
 //! * [`ir_drop`] — an iterative nodal-analysis solver for the wire-resistance
 //!   grid, for studying IR drop (the paper picks 90 nm interconnect exactly
 //!   to suppress this effect; we make it measurable): line-based red-black
-//!   Gauss–Seidel by default, conjugate gradient as the fallback.
+//!   Gauss–Seidel, tested against a conjugate-gradient reference.
 //! * [`sense`] — load resistors, transimpedance sensing and the 1-bit
 //!   comparators MEI uses instead of full ADCs.
 //! * [`noise`] — lognormal signal fluctuation on input vectors.
@@ -63,7 +63,7 @@ pub use array::CrossbarArray;
 pub use bitvec::BitInput;
 pub use conv::{direct_conv, im2col, tile_ranges, ConvError, ConvShape, ConvWorkspace, TiledConv};
 pub use divider::{DividerLayer, SignedDividerLayer};
-pub use ir_drop::{IrDropConfig, IrSolver};
+pub use ir_drop::IrDropConfig;
 pub use mapping::{MapWeightsError, MappingConfig, WeightMapping};
 pub use noise::SignalFluctuation;
 pub use pair::DifferentialPair;

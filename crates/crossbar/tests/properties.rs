@@ -7,7 +7,7 @@ use prng::rngs::StdRng;
 use prng::SeedableRng;
 
 use crossbar::{
-    direct_conv, BitInput, ConvShape, CrossbarArray, DifferentialPair, IrDropConfig, IrSolver,
+    direct_conv, ir_drop, BitInput, ConvShape, CrossbarArray, DifferentialPair, IrDropConfig,
     MappingConfig, TiledConv,
 };
 use rram::{DeviceParams, RetentionModel, VariationModel};
@@ -221,7 +221,7 @@ fn cached_plane_tracks_every_mutation() {
 }
 
 /// The red-black Gauss–Seidel IR-drop sweep converges to the same
-/// currents as the conjugate-gradient fallback on random grids.
+/// currents as the conjugate-gradient reference on random grids.
 #[test]
 fn gauss_seidel_matches_conjugate_gradient() {
     prop_check!(|g| {
@@ -230,13 +230,9 @@ fn gauss_seidel_matches_conjugate_gradient() {
         let mut x = CrossbarArray::new(n, m, DeviceParams::ideal());
         x.program_clamped(&g.matrix_f64(5e-7, 5e-5, n, m));
         let inputs = g.vec_f64(0.0, 1.0, n);
-        let gs_cfg = IrDropConfig::with_wire_resistance(g.f64_in(0.1, 25.0));
-        let cg_cfg = IrDropConfig {
-            solver: IrSolver::ConjugateGradient,
-            ..gs_cfg
-        };
-        let gs = x.column_currents_ir(&inputs, &gs_cfg);
-        let cg = x.column_currents_ir(&inputs, &cg_cfg);
+        let cfg = IrDropConfig::with_wire_resistance(g.f64_in(0.1, 25.0));
+        let gs = x.column_currents_ir(&inputs, &cfg);
+        let cg = ir_drop::solve_grid_cg(&x, &inputs, &cfg);
         let scale = cg
             .iter()
             .fold(0.0f64, |acc, v| acc.max(v.abs()))

@@ -13,7 +13,7 @@
 //! never an experimental variable. Each mini-batch is partitioned into
 //! **fixed contiguous shards** whose geometry depends on the batch size
 //! alone, each shard accumulates its gradients into its own reusable
-//! [`Workspace`] on a persistent `runtime` crew, and the per-shard
+//! `Workspace` on a persistent `runtime` crew, and the per-shard
 //! gradients are folded **in shard-index order** before the momentum
 //! update — the `par_reduce` ordered-reduction treatment, so the
 //! non-associative f64 sums see the same grouping at every thread count.

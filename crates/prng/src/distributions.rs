@@ -16,7 +16,7 @@ pub trait Distribution<T> {
 
 /// The standard uniform distribution: `[0, 1)` for floats, full domain
 /// for integers, fair coin for `bool`. The distribution behind
-/// [`Rng::gen`](crate::Rng::gen).
+/// [`Rng::gen`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Standard;
 
@@ -51,7 +51,7 @@ macro_rules! standard_int {
 }
 standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-/// A range usable with [`Rng::gen_range`](crate::Rng::gen_range),
+/// A range usable with [`Rng::gen_range`],
 /// mirroring `rand`'s `SampleRange`.
 pub trait SampleRange<T> {
     /// Draw one value uniformly from the range.

@@ -35,7 +35,7 @@
 //!   for deterministic parallelism;
 //! * [`prop`] — the deterministic property-test harness behind
 //!   [`prop_check!`];
-//! * [`env`] — warn-on-malformed environment-variable parsing shared by
+//! * [`env`](mod@env) — warn-on-malformed environment-variable parsing shared by
 //!   every workspace knob (here because `prng` is the common base crate).
 //!
 //! ## Determinism contract

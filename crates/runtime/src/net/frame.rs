@@ -29,9 +29,9 @@
 //!   length prefix framed it, so the connection can skip the frame,
 //!   answer an in-band [`Frame::Error`], and keep serving;
 //! * [`DecodeStep::Fatal`] — the length prefix itself is untrustworthy
-//!   (over [`max_frame`] or shorter than the kind byte); the stream can
-//!   no longer be framed and the connection must close after an error
-//!   frame.
+//!   (over [`decode`]'s `max_frame` or shorter than the kind byte); the
+//!   stream can no longer be framed and the connection must close after
+//!   an error frame.
 
 /// Request-batch frame kind byte.
 pub const KIND_REQUEST: u8 = 0x01;

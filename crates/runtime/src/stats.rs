@@ -93,10 +93,9 @@ pub struct ServeStats {
     pub non_finite: usize,
     /// Per-chip breakdown, indexed by chip id.
     pub per_chip: Vec<ChipStats>,
-    /// Measured-window energy rollup ([`attach_energy`]
-    /// (Self::attach_energy)). `None` until attached, or when no chip in
-    /// the run carries a [`ChipCostSheet`] — legacy JSON shape is then
-    /// unchanged.
+    /// Measured-window energy rollup ([`attach_energy`](Self::attach_energy)).
+    /// `None` until attached, or when no chip in the run carries a
+    /// [`ChipCostSheet`] — legacy JSON shape is then unchanged.
     pub energy: Option<EnergyStats>,
 }
 

@@ -1,7 +1,7 @@
 //! Synthetic binary-image classification dataset for the CNN workload.
 //!
 //! Three visually distinct texture families rendered by the existing
-//! [`GrayImage`](crate::image::GrayImage) pipelines, binarized to `{0, 1}`
+//! [`GrayImage`] pipelines, binarized to `{0, 1}`
 //! pixels and jittered per sample, with one-hot class targets:
 //!
 //! * **Gradient** — the diagonal luminance ramp thresholded at a
