@@ -11,6 +11,17 @@ if grep -rn "rand\|proptest\|criterion" --include=Cargo.toml Cargo.toml crates/;
     exit 1
 fi
 
+echo "==> unsafe-free check (every crate root forbids unsafe_code)"
+# The attribute in each library root makes the compiler reject any unsafe
+# code in that crate. servebench/ is a separate, frozen package and is not
+# checked here.
+for root in crates/*/src/lib.rs src/lib.rs; do
+    if ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "ERROR: $root lacks #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

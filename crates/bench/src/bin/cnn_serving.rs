@@ -383,11 +383,5 @@ fn main() {
         wear_json(&wa_wear, wa_max, wa_spread),
         snapshots.len(),
     );
-    mei_bench::json::validate(&json).expect("cnn_serving emits strict JSON");
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

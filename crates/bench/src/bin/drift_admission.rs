@@ -39,13 +39,12 @@
 
 use std::time::Duration;
 
-use mei::{manufacture_drifting_engine, manufacture_engine, MeiConfig, MeiRcs};
+use mei::{manufacture_drifting_engine, manufacture_engine, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, RampConfig};
 use mei_bench::{
-    closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, table1_setups,
+    closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, serving_mei,
     ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
-use neural::TrainConfig;
 use runtime::{json_num, AdmittedOutcome, Chip, DriftProfile, DriftingChip, Engine, SizeAware};
 
 const CHIPS: usize = 4;
@@ -84,34 +83,7 @@ fn main() {
     let window = measure_window(if fast { 0.3 } else { 2.0 });
     let cfg = ExperimentConfig::from_env();
 
-    let setup = table1_setups()
-        .into_iter()
-        .find(|s| s.workload.name() == "inversek2j")
-        .expect("inversek2j is a Table 1 row");
-    let train_samples = if fast { 400 } else { 1_500 };
-    let train = setup
-        .workload
-        .dataset(train_samples, cfg.seed)
-        .expect("train data");
-    let test = setup.workload.dataset(64, cfg.seed + 1).expect("test data");
-    let mei = MeiRcs::train(
-        &train,
-        &MeiConfig {
-            hidden: setup.mei_hidden,
-            in_bits: setup.mei_in_bits,
-            out_bits: setup.mei_out_bits,
-            device: cfg.device(),
-            train: TrainConfig {
-                epochs: if fast { 15 } else { 60 },
-                learning_rate: 0.8,
-                ..TrainConfig::default()
-            },
-            seed: cfg.seed,
-            ..MeiConfig::default()
-        },
-    )
-    .expect("MEI training");
-    let inputs: Vec<Vec<f64>> = test.inputs().to_vec();
+    let (mei, inputs) = serving_mei(&cfg, None);
     let reps: Vec<Vec<f64>> = inputs[..8.min(inputs.len())].to_vec();
     let passes = if fast { 2 } else { 3 };
 
@@ -337,10 +309,5 @@ fn main() {
         admitted_json("over_knee_1.5x", over_rate, &over),
         json_num(ungated_over.p99_latency_us, 3)
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

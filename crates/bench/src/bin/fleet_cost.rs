@@ -36,13 +36,12 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin fleet_cost`
 
-use mei::{manufacture_fleet, MeiConfig, MeiRcs};
+use mei::manufacture_fleet;
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig};
 use mei_bench::{
-    fast_mode, format_table, measure_window, open_phase, table1_setups, ExperimentConfig,
+    fast_mode, format_table, measure_window, open_phase, serving_mei, ExperimentConfig,
     EXPERIMENT_WRITE_SIGMA,
 };
-use neural::TrainConfig;
 use runtime::fleet::dse::{self, CandidateModel, DseBudget, DseCandidate};
 use runtime::{json_num, Chip, FleetConfig};
 
@@ -67,34 +66,7 @@ fn main() {
     let sla_target_us = prng::env::parse_or("MEI_FLEET_SLA_US", 2000.0_f64);
     let budget = DseBudget::new(0.25, 0.05).from_env();
 
-    let setup = table1_setups()
-        .into_iter()
-        .find(|s| s.workload.name() == WORKLOAD)
-        .expect("inversek2j is a Table 1 row");
-    let train_samples = if fast { 400 } else { 1_500 };
-    let train = setup
-        .workload
-        .dataset(train_samples, cfg.seed)
-        .expect("train data");
-    let test = setup.workload.dataset(64, cfg.seed + 1).expect("test data");
-    let mei = MeiRcs::train(
-        &train,
-        &MeiConfig {
-            hidden: setup.mei_hidden,
-            in_bits: setup.mei_in_bits,
-            out_bits: setup.mei_out_bits,
-            device: cfg.device(),
-            train: TrainConfig {
-                epochs: if fast { 15 } else { 60 },
-                learning_rate: 0.8,
-                ..TrainConfig::default()
-            },
-            seed: cfg.seed,
-            ..MeiConfig::default()
-        },
-    )
-    .expect("MEI training");
-    let inputs: Vec<Vec<f64>> = test.inputs().to_vec();
+    let (mei, inputs) = serving_mei(&cfg, None);
     let chip_sheet = Chip::cost_sheet(&mei).expect("MEI chips are accounted");
 
     eprintln!(
@@ -294,10 +266,5 @@ fn main() {
         fleets_json.join(","),
         report.to_json(),
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

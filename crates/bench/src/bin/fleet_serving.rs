@@ -53,13 +53,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mei::{manufacture_chips, manufacture_fleet, MeiConfig, MeiRcs};
+use mei::{manufacture_fleet, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig, SlaReport};
 use mei_bench::{
-    closed_rate, fast_mode, format_table, measure_window, schedule, table1_setups,
-    ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
+    closed_rate, fast_mode, format_table, measure_window, schedule, serving_mei, ExperimentConfig,
+    EXPERIMENT_WRITE_SIGMA,
 };
-use neural::TrainConfig;
 use runtime::{
     json_num, BatchItem, Chip, ChipPool, EjectReason, Engine, Fleet, FleetConfig, RoundRobin,
     ServeStats, SlaPoint, Transition,
@@ -156,29 +155,31 @@ struct DrillRecord {
 /// recalibrate (→ ejection), serve on, repair, recalibrate (→
 /// re-admission), serve again.
 fn failover_drill(mei: &MeiRcs, seed: u64, reps: &[Vec<f64>], requests: usize) -> DrillRecord {
+    let config = FleetConfig::new(seed).with_replication(2);
     let switches: Vec<Arc<AtomicBool>> = (0..2).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let engines: Vec<Engine<BreakableChip>> = switches
-        .iter()
-        .enumerate()
-        .map(|(p, switch)| {
-            // Distinct physical chips per pool: pool p draws from the
-            // (seed, p) substream, exactly like `manufacture_fleet`.
-            let pool_seed = prng::substream(seed, p as u64);
-            let chips = manufacture_chips(mei, CHIPS_PER_POOL, EXPERIMENT_WRITE_SIGMA, pool_seed)
-                .into_chips()
-                .into_iter()
-                .map(|inner| BreakableChip {
-                    inner,
-                    broken: Arc::clone(switch),
-                })
-                .collect();
-            // Round-robin placement: the chip sequence is a pure
-            // function of the request sequence, never of measured
-            // costs, so the drill replays bit-identically.
-            Engine::new(ChipPool::from_chips(chips)).with_policy(RoundRobin)
-        })
-        .collect();
-    let mut fleet = Fleet::new(engines, FleetConfig::new(seed).with_replication(2));
+    // The fleet's own physical chips, each behind its pool's switch.
+    let engines: Vec<Engine<BreakableChip>> =
+        manufacture_fleet(mei, 2, CHIPS_PER_POOL, EXPERIMENT_WRITE_SIGMA, config)
+            .into_engines()
+            .into_iter()
+            .zip(&switches)
+            .map(|(engine, switch)| {
+                let chips = engine
+                    .into_pool()
+                    .into_chips()
+                    .into_iter()
+                    .map(|inner| BreakableChip {
+                        inner,
+                        broken: Arc::clone(switch),
+                    })
+                    .collect();
+                // Round-robin placement: the chip sequence is a pure
+                // function of the request sequence, never of measured
+                // costs, so the drill replays bit-identically.
+                Engine::new(ChipPool::from_chips(chips)).with_policy(RoundRobin)
+            })
+            .collect();
+    let mut fleet = Fleet::new(engines, config);
     let mut session = fleet.session(WORKLOAD);
     let primary = fleet.route(WORKLOAD).expect("healthy fleet routes");
     let inputs: Vec<Vec<f64>> = reps.iter().cycle().take(requests).cloned().collect();
@@ -252,34 +253,7 @@ fn main() {
     let sla_target_us = prng::env::parse_or("MEI_FLEET_SLA_US", 2000.0_f64);
     let target_rps = prng::env::parse_or("MEI_FLEET_TARGET_RPS", 10_000.0_f64);
 
-    let setup = table1_setups()
-        .into_iter()
-        .find(|s| s.workload.name() == WORKLOAD)
-        .expect("inversek2j is a Table 1 row");
-    let train_samples = if fast { 400 } else { 1_500 };
-    let train = setup
-        .workload
-        .dataset(train_samples, cfg.seed)
-        .expect("train data");
-    let test = setup.workload.dataset(64, cfg.seed + 1).expect("test data");
-    let mei = MeiRcs::train(
-        &train,
-        &MeiConfig {
-            hidden: setup.mei_hidden,
-            in_bits: setup.mei_in_bits,
-            out_bits: setup.mei_out_bits,
-            device: cfg.device(),
-            train: TrainConfig {
-                epochs: if fast { 15 } else { 60 },
-                learning_rate: 0.8,
-                ..TrainConfig::default()
-            },
-            seed: cfg.seed,
-            ..MeiConfig::default()
-        },
-    )
-    .expect("MEI training");
-    let inputs: Vec<Vec<f64>> = test.inputs().to_vec();
+    let (mei, inputs) = serving_mei(&cfg, None);
     let reps: Vec<Vec<f64>> = inputs[..8.min(inputs.len())].to_vec();
 
     eprintln!(
@@ -440,10 +414,5 @@ fn main() {
         first.after.len(),
         first.recovered.len(),
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

@@ -185,11 +185,5 @@ fn main() {
         runtime::json_num(BASELINE_MATVEC_64X448_NS, 3),
         runtime::json_num(BASELINE_IR_DROP_32_NS, 3),
     );
-    mei_bench::json::validate(&json).expect("kernels report is strict JSON");
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

@@ -25,7 +25,9 @@
 //!    always, never asserted here).
 //!
 //! The human-readable tables go to stderr; the machine-diffable JSON
-//! report goes to stdout (and to `MEI_BENCH_JSON` when set).
+//! reports go to stdout, one per line: the standalone protocol-v2 report
+//! (also to `MEI_BENCH_JSON_V2` when set), then the full report (also to
+//! `MEI_BENCH_JSON` when set).
 //!
 //! Environment knobs:
 //!
@@ -45,13 +47,12 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use mei::{manufacture_chips, MeiConfig, MeiRcs};
+use mei::{manufacture_chips, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, RampConfig, RampReport};
 use mei_bench::{
-    closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, table1_setups,
+    closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, serving_mei,
     ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
-use neural::TrainConfig;
 use runtime::net::frame::ItemResponse;
 use runtime::net::{Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response};
 use runtime::{
@@ -270,37 +271,7 @@ fn main() {
 
     // The Table 1 inversek2j MEI system, trained with a small budget —
     // the serving workload, not the accuracy experiment.
-    let setup = table1_setups()
-        .into_iter()
-        .find(|s| s.workload.name() == "inversek2j")
-        .expect("inversek2j is a Table 1 row");
-    let train_samples = if fast { 400 } else { 1_500 };
-    let train = setup
-        .workload
-        .dataset(train_samples, cfg.seed)
-        .expect("train data");
-    let test = setup.workload.dataset(64, cfg.seed + 1).expect("test data");
-    let train_mei = |hidden: usize| {
-        MeiRcs::train(
-            &train,
-            &MeiConfig {
-                hidden,
-                in_bits: setup.mei_in_bits,
-                out_bits: setup.mei_out_bits,
-                device: cfg.device(),
-                train: TrainConfig {
-                    epochs: if fast { 15 } else { 60 },
-                    learning_rate: 0.8,
-                    ..TrainConfig::default()
-                },
-                seed: cfg.seed,
-                ..MeiConfig::default()
-            },
-        )
-        .expect("MEI training")
-    };
-    let mei = train_mei(setup.mei_hidden);
-    let inputs: Vec<Vec<f64>> = test.inputs().to_vec();
+    let (mei, inputs) = serving_mei(&cfg, None);
     let input_dim = inputs[0].len();
 
     let auto = resolve_threads(0);
@@ -455,22 +426,18 @@ fn main() {
         json_num(v2_over_v1, 4),
         baseline_knee.map_or_else(|| "null".into(), |k| json_num(k, 3)),
     );
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON_V2") {
-        if let Err(err) = std::fs::write(&path, &v2_json) {
-            panic!("cannot write MEI_BENCH_JSON_V2 report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&v2_json, "MEI_BENCH_JSON_V2");
 
     // Phase 5: mixed-topology policy comparison. Two narrow (fast) and
     // two wide (slow) chips of the same workload; the calibrated
     // size-aware policy should hold a lower p99 at equal offered rate.
-    let wide = train_mei(setup.mei_hidden * 6);
+    let wide = serving_mei(&cfg, Some(mei.hidden() * 6)).0;
     let build = || mixed_pool(&mei, &wide, 2, 2, cfg.seed);
     let calibration = CostModel::calibrate(&build(), &inputs[..8.min(inputs.len())], 3);
     eprintln!(
         "\n-- mixed-topology pool (2× hidden={}, 2× hidden={}) --\ncalibrated cost model: {}",
-        setup.mei_hidden,
-        setup.mei_hidden * 6,
+        mei.hidden(),
+        wide.hidden(),
         calibration.to_json()
     );
     let mixed_closed = closed_rate(
@@ -577,16 +544,11 @@ fn main() {
         in_process.to_json(),
         tcp.to_json(),
         v2_json,
-        setup.mei_hidden,
-        setup.mei_hidden * 6,
+        mei.hidden(),
+        wide.hidden(),
         calibration.to_json(),
         json_num(mixed_closed, 3),
         policies_json.join(",")
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

@@ -269,10 +269,5 @@ fn main() {
         epochs_per_call,
         sections.join(",")
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-        if let Err(err) = std::fs::write(&path, &json) {
-            panic!("cannot write MEI_BENCH_JSON report to '{path}': {err}");
-        }
-    }
+    mei_bench::json::emit(&json, "MEI_BENCH_JSON");
 }

@@ -29,6 +29,26 @@ pub fn meta(bench: &str, mei_seed: u64) -> String {
     )
 }
 
+/// Emit a finished bench report: validate it as strict JSON, print it to
+/// stdout, and write it to the file named by the environment variable
+/// `path_var` (e.g. `MEI_BENCH_JSON`) when that is set.
+///
+/// # Panics
+///
+/// Panics if `report` is not strict JSON (an emitter bug) or the file
+/// cannot be written.
+pub fn emit(report: &str, path_var: &str) {
+    if let Err(err) = validate(report) {
+        panic!("{path_var} report is not strict JSON: {err}");
+    }
+    println!("{report}");
+    if let Ok(path) = std::env::var(path_var) {
+        if let Err(err) = std::fs::write(&path, report) {
+            panic!("cannot write {path_var} report to '{path}': {err}");
+        }
+    }
+}
+
 /// Validate that `text` is exactly one well-formed JSON value.
 ///
 /// # Errors

@@ -197,6 +197,47 @@ pub fn table1_setups() -> Vec<BenchmarkSetup> {
         .collect()
 }
 
+/// The serving benches' system: the Table 1 inversek2j row's MEI RCS with
+/// `hidden` hidden units (`None` keeps the row's own size), trained on a
+/// small budget — a serving workload, not the accuracy experiment;
+/// `MEI_BENCH_FAST=1` shrinks it further — plus the 64 held-out test
+/// inputs the benches serve.
+///
+/// # Panics
+///
+/// Panics if data generation or training fails — a harness bug.
+#[must_use]
+pub fn serving_mei(cfg: &ExperimentConfig, hidden: Option<usize>) -> (MeiRcs, Vec<Vec<f64>>) {
+    let fast = fast_mode();
+    let setup = table1_setups()
+        .into_iter()
+        .find(|s| s.workload.name() == "inversek2j")
+        .expect("inversek2j is a Table 1 row");
+    let train = setup
+        .workload
+        .dataset(if fast { 400 } else { 1_500 }, cfg.seed)
+        .expect("train data");
+    let test = setup.workload.dataset(64, cfg.seed + 1).expect("test data");
+    let mei = MeiRcs::train(
+        &train,
+        &MeiConfig {
+            hidden: hidden.unwrap_or(setup.mei_hidden),
+            in_bits: setup.mei_in_bits,
+            out_bits: setup.mei_out_bits,
+            device: cfg.device(),
+            train: TrainConfig {
+                epochs: if fast { 15 } else { 60 },
+                learning_rate: 0.8,
+                ..TrainConfig::default()
+            },
+            seed: cfg.seed,
+            ..MeiConfig::default()
+        },
+    )
+    .expect("MEI training");
+    (mei, test.inputs().to_vec())
+}
+
 /// The three trained architectures for one benchmark.
 pub struct Trio {
     /// 32-bit float baseline ("Digital ANN").

@@ -13,7 +13,9 @@
 //!
 //! Environment knobs:
 //!
-//! * `MEI_BENCH_JSON=<path>` — also write the JSON report to a file;
+//! * `MEI_BENCH_JSON=<path>` — also write the JSON report to a file
+//!   (cargo runs benches from the package directory, so relative paths
+//!   resolve against `crates/bench`);
 //! * `MEI_BENCH_FAST=1` — fewer samples and a smaller calibration target,
 //!   for smoke-testing the harness itself.
 
@@ -154,11 +156,13 @@ impl Runner {
         self.reports.push(report);
     }
 
-    /// Print the JSON report to stdout (and `MEI_BENCH_JSON` if set).
+    /// Print the JSON report to stdout (and `MEI_BENCH_JSON` if set) via
+    /// [`crate::json::emit`].
     ///
     /// # Panics
     ///
-    /// Panics if `MEI_BENCH_JSON` names an unwritable path.
+    /// Panics if the report is not strict JSON or `MEI_BENCH_JSON` names
+    /// an unwritable path.
     pub fn finish(self) {
         let body: Vec<String> = self.reports.iter().map(BenchReport::to_json).collect();
         let json = format!(
@@ -166,16 +170,7 @@ impl Runner {
             runtime::json_escape(&self.suite),
             body.join(",")
         );
-        println!("{json}");
-        if let Ok(path) = std::env::var("MEI_BENCH_JSON") {
-            if let Err(err) = std::fs::write(&path, &json) {
-                panic!(
-                    "cannot write MEI_BENCH_JSON report to '{path}': {err} \
-                     (cargo runs benches from the package directory, so \
-                     relative paths resolve against crates/bench)"
-                );
-            }
-        }
+        crate::json::emit(&json, "MEI_BENCH_JSON");
     }
 
     /// The reports accumulated so far (used by the harness tests).

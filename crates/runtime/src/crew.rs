@@ -1,12 +1,13 @@
 //! A persistent fork-join crew for iterative algorithms.
 //!
-//! [`ThreadPool::par_map`] spawns its workers per call. That is fine for
-//! coarse batches (Monte-Carlo trials, per-sample scoring) but prohibitive
-//! for an iterative hot loop: one mini-batch of backprop is tens of
-//! microseconds of arithmetic — about the cost of a single thread spawn.
-//! [`ThreadPool::crew`] spawns the workers **once**, then lets the caller
-//! dispatch any number of rounds over the same task closure without
-//! touching the OS again; between rounds the workers sleep on a condvar.
+//! [`ThreadPool::par_map`] runs one round on a fresh crew, so it spawns
+//! its workers per call. That is fine for coarse batches (Monte-Carlo
+//! trials, per-sample scoring) but prohibitive for an iterative hot loop:
+//! one mini-batch of backprop is tens of microseconds of arithmetic —
+//! about the cost of a single thread spawn. [`ThreadPool::crew`] spawns
+//! the workers **once**, then lets the caller dispatch any number of
+//! rounds over the same task closure without touching the OS again;
+//! between rounds the workers sleep on a condvar.
 //!
 //! The design stays inside safe Rust (the crate forbids `unsafe`): the one
 //! task closure is created *before* the workers are spawned, so they can
@@ -25,11 +26,11 @@
 //!
 //! ## Panic policy
 //!
-//! Identical to [`ThreadPool::par_map`]: a panicking task is caught at the
-//! task boundary, every other task of the round still runs, and the
-//! payload of the lowest-indexed panicking task is re-raised in the
-//! caller. A panic in the *body* closure still shuts the workers down
-//! before re-raising, so the scope never deadlocks.
+//! A panicking task is caught at the task boundary, every other task of
+//! the round still runs, and the payload of the lowest-indexed panicking
+//! task is re-raised in the caller. A panic in the *body* closure still
+//! shuts the workers down before re-raising, so the scope never
+//! deadlocks.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,12 +157,8 @@ impl ThreadPool {
         };
         std::thread::scope(|scope| {
             let shared = &shared;
-            for w in 1..workers {
-                scope.spawn(move || {
-                    // Advisory pinning; worker 0 is the caller's thread.
-                    let _ = crate::affinity::pin_worker(w);
-                    worker_loop(shared);
-                });
+            for _ in 1..workers {
+                scope.spawn(move || worker_loop(shared));
             }
             let crew = Crew { shared };
             let out = catch_unwind(AssertUnwindSafe(|| body(&crew)));

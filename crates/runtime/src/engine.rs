@@ -48,13 +48,15 @@ pub struct Engine<C: Chip> {
     admission: Option<AdmissionConfig>,
     window: u64,
     model_history: Vec<CostModel>,
-    history_cap: usize,
 }
 
-/// Default bound on [`Engine::model_history`]: a long-running server
+/// Bound on [`Engine::model_history`]: a long-running server
 /// recalibrating every window keeps the most recent 64 superseded
-/// snapshots rather than growing without bound. Override per engine
-/// with [`Engine::with_model_history_cap`].
+/// snapshots rather than growing without bound. When a recalibration
+/// would exceed the cap the oldest snapshot is dropped; snapshots keep
+/// their [`CostModel::version`], so after truncation the history index
+/// no longer equals the version — read versions off the snapshots, not
+/// their positions.
 pub const MODEL_HISTORY_CAP: usize = 64;
 
 impl<C: Chip> Engine<C> {
@@ -72,7 +74,6 @@ impl<C: Chip> Engine<C> {
             admission: None,
             window: 0,
             model_history: Vec::new(),
-            history_cap: MODEL_HISTORY_CAP,
         }
     }
 
@@ -137,24 +138,6 @@ impl<C: Chip> Engine<C> {
         self
     }
 
-    /// Bound [`Engine::model_history`] to the most recent `cap`
-    /// superseded snapshots (default [`MODEL_HISTORY_CAP`]). When a
-    /// recalibration would exceed the cap the oldest snapshot is
-    /// dropped; snapshots keep their [`CostModel::version`], so after
-    /// truncation the history index no longer equals the version — read
-    /// versions off the snapshots, not their positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero (an engine that recalibrates always
-    /// retains at least the immediately superseded model).
-    #[must_use]
-    pub fn with_model_history_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "model history cap must be at least 1");
-        self.history_cap = cap;
-        self
-    }
-
     /// Calibrate the cost model in place: time every chip's `infer` on
     /// `representative` inputs ([`CostModel::calibrate`]) and freeze the
     /// fitted coefficients as this engine's model.
@@ -162,13 +145,6 @@ impl<C: Chip> Engine<C> {
     pub fn calibrated(mut self, representative: &[Vec<f64>], passes: usize) -> Self {
         self.model = CostModel::calibrate(&self.pool, representative, passes);
         self
-    }
-
-    /// Replace the placement policy on a live engine (non-consuming
-    /// counterpart of [`Engine::with_boxed_policy`], for window-boundary
-    /// policy refreshes).
-    pub fn set_boxed_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
-        self.policy = policy;
     }
 
     /// Re-snapshot the pool's endurance wear and install a fresh
@@ -179,7 +155,7 @@ impl<C: Chip> Engine<C> {
     /// indexed by chip id.
     pub fn refresh_wear_policy(&mut self, alpha: f64) -> Vec<Option<u64>> {
         let wear = self.pool.wear();
-        self.set_boxed_policy(Box::new(crate::policy::WearAware::from_wear(&wear, alpha)));
+        self.policy = Box::new(crate::policy::WearAware::from_wear(&wear, alpha));
         wear
     }
 
@@ -229,7 +205,7 @@ impl<C: Chip> Engine<C> {
 
     /// Superseded cost-model snapshots, oldest retained first — the
     /// audit trail of [`Engine::recalibrate_window`] refreshes, bounded
-    /// by [`Engine::with_model_history_cap`]. Each snapshot keeps its
+    /// by [`MODEL_HISTORY_CAP`]. Each snapshot keeps its
     /// [`CostModel::version`]; until the cap truncates, snapshot `i` has
     /// version `i` and the active model's version is
     /// `model_history.len()`.
@@ -274,8 +250,8 @@ impl<C: Chip> Engine<C> {
             CostModel::calibrate(&self.pool, representative, passes).with_version(next_version);
         self.model_history
             .push(std::mem::replace(&mut self.model, refreshed));
-        if self.model_history.len() > self.history_cap {
-            let excess = self.model_history.len() - self.history_cap;
+        if self.model_history.len() > MODEL_HISTORY_CAP {
+            let excess = self.model_history.len() - MODEL_HISTORY_CAP;
             self.model_history.drain(..excess);
         }
         window
@@ -703,12 +679,13 @@ type ChipRun = (usize, usize, usize, Duration);
 
 /// The executor: run a plan's [`Step::Run`] requests on per-chip FIFO
 /// queues. With at most one busy chip the queue drains inline on the
-/// caller's thread; otherwise every busy chip gets one scoped worker
-/// (pinned under `MEI_AFFINITY`). A worker waits for the head request's
-/// release time (its open-loop arrival offset, if any), then coalesces
-/// every queued request already released into one back-to-back batch,
-/// capped at `coalesce` when non-zero. `infer` runs inside
-/// `catch_unwind`, so a panicking chip fails only its own requests.
+/// caller's thread; otherwise every busy chip gets one scoped worker, so
+/// one chip's release waits never delay another chip's requests. A
+/// worker waits for the head request's release time (its open-loop
+/// arrival offset, if any), then coalesces every queued request already
+/// released into one back-to-back batch, capped at `coalesce` when
+/// non-zero. `infer` runs inside `catch_unwind`, so a panicking chip
+/// fails only its own requests.
 ///
 /// Returns one entry per planned request, in request order (`None` =
 /// shed); per chip `(runs, coalesced batches, failures, busy time)`; and
@@ -768,16 +745,7 @@ fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
         std::thread::scope(|scope| {
             let drain = &drain;
             let workers: Vec<_> = (0..chips.len())
-                .map(|chip| {
-                    (!queues[chip].is_empty()).then(|| {
-                        scope.spawn(move || {
-                            // Advisory: keep this chip's worker (and its
-                            // thread-local workspace) on one core.
-                            let _ = crate::affinity::pin_worker(chip);
-                            drain(chip)
-                        })
-                    })
-                })
+                .map(|chip| (!queues[chip].is_empty()).then(|| scope.spawn(move || drain(chip))))
                 .collect();
             workers
                 .into_iter()
@@ -982,26 +950,23 @@ mod tests {
 
     #[test]
     fn model_history_cap_drops_the_oldest_snapshots() {
-        let mut engine = toy_engine(2).with_model_history_cap(3);
+        let mut engine = toy_engine(2);
         let reps = vec![vec![0.5; 4]];
-        for _ in 0..5 {
+        for _ in 0..MODEL_HISTORY_CAP + 2 {
             let _ = engine.recalibrate_window(&reps, 1);
         }
-        // Five recalibrations, cap 3: versions 0 and 1 were dropped, the
-        // retained snapshots keep their original versions.
-        assert_eq!(engine.cost_model().version(), 5);
+        // Two recalibrations past the cap: versions 0 and 1 were dropped,
+        // the retained snapshots keep their original versions.
+        assert_eq!(engine.cost_model().version(), MODEL_HISTORY_CAP as u64 + 2);
         let versions: Vec<u64> = engine
             .model_history()
             .iter()
             .map(CostModel::version)
             .collect();
-        assert_eq!(versions, vec![2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "model history cap must be at least 1")]
-    fn model_history_cap_zero_panics() {
-        let _ = toy_engine(1).with_model_history_cap(0);
+        assert_eq!(
+            versions,
+            (2..=MODEL_HISTORY_CAP as u64 + 1).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! parallel substrate for both, with one hard rule: **parallelism never
 //! changes results**.
 //!
-//! * [`ThreadPool`] — a work-stealing, scoped thread pool on
-//!   `std::thread` + `std::sync` with [`par_map`](ThreadPool::par_map) /
-//!   [`par_reduce`](ThreadPool::par_reduce) primitives. Task closures may
-//!   borrow from the caller; a panicking task is caught at the task
-//!   boundary, the rest of the batch completes, and the lowest-indexed
-//!   panic is re-raised in the caller.
-//! * [`Crew`] — a persistent fork-join crew ([`ThreadPool::crew`]):
-//!   workers spawn once and then execute any number of dispatched rounds
-//!   of the same borrowed task closure, so an iterative hot loop (the
-//!   trainer's per-mini-batch shards) pays a condvar wake per round
-//!   instead of a thread spawn.
+//! * [`ThreadPool`] — a scoped thread pool on `std::thread` +
+//!   `std::sync` with [`par_map`](ThreadPool::par_map) /
+//!   [`par_reduce`](ThreadPool::par_reduce) primitives, each run as one
+//!   [`Crew`] round. Task closures may borrow from the caller; a
+//!   panicking task is caught at the task boundary, the rest of the batch
+//!   completes, and the lowest-indexed panic is re-raised in the caller.
+//! * [`Crew`] — the runtime's one scheduler, a persistent fork-join crew
+//!   ([`ThreadPool::crew`]): workers spawn once and then execute any
+//!   number of dispatched rounds of the same borrowed task closure, so an
+//!   iterative hot loop (the trainer's per-mini-batch shards) pays a
+//!   condvar wake per round instead of a thread spawn.
 //! * [`ChipPool`] — N independently manufactured [`Chip`] instances, each
 //!   with its own `(root_seed, chip_index)`-derived write-noise draw.
 //! * [`Engine`] — the serving stack over one pool: a [`PlacementPolicy`]
@@ -66,14 +66,11 @@
 //! Like the rest of the workspace the crate is hermetic: `std` only, no
 //! external dependencies (see DESIGN.md, "Hermetic build").
 
-// `deny` rather than `forbid`: the affinity shim carries the workspace's one
-// scoped `#[allow(unsafe_code)]` for its raw `sched_setaffinity` syscall.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accounting;
 pub mod admission;
-pub mod affinity;
 pub mod chip;
 pub mod crew;
 pub mod engine;
@@ -85,7 +82,6 @@ pub mod stats;
 
 pub use accounting::{ChipCostSheet, EnergyStats, FleetAccounting, PoolAccounting};
 pub use admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
-pub use affinity::{pin_worker, AffinityMode};
 pub use chip::{Chip, ChipPool, DriftProfile, DriftingChip, ServeOutcome};
 pub use crew::Crew;
 pub use engine::{BatchItem, Engine, Offer, Served, Session, MODEL_HISTORY_CAP};

@@ -1,17 +1,16 @@
-//! A work-stealing thread pool on `std::thread` + `std::sync`.
+//! A deterministic scoped thread pool on `std::thread` + `std::sync`.
 //!
-//! The pool is *scoped*: [`ThreadPool::par_map`] spawns its workers inside
-//! [`std::thread::scope`], so task closures may borrow from the caller's
-//! stack — no `'static` bound, no `Arc` plumbing, no unsafe. Each worker
-//! owns a deque of task indices; it drains its own deque from the front
-//! and, when empty, steals from the *back* of a sibling's deque, so an
+//! [`ThreadPool::par_map`] runs its batch as one round of a
+//! [`Crew`](crate::Crew) ([`ThreadPool::crew`]): the caller's thread and
+//! up to `threads - 1` scoped workers claim task indices off one shared
+//! cursor, so task closures may borrow from the caller's stack and an
 //! uneven workload (one slow Monte-Carlo trial, one fast one) rebalances
-//! automatically.
+//! automatically — whichever thread is free takes the next index.
 //!
 //! ## Determinism
 //!
 //! Results are written into their task's slot, so the output order is the
-//! input order no matter which worker ran which task or in what
+//! input order no matter which thread ran which task or in what
 //! interleaving. Combined with the workspace's stream-splitting rule
 //! (every task derives its RNG from `(root_seed, task_index)` via
 //! [`prng::substream`]), a parallel map is bit-identical to the serial
@@ -20,21 +19,13 @@
 //! ## Panic policy
 //!
 //! A panicking task must not poison the pool: the panic is caught at the
-//! task boundary, the worker moves on, **every remaining task still
-//! runs**, and after the batch completes the payload of the
-//! lowest-indexed panicking task is re-raised in the caller. (Lowest
-//! index, not first observed, so even the failure mode is deterministic.)
+//! task boundary, **every remaining task still runs**, and after the
+//! batch completes the payload of the lowest-indexed panicking task is
+//! re-raised in the caller. (Lowest index, not first observed, so even
+//! the failure mode is deterministic.)
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-
-/// What one task produced: its value, or the panic payload it raised.
-enum TaskOutcome<R> {
-    Done(R),
-    Panicked(Box<dyn std::any::Any + Send + 'static>),
-}
 
 /// The number of workers a `threads` knob resolves to: the value itself,
 /// or [`std::thread::available_parallelism`] when it is `0` ("auto").
@@ -49,7 +40,7 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// A deterministic work-stealing thread pool.
+/// A deterministic scoped thread pool.
 ///
 /// Cheap to construct (workers are spawned per batch, inside a scope);
 /// hold one wherever a `threads: usize` knob lives.
@@ -87,75 +78,47 @@ impl ThreadPool {
     /// index, see [`prng::substream`]) — bit-identical to the serial
     /// `items.iter().enumerate().map(...)` for every thread count.
     ///
+    /// The batch is one [`Crew::run`](crate::Crew::run) round on a crew of
+    /// `min(threads, items.len())`: the calling thread runs tasks too, so
+    /// a one-thread pool spawns no thread at all.
+    ///
     /// # Panics
     ///
     /// If tasks panic, every *other* task still completes and then the
     /// payload of the lowest-indexed panicking task is re-raised here.
+    /// Panics if `items` holds more than `2^32 - 1` tasks, the crew's
+    /// claim-index bound.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.threads.min(n).max(1);
-
-        // Per-worker deques of task indices: contiguous chunks, so a
-        // worker's own tasks are cache-friendly and steals take from the
-        // far end of a victim's range.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-
-        std::thread::scope(|scope| {
-            let queues = &queues;
-            let f = &f;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Best-effort, advisory: keeps worker w's shard hot
-                        // on one core under MEI_AFFINITY=compact.
-                        let _ = crate::affinity::pin_worker(w);
-                        let mut produced: Vec<(usize, TaskOutcome<R>)> = Vec::new();
-                        while let Some(i) = pop_or_steal(queues, w) {
-                            let outcome = match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                                Ok(value) => TaskOutcome::Done(value),
-                                Err(payload) => TaskOutcome::Panicked(payload),
-                            };
-                            produced.push((i, outcome));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let produced = handle.join().expect("pool worker caught task panics");
-                for (i, outcome) in produced {
-                    match outcome {
-                        TaskOutcome::Done(value) => slots[i] = Some(value),
-                        TaskOutcome::Panicked(payload) => {
-                            if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                                first_panic = Some((i, payload));
-                            }
-                        }
-                    }
-                }
-            }
-        });
-
-        if let Some((_, payload)) = first_panic {
-            resume_unwind(payload);
+        if items.is_empty() {
+            return Vec::new();
         }
+        let slots: Vec<Mutex<Option<R>>> = std::iter::repeat_with(|| Mutex::new(None))
+            .take(items.len())
+            .collect();
+        let pool = ThreadPool {
+            threads: self.threads.min(items.len()),
+        };
+        pool.crew(
+            |_, i| {
+                // Run `f` before locking, so a panicking task cannot
+                // poison its slot.
+                let value = f(i, &items[i]);
+                *slots[i].lock().expect("result slot") = Some(value);
+            },
+            |crew| crew.run(0, items.len()),
+        );
         slots
             .into_iter()
-            .map(|slot| slot.expect("every task index executed"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result slot")
+                    .expect("every task index executed")
+            })
             .collect()
     }
 
@@ -184,24 +147,10 @@ impl Default for ThreadPool {
     }
 }
 
-/// Pop from our own deque's front, else steal from the back of the first
-/// non-empty sibling (scanning ring-wise from our right neighbour).
-fn pop_or_steal(queues: &[Mutex<VecDeque<usize>>], worker: usize) -> Option<usize> {
-    if let Some(i) = queues[worker].lock().expect("queue lock").pop_front() {
-        return Some(i);
-    }
-    for offset in 1..queues.len() {
-        let victim = (worker + offset) % queues.len();
-        if let Some(i) = queues[victim].lock().expect("queue lock").pop_back() {
-            return Some(i);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -243,6 +192,13 @@ mod tests {
         assert_eq!(out, vec![2.5, 5.0, 7.5]);
         // `data` still usable: the borrow ended with the call.
         assert_eq!(data.len(), 3);
+    }
+
+    #[test]
+    fn one_thread_runs_every_task_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on = ThreadPool::new(1).par_map(&[0u8; 8], |_, _| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == caller), "{ran_on:?}");
     }
 
     #[test]
@@ -333,8 +289,9 @@ mod tests {
 
     #[test]
     fn work_stealing_drains_an_uneven_queue() {
-        // One long chunk of tasks; with 4 workers over 8 items the chunks
-        // are uneven in cost, and stealing must still complete them all.
+        // One slow task among fast ones: with 4 threads over 8 items the
+        // shared claim cursor hands the rest to whichever thread is free,
+        // and every task must still complete.
         let pool = ThreadPool::new(4);
         let items: Vec<u64> = (0..8).collect();
         let out = pool.par_map(&items, |i, &x| {

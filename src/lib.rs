@@ -17,6 +17,8 @@
 //! See `README.md` for a guided tour and `DESIGN.md` for the experiment
 //! index.
 
+#![forbid(unsafe_code)]
+
 pub use crossbar;
 pub use interface;
 pub use mei;
