@@ -64,7 +64,9 @@ echo "==> servebench (own package): tests + wire-level runs checked against the 
 # servebench has its own [workspace], so --workspace never compiles it.
 # Each run exits non-zero when the served wire bits differ from the
 # in-process fold; the negative control (a twin built from another seed)
-# must be refused.
+# must be refused. The traced mlp-roundtrip run replays v1 lines through
+# offer_one; the cnn-pipelined run also requires the served CNN accuracy
+# to equal the digital twin's.
 cargo test -q --offline --release --manifest-path servebench/Cargo.toml > /dev/null
 servebench() {
     cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- "$@" \
@@ -73,6 +75,8 @@ servebench() {
 servebench --workload mlp-pipelined --seed 1 --seconds 1 --trace 0
 servebench --workload mlp-roundtrip --seed 1 --seconds 1 --trace 0
 servebench --workload mlp-pipelined --seed 1 --seconds 1 --trace 1
+servebench --workload mlp-roundtrip --seed 1 --seconds 1 --trace 1
+servebench --workload cnn-pipelined --seed 1 --seconds 1 --trace 0
 if servebench --workload mlp-pipelined --seed 1 --twin-seed 2 --seconds 1 --trace 0; then
     echo "ERROR: servebench accepted a twin built from another seed" >&2
     exit 1

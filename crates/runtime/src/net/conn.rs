@@ -49,10 +49,17 @@ pub enum ConnEvent {
 
 /// The per-connection protocol state machine. Feed bytes in, poll
 /// events out; the machine never blocks and never touches a socket.
+///
+/// Decoding advances a read offset instead of shifting the buffer, and
+/// the consumed prefix is dropped only once it is at least as long as
+/// the unread bytes, so draining a backlog of k frames costs O(buffered
+/// bytes), not O(k × buffered bytes).
 #[derive(Debug)]
 pub struct ConnMachine {
     mode: ConnMode,
     buf: Vec<u8>,
+    /// Start of the undecoded bytes in `buf`.
+    read: usize,
     max_line: usize,
     max_frame: usize,
     dead: bool,
@@ -65,6 +72,7 @@ impl ConnMachine {
         Self {
             mode: ConnMode::Negotiating,
             buf: Vec::new(),
+            read: 0,
             max_line,
             max_frame,
             dead: false,
@@ -87,7 +95,17 @@ impl ConnMachine {
     /// Buffered bytes not yet decoded.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.read
+    }
+
+    /// Mark `n` undecoded bytes as decoded, compacting once the decoded
+    /// prefix is at least as long as what is left.
+    fn consume(&mut self, n: usize) {
+        self.read += n;
+        if self.read >= self.buffered() {
+            self.buf.drain(..self.read);
+            self.read = 0;
+        }
     }
 
     /// Decode the next event, if a full line/frame is buffered.
@@ -126,14 +144,14 @@ impl ConnMachine {
                     Some(ConnEvent::TooLong)
                 }
             },
-            ConnMode::BinaryV2 => match frame::decode(&self.buf, self.max_frame) {
+            ConnMode::BinaryV2 => match frame::decode(&self.buf[self.read..], self.max_frame) {
                 DecodeStep::Incomplete => None,
                 DecodeStep::Frame(frame::Frame::Request(request), consumed) => {
-                    self.buf.drain(..consumed);
+                    self.consume(consumed);
                     Some(ConnEvent::Request(request))
                 }
                 DecodeStep::Frame(other, consumed) => {
-                    self.buf.drain(..consumed);
+                    self.consume(consumed);
                     let kind = match other {
                         frame::Frame::Response(_) => "response",
                         frame::Frame::Error(_) => "error",
@@ -144,7 +162,7 @@ impl ConnMachine {
                     )))
                 }
                 DecodeStep::Corrupt(message, consumed) => {
-                    self.buf.drain(..consumed);
+                    self.consume(consumed);
                     Some(ConnEvent::Corrupt(message))
                 }
                 DecodeStep::Fatal(message) => {
@@ -159,20 +177,19 @@ impl ConnMachine {
     /// `Some(Err(()))` = the line (or the unterminated buffer) exceeds
     /// the cap, `Some(Ok(line))` = a line with `\r\n`/`\n` stripped.
     fn take_line(&mut self) -> Option<Result<String, ()>> {
-        match self.buf.iter().position(|&b| b == b'\n') {
+        let unread = &self.buf[self.read..];
+        match unread.iter().position(|&b| b == b'\n') {
             Some(pos) => {
                 if pos > self.max_line {
                     return Some(Err(()));
                 }
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop(); // the \n
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                Some(Ok(String::from_utf8_lossy(&line).into_owned()))
+                let line = unread[..pos].strip_suffix(b"\r").unwrap_or(&unread[..pos]);
+                let line = String::from_utf8_lossy(line).into_owned();
+                self.consume(pos + 1);
+                Some(Ok(line))
             }
             None => {
-                if self.buf.len() > self.max_line {
+                if unread.len() > self.max_line {
                     return Some(Err(()));
                 }
                 None

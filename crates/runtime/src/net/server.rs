@@ -23,10 +23,14 @@
 //!
 //! The scan is a level-triggered readiness loop over nonblocking
 //! sockets in plain `std` — the workspace forbids `unsafe` (and thus
-//! `epoll(7)` FFI), so readiness is discovered by trying the socket and
-//! backing off briefly when nothing progresses. This loop is the seam
-//! where an epoll/kqueue backend would slot in: everything above it
-//! (the [`ConnMachine`], job serialization, the worker pool) is
+//! `epoll(7)` FFI), so socket readiness is discovered by trying the
+//! socket. When a scan makes no progress the loop waits on the done
+//! queue for at most 500 µs: a worker finishing a job ends the wait at
+//! once, so a response goes out, and that connection's next job goes to
+//! a worker, at the backend's pace; only a new request or connection
+//! with no job in flight waits out the period. This loop is the seam
+//! where an epoll/kqueue backend would slot in: everything above it (the
+//! [`ConnMachine`], job serialization, the worker pool) is
 //! readiness-agnostic.
 //!
 //! ## Determinism
@@ -38,13 +42,19 @@
 //! connection's own request sequence — independent of the worker count,
 //! asserted in `tests/serving_engine.rs`. Both protocols serve through
 //! [`NetWorkload::serve_batch`] (a v1 line is a one-request batch), so a
-//! chip panic is contained and answered in band on either.
+//! chip panic is contained and answered in band on either. Any other
+//! panic while a worker runs a job (a fleet with no healthy pool, say)
+//! is caught around the whole job and answered in band too (`err` line
+//! or error frame), and the sessions go back to the connection.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,7 +70,10 @@ use crate::engine::BatchItem;
 /// stamped sequence.
 const EVENT_PENDING_CAP: usize = 1024;
 
-/// How long the event loop sleeps when one full scan makes no progress.
+/// The longest the event loop waits on the done queue when one full
+/// scan makes no progress. A finished job ends the wait at once, so this
+/// bounds only how late the loop notices a new request or connection
+/// while no job is in flight.
 const EVENT_IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// Event server tuning knobs.
@@ -205,7 +218,13 @@ impl EventServer {
                     let Ok(mut job) = job else {
                         return; // sender dropped: server shut down
                     };
-                    let bytes = run_job(&job.kind, &workloads, &mut job.sessions);
+                    let bytes = catch_unwind(AssertUnwindSafe(|| {
+                        run_job(&job.kind, &workloads, &mut job.sessions)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        let v2 = matches!(job.kind, JobKind::V2Batch { .. });
+                        error_reply(v2, panic_message(&*payload))
+                    });
                     let done = Done {
                         slot: job.slot,
                         generation: job.generation,
@@ -261,6 +280,26 @@ impl EventServer {
             let _ = handle.join();
         }
     }
+}
+
+/// An in-band error answer in the connection's protocol: an error frame
+/// on v2, an `err` line otherwise.
+fn error_reply(v2: bool, message: String) -> Vec<u8> {
+    if v2 {
+        Frame::Error(message).encode()
+    } else {
+        Response::Error(message).line_bytes()
+    }
+}
+
+/// The text of a caught panic: its message when the payload is a
+/// string, otherwise `internal error`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "internal error".to_string())
 }
 
 /// Execute one job against the connection's sessions.
@@ -342,8 +381,24 @@ fn serve_frame(
     })
 }
 
-/// The readiness-scan loop: accept, read, decode, dispatch, collect,
-/// flush — then sleep briefly if the whole scan made no progress.
+/// Hand a finished job back to its connection: restore the sessions and
+/// queue the response bytes.
+fn collect(slab: &mut [Option<EventConn>], done: Done) {
+    if let Some(conn) = slab.get_mut(done.slot).and_then(Option::as_mut) {
+        if conn.generation == done.generation {
+            conn.sessions = Some(done.sessions);
+            conn.out.extend_from_slice(&done.bytes);
+        }
+        // A stale generation means the slot was reused; the old
+        // connection (and its sessions) are gone.
+    }
+}
+
+/// The readiness-scan loop: accept, collect, read, decode, dispatch,
+/// flush — then, if the whole scan made no progress, wait up to
+/// [`EVENT_IDLE_SLEEP`] for a worker to finish a job. A job that
+/// finishes during the wait is collected at once, and the next scan
+/// flushes its response and dispatches the connection's next job.
 fn event_loop(
     listener: &TcpListener,
     workloads: &[NetWorkload],
@@ -398,14 +453,7 @@ fn event_loop(
         // bytes, dispatch the next pending job.
         while let Ok(done) = done_rx.try_recv() {
             progress = true;
-            if let Some(conn) = slab.get_mut(done.slot).and_then(Option::as_mut) {
-                if conn.generation == done.generation {
-                    conn.sessions = Some(done.sessions);
-                    conn.out.extend_from_slice(&done.bytes);
-                }
-                // A stale generation means the slot was reused; the old
-                // connection (and its sessions) are gone.
-            }
+            collect(&mut slab, done);
         }
 
         // Read every connection that has room for more work, then decode
@@ -460,11 +508,9 @@ fn event_loop(
                         });
                     }
                     ConnEvent::Corrupt(message) => {
-                        let reply = match conn.machine.mode() {
-                            ConnMode::BinaryV2 => Frame::Error(message).encode(),
-                            _ => Response::Error(message).line_bytes(),
-                        };
-                        conn.pending.push_back(JobKind::Reply(reply));
+                        let v2 = conn.machine.mode() == ConnMode::BinaryV2;
+                        conn.pending
+                            .push_back(JobKind::Reply(error_reply(v2, message)));
                     }
                     ConnEvent::TooLong => {
                         let message =
@@ -541,7 +587,13 @@ fn event_loop(
         }
 
         if !progress {
-            std::thread::sleep(EVENT_IDLE_SLEEP);
+            match done_rx.recv_timeout(EVENT_IDLE_SLEEP) {
+                Ok(done) => collect(&mut slab, done),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Every worker has exited: nothing can end the wait early,
+                // so sleep the period out rather than spin.
+                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(EVENT_IDLE_SLEEP),
+            }
         }
     }
 

@@ -10,15 +10,20 @@
 //!    subsequent placement routes around it — deterministically, so two
 //!    identically-built engines degrade identically;
 //! 4. over the wire, a request whose chip panics is answered in band and
-//!    costs the server neither a worker nor the connection.
+//!    costs the server neither a worker nor the connection — and so is a
+//!    request that panics anywhere else in its worker (a fleet with no
+//!    healthy pool).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use runtime::net::frame::{self, DecodeStep, Frame, ItemResponse, RequestFrame};
 use runtime::net::{EventServer, EventServerConfig, NetWorkload, Response};
-use runtime::{Chip, ChipPool, Engine, RoundRobin, SizeAware, QUARANTINE_COST};
+use runtime::{
+    Chip, ChipPool, EjectReason, Engine, Fleet, FleetConfig, RoundRobin, SizeAware, QUARANTINE_COST,
+};
 
 /// Healthy chip: output is a pure function of the input and its offset.
 struct GoodChip {
@@ -190,6 +195,59 @@ impl Chip for PanicsOnNegative {
     }
 }
 
+/// A raw connection: its buffered read half and its write half.
+type Conn = (BufReader<TcpStream>, TcpStream);
+
+/// Connect with a 10 s read timeout: a stranded request fails the test
+/// instead of hanging it.
+fn connect(addr: SocketAddr) -> Conn {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    (BufReader::new(stream.try_clone().expect("clone")), stream)
+}
+
+/// One v1 line and its answer.
+fn round_trip((reader, writer): &mut Conn, line: &str) -> Response {
+    writeln!(writer, "{line}").expect("send");
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("an answer before the timeout");
+    Response::parse(reply.trim_end()).expect("a protocol line")
+}
+
+/// A raw connection that has negotiated v2.
+fn connect_v2(addr: SocketAddr) -> Conn {
+    let mut conn = connect(addr);
+    writeln!(conn.1, "v2").expect("send negotiation");
+    let mut reply = String::new();
+    conn.0
+        .read_line(&mut reply)
+        .expect("negotiation before the timeout");
+    assert!(reply.starts_with("ok v2 "), "got: {reply}");
+    conn
+}
+
+/// One v2 request frame and the frame that answers it.
+fn frame_round_trip((reader, writer): &mut Conn, request: RequestFrame) -> Frame {
+    writer
+        .write_all(&Frame::Request(request).encode())
+        .expect("send");
+    let mut header = [0u8; 4];
+    reader
+        .read_exact(&mut header)
+        .expect("an answer before the timeout");
+    let mut bytes = header.to_vec();
+    bytes.resize(4 + u32::from_le_bytes(header) as usize, 0);
+    reader.read_exact(&mut bytes[4..]).expect("the frame body");
+    match frame::decode(&bytes, bytes.len()) {
+        DecodeStep::Frame(frame, _) => frame,
+        other => panic!("undecodable answer: {other:?}"),
+    }
+}
+
 #[test]
 fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
     const WORKERS: usize = 2;
@@ -207,25 +265,8 @@ fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
         },
     )
     .expect("bind event server");
-    // Raw v1 connections with a read timeout: a stranded request fails
-    // the test instead of hanging it.
-    let connect = || {
-        let stream = TcpStream::connect(server.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        (BufReader::new(stream.try_clone().expect("clone")), stream)
-    };
-    let round_trip = |(reader, writer): &mut (BufReader<TcpStream>, TcpStream), line: &str| {
-        writeln!(writer, "{line}").expect("send");
-        let mut reply = String::new();
-        reader
-            .read_line(&mut reply)
-            .expect("an answer before the timeout");
-        Response::parse(reply.trim_end()).expect("a protocol line")
-    };
 
-    let mut conn = connect();
+    let mut conn = connect(server.addr());
     // More panicking lines than there are workers: each is answered.
     for i in 0..=WORKERS {
         assert_eq!(
@@ -235,12 +276,75 @@ fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
         );
     }
     // The same connection and a fresh one still serve healthy lines.
-    for conn in [&mut conn, &mut connect()] {
+    for conn in [&mut conn, &mut connect(server.addr())] {
         match round_trip(conn, "fragile 0.5") {
             Response::Ok { chip, output, .. } => assert_eq!((chip, output), (0, vec![0.5])),
             other => panic!("healthy line not served: {other:?}"),
         }
     }
     drop(conn);
+    server.shutdown();
+}
+
+#[test]
+fn no_healthy_pool_answers_in_band_and_spares_every_worker() {
+    const WORKERS: usize = 2;
+    let engine = || {
+        let chips: Vec<Box<dyn Chip>> = vec![Box::new(GoodChip { offset: 1.0 })];
+        Engine::new(ChipPool::from_chips(chips))
+    };
+    let mut ejected = Fleet::new(vec![engine(), engine()], FleetConfig::new(0));
+    for pool in 0..ejected.len() {
+        ejected.eject(pool, EjectReason::Manual);
+    }
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        vec![
+            NetWorkload::fleet("ejected", 1, ejected),
+            NetWorkload::new("healthy", 1, engine()),
+        ],
+        EventServerConfig {
+            workers: WORKERS,
+            ..EventServerConfig::default()
+        },
+    )
+    .expect("bind event server");
+    let no_pool = "no healthy pool to serve workload 'ejected'".to_string();
+
+    // More panicking requests than there are workers: each is answered
+    // in band, as an `err` line on v1 and an error frame on v2.
+    let mut v1 = connect(server.addr());
+    for i in 0..=WORKERS {
+        assert_eq!(
+            round_trip(&mut v1, "ejected 0.5"),
+            Response::Error(no_pool.clone()),
+            "ejected line {i}"
+        );
+    }
+    let mut v2 = connect_v2(server.addr());
+    assert_eq!(
+        frame_round_trip(&mut v2, RequestFrame::from_inputs(0, &[vec![0.5]])),
+        Frame::Error(no_pool)
+    );
+
+    // The healthy workload serves on the same connections and fresh ones.
+    for conn in [&mut v1, &mut connect(server.addr())] {
+        match round_trip(conn, "healthy 0.5") {
+            Response::Ok { chip, output, .. } => assert_eq!((chip, output), (0, vec![1.5])),
+            other => panic!("healthy line not served: {other:?}"),
+        }
+    }
+    for conn in [&mut v2, &mut connect_v2(server.addr())] {
+        match frame_round_trip(conn, RequestFrame::from_inputs(1, &[vec![0.5]])) {
+            Frame::Response(response) => match &response.items[..] {
+                [ItemResponse::Ok { chip, output, .. }] => {
+                    assert_eq!((*chip, output), (0, &vec![1.5]));
+                }
+                other => panic!("healthy frame not served: {other:?}"),
+            },
+            other => panic!("healthy frame not served: {other:?}"),
+        }
+    }
+    drop((v1, v2));
     server.shutdown();
 }

@@ -566,60 +566,69 @@ fn v2_decoder_classifies_truncation_and_garbage_without_panicking() {
     });
 }
 
-/// A byte stream of several valid frames yields the same event sequence
-/// through a `ConnMachine` regardless of how the stream is chopped into
-/// reads — the sans-IO layer is agnostic to TCP segmentation.
+/// A byte stream of several valid v2 frames or v1 lines yields the same
+/// event sequence through a `ConnMachine` regardless of how the stream is
+/// chopped into reads — the sans-IO layer is agnostic to TCP
+/// segmentation — and after every drain `buffered()` counts exactly the
+/// bytes fed but not yet decoded.
 #[test]
 fn conn_machine_events_are_invariant_under_read_segmentation() {
     use runtime::net::conn::{ConnEvent, ConnMachine};
+    use runtime::net::format_csv;
     use runtime::net::frame::{Frame, RequestFrame, DEFAULT_MAX_FRAME_BYTES};
     prop_check!(|g| {
-        let mut stream = b"v2\n".to_vec();
-        let frames = g.usize_in(1, 5);
-        let mut expected: Vec<(u16, u32)> = Vec::new();
-        for _ in 0..frames {
+        // One unit per expected event: its wire bytes and the event.
+        let v2 = g.bool_any();
+        let mut units: Vec<(Vec<u8>, ConnEvent)> = Vec::new();
+        if v2 {
+            units.push((b"v2\n".to_vec(), ConnEvent::NegotiatedV2));
+        }
+        for _ in 0..g.usize_in(1, 65) {
             let count = g.usize_in(1, 3);
             let dim = g.usize_in(1, 3);
             let inputs: Vec<Vec<f64>> = (0..count).map(|_| g.vec_f64(-2.0, 2.0, dim)).collect();
             let workload = g.u16_any();
-            expected.push((workload, count as u32));
-            stream.extend(Frame::Request(RequestFrame::from_inputs(workload, &inputs)).encode());
+            units.push(if v2 {
+                let request = RequestFrame::from_inputs(workload, &inputs);
+                (
+                    Frame::Request(request.clone()).encode(),
+                    ConnEvent::Request(request),
+                )
+            } else {
+                let line = format!("w{workload} {}", format_csv(&inputs[0]));
+                let end = if g.bool_any() { "\r\n" } else { "\n" };
+                (format!("{line}{end}").into_bytes(), ConnEvent::Line(line))
+            });
         }
+        let stream: Vec<u8> = units.iter().flat_map(|(bytes, _)| bytes.clone()).collect();
+        let expected: Vec<ConnEvent> = units.iter().map(|(_, event)| event.clone()).collect();
 
-        let drive = |chunks: &[usize]| -> Vec<(u16, u32)> {
+        let drive = |chunks: &[usize]| -> Vec<ConnEvent> {
             let mut machine = ConnMachine::new(256, DEFAULT_MAX_FRAME_BYTES);
             let mut events = Vec::new();
-            let mut offset = 0usize;
-            let mut negotiated = false;
-            let mut drain = |machine: &mut ConnMachine, events: &mut Vec<(u16, u32)>| {
+            let mut fed = 0usize;
+            // The last read delivers whatever the chunks left over.
+            for chunk in chunks.iter().copied().chain([stream.len()]) {
+                let end = (fed + chunk).min(stream.len());
+                machine.feed(&stream[fed..end]);
+                fed = end;
                 while let Some(event) = machine.poll() {
-                    match event {
-                        ConnEvent::NegotiatedV2 => negotiated = true,
-                        ConnEvent::Request(request) => {
-                            events.push((request.workload, request.count));
-                        }
-                        other => panic!("unexpected event: {other:?}"),
-                    }
+                    events.push(event);
                 }
-            };
-            for &chunk in chunks {
-                let end = (offset + chunk).min(stream.len());
-                machine.feed(&stream[offset..end]);
-                offset = end;
-                drain(&mut machine, &mut events);
+                let decoded: usize = units[..events.len()].iter().map(|(b, _)| b.len()).sum();
+                assert_eq!(machine.buffered(), fed - decoded, "undecoded bytes");
             }
-            machine.feed(&stream[offset..]);
-            drain(&mut machine, &mut events);
-            assert!(negotiated, "the v2 line always negotiates");
             events
         };
 
         // One big read vs arbitrary segmentation.
-        let whole = drive(&[stream.len()]);
-        let cuts: Vec<usize> = (0..g.usize_in(1, 8)).map(|_| g.usize_in(0, 64)).collect();
+        let whole = drive(&[]);
+        let cuts: Vec<usize> = (0..g.usize_in(1, 2 * units.len() + 8))
+            .map(|_| g.usize_in(0, 64))
+            .collect();
         let chopped = drive(&cuts);
         assert_eq!(whole, chopped, "segmentation must not change events");
-        assert_eq!(whole, expected, "every frame decodes exactly once");
+        assert_eq!(whole, expected, "every unit decodes exactly once");
     });
 }
 
