@@ -22,6 +22,16 @@ for root in crates/*/src/lib.rs src/lib.rs; do
     fi
 done
 
+echo "==> one-scheduler check (runtime threads start only in crew.rs and net/server.rs)"
+# The serving executor runs on the Crew; only the scheduler itself and the
+# event server's event and worker threads may start threads, so the
+# executor cannot grow a private fan-out again.
+if grep -rnE 'thread::(scope|spawn)\(' crates/runtime/src \
+    | grep -vE '^crates/runtime/src/(crew|net/server)\.rs:'; then
+    echo "ERROR: crates/runtime/src starts threads outside crew.rs and net/server.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -40,15 +50,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 
-echo "==> throughput bench smoke (ramp-to-knee, TCP + wire protocol v2)"
-# FAST mode shrinks training, windows, and the open-loop ramp; the bench
-# drives the same ramp through the TCP front-end over 127.0.0.1, then
-# measures v1 strict vs v2 pipelined over the event-driven server and
-# writes the standalone v2 report. The report must be strict JSON.
+echo "==> throughput bench smoke (closed sweep, in-process ramp-to-knee, policies)"
+# FAST mode shrinks training, windows, and the open-loop ramp. The report
+# must be strict JSON (the binary validates it) and non-empty. The wire is
+# measured by the servebench runs below.
 MEI_BENCH_FAST=1 MEI_BENCH_SECONDS=0.5 \
-    MEI_BENCH_JSON_V2=target/BENCH_serving_v2_smoke.json \
+    MEI_BENCH_JSON=target/BENCH_throughput_smoke.json \
     cargo run --release --offline -p mei-bench --bin throughput > /dev/null
-test -s target/BENCH_serving_v2_smoke.json
+test -s target/BENCH_throughput_smoke.json
 
 echo "==> wire protocol v2 smoke (negotiation, pipelining, worker-count bit identity)"
 # The serving_engine suite pins v1 ≡ v2 bits, 1 ≡ 4 event workers, idle-

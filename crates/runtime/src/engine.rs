@@ -1,5 +1,5 @@
 //! The serving engine: a chip pool bound to a placement policy, a cost
-//! model, an optional admission gate and a coalescing discipline.
+//! model and an optional admission gate.
 //!
 //! Every serving entry point is the same two steps:
 //!
@@ -18,12 +18,12 @@
 //!   caller's. A sequence fed through a fresh session therefore visits
 //!   exactly the chips a batch run predicts — which is what makes
 //!   in-process and over-the-wire serving bit-identical.
-//! * The executor runs the planned requests on per-chip FIFO queues: with
-//!   one busy chip inline, otherwise one scoped worker per busy chip. A
-//!   worker *coalesces* contiguous runs of already-arrived requests into
-//!   back-to-back batches, bounded by [`Engine::with_coalesce`]; release
-//!   times come only from open-loop arrival offsets. A panicking `infer`
-//!   is contained at the chip boundary and its siblings still complete.
+//! * The executor drains per-chip FIFO queues in one crew round per frame
+//!   ([`ThreadPool::par_map`], a thread per busy chip, the caller among
+//!   them), *coalescing* contiguous runs of already-arrived requests into
+//!   back-to-back batches; release times come only from open-loop arrival
+//!   offsets. A panicking `infer` is contained at the chip boundary and
+//!   its siblings still complete.
 //!
 //! Coalescing and threading never change outputs: placement is decided
 //! before execution and each chip is deterministic, so execution only
@@ -36,15 +36,15 @@ use std::time::{Duration, Instant};
 use crate::admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
 use crate::chip::{Chip, ChipPool, ServeOutcome};
 use crate::policy::{CostModel, LeastLoaded, PlacementPolicy, PoolState};
+use crate::pool::ThreadPool;
 use crate::stats::ServeStats;
 
-/// A chip pool bound to a placement policy, cost model and coalescing
-/// cap. Build with [`Engine::new`] and the `with_*` builders.
+/// A chip pool bound to a placement policy and cost model. Build with
+/// [`Engine::new`] and the `with_*` builders.
 pub struct Engine<C: Chip> {
     pool: ChipPool<C>,
     policy: Box<dyn PlacementPolicy>,
     model: CostModel,
-    coalesce: usize,
     admission: Option<AdmissionConfig>,
     window: u64,
     model_history: Vec<CostModel>,
@@ -61,8 +61,8 @@ pub const MODEL_HISTORY_CAP: usize = 64;
 
 impl<C: Chip> Engine<C> {
     /// Wrap a pool with the defaults: [`LeastLoaded`] placement over the
-    /// [`CostModel::input_length`] proxy, unbounded coalescing, no
-    /// admission control, serving window 0.
+    /// [`CostModel::input_length`] proxy, no admission control, serving
+    /// window 0.
     #[must_use]
     pub fn new(pool: ChipPool<C>) -> Self {
         let chips = pool.len();
@@ -70,7 +70,6 @@ impl<C: Chip> Engine<C> {
             pool,
             policy: Box::new(LeastLoaded),
             model: CostModel::input_length(chips),
-            coalesce: 0,
             admission: None,
             window: 0,
             model_history: Vec::new(),
@@ -105,26 +104,6 @@ impl<C: Chip> Engine<C> {
             "cost model must cover every chip"
         );
         self.model = model;
-        self
-    }
-
-    /// Cap coalesced batches at `cap` requests.
-    ///
-    /// Edge semantics (pinned by tests):
-    ///
-    /// * `cap = 0` — coalescing is **disabled as a bound**: batches are
-    ///   unbounded (the default). A worker still groups every
-    ///   already-arrived request into one run.
-    /// * `cap = 1` — every request is its own batch (the fully
-    ///   uncoalesced path; the worker re-checks arrivals before each
-    ///   request).
-    ///
-    /// Neither value — nor any other — changes a single output bit:
-    /// placement happens before execution, so the cap only moves *when*
-    /// an inference runs.
-    #[must_use]
-    pub fn with_coalesce(mut self, cap: usize) -> Self {
-        self.coalesce = cap;
         self
     }
 
@@ -413,8 +392,7 @@ impl<C: Chip> Engine<C> {
         inputs: &[Vec<f64>],
         arrivals: &[Duration],
     ) -> Option<ServeOutcome> {
-        let chips = self.pool.chips();
-        let (ran, per_chip, wall) = execute(chips, steps, inputs, Some(arrivals), self.coalesce);
+        let (ran, per_chip, wall) = execute(self.pool.chips(), steps, inputs, Some(arrivals));
         let (mut outputs, mut latencies, mut failed) = (Vec::new(), Vec::new(), Vec::new());
         for (ran, arrival) in ran.into_iter().zip(arrivals) {
             let Some(ran) = ran else { continue };
@@ -439,9 +417,7 @@ impl<C: Chip> Engine<C> {
     }
 
     /// Plan `inputs` against `session` (every request stamped `arrival`)
-    /// and execute the runs. Returns one item per request, in request
-    /// order, plus the payload of a contained chip panic (the streaming
-    /// entry points re-raise it).
+    /// and run the frame ([`execute_frame`]).
     pub(crate) fn serve_frame<I: AsRef<[f64]> + Sync>(
         &self,
         session: &mut Session,
@@ -449,36 +425,7 @@ impl<C: Chip> Engine<C> {
         arrival: Option<f64>,
     ) -> (Vec<BatchItem>, Option<Panic>) {
         let steps = self.plan(session, inputs.iter().map(|x| (x.as_ref().len(), arrival)));
-        let (ran, ..) = execute(self.pool.chips(), &steps, inputs, None, self.coalesce);
-        let mut panic = None;
-        let items = steps
-            .into_iter()
-            .zip(ran)
-            .map(|(step, ran)| match step {
-                Step::Shed {
-                    chip,
-                    estimated_wait_secs,
-                } => BatchItem::Shed {
-                    chip,
-                    estimated_wait_secs,
-                },
-                Step::Run(chip) => {
-                    let ran = ran.expect("every planned run executes");
-                    match ran.output {
-                        Ok(output) => BatchItem::Served(Served {
-                            chip,
-                            latency: ran.done - ran.start,
-                            output,
-                        }),
-                        Err(payload) => {
-                            panic.get_or_insert(payload);
-                            BatchItem::Failed { chip }
-                        }
-                    }
-                }
-            })
-            .collect();
-        (items, panic)
+        execute_frame(self.pool.chips(), steps, inputs)
     }
 
     /// Serve one request against a session, inline on the caller's
@@ -518,10 +465,10 @@ impl<C: Chip> Engine<C> {
     /// The batch is one `Engine::plan` over the session, so the items —
     /// chip ids and output bits — are identical to feeding the same
     /// sequence through `serve_one`/`offer_one` one request at a time,
-    /// whatever the threading. Execution overlaps the busy chips (see the
-    /// module docs). A panicking `infer` is contained at the chip boundary
-    /// and reported as [`BatchItem::Failed`]; sibling requests still
-    /// complete.
+    /// whatever the threading. Execution is one crew round over the busy
+    /// chips (see the module docs). A panicking `infer` is contained at
+    /// the chip boundary and reported as [`BatchItem::Failed`]; sibling
+    /// requests still complete.
     pub fn serve_session_batch(
         &self,
         session: &mut Session,
@@ -552,6 +499,14 @@ impl Step {
         match *self {
             Step::Run(chip) | Step::Shed { chip, .. } => chip,
         }
+    }
+
+    /// The same step on chip `chip + offset`: a pool's plan in a fleet's
+    /// global chip ids.
+    pub(crate) fn offset(mut self, offset: usize) -> Self {
+        let (Step::Run(chip) | Step::Shed { chip, .. }) = &mut self;
+        *chip += offset;
+        self
     }
 }
 
@@ -589,17 +544,6 @@ pub enum BatchItem {
         /// The chip whose `infer` panicked.
         chip: usize,
     },
-}
-
-impl BatchItem {
-    /// The item's chip id, for a fleet to shift into its global range.
-    pub(crate) fn chip_mut(&mut self) -> &mut usize {
-        match self {
-            BatchItem::Served(Served { chip, .. })
-            | BatchItem::Shed { chip, .. }
-            | BatchItem::Failed { chip } => chip,
-        }
-    }
 }
 
 /// The one item of a one-request frame as an [`Offer`], re-raising a
@@ -678,24 +622,23 @@ struct Ran {
 type ChipRun = (usize, usize, usize, Duration);
 
 /// The executor: run a plan's [`Step::Run`] requests on per-chip FIFO
-/// queues. With at most one busy chip the queue drains inline on the
-/// caller's thread; otherwise every busy chip gets one scoped worker, so
-/// one chip's release waits never delay another chip's requests. A
-/// worker waits for the head request's release time (its open-loop
-/// arrival offset, if any), then coalesces every queued request already
-/// released into one back-to-back batch, capped at `coalesce` when
-/// non-zero. `infer` runs inside `catch_unwind`, so a panicking chip
-/// fails only its own requests.
+/// queues, as one [`ThreadPool::par_map`] round over `chips` on a crew of
+/// one thread per busy chip (at least one). The caller is one of those
+/// threads, so with one busy chip the queue drains inline and no thread
+/// is spawned; with more, no chip's release waits delay another chip's
+/// requests. A chip waits for its head request's release time (its
+/// open-loop arrival offset, if any), then coalesces every queued request
+/// already released into one back-to-back batch. `infer` runs inside
+/// `catch_unwind`, so a panicking chip fails only its own requests.
 ///
 /// Returns one entry per planned request, in request order (`None` =
 /// shed); per chip `(runs, coalesced batches, failures, busy time)`; and
 /// the run's wall time. Times count from the run's start.
-fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
-    chips: &[C],
+fn execute<K: Chip, I: AsRef<[f64]> + Sync>(
+    chips: &[K],
     steps: &[Step],
     inputs: &[I],
     releases: Option<&[Duration]>,
-    coalesce: usize,
 ) -> (Vec<Option<Ran>>, Vec<ChipRun>, Duration) {
     let mut queues: Vec<Vec<usize>> = vec![Vec::new(); chips.len()];
     for (request, step) in steps.iter().enumerate() {
@@ -704,9 +647,10 @@ fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
         }
     }
     let release = |request: usize| releases.map_or(Duration::ZERO, |r| r[request]);
+    // `ThreadPool::new(0)` means "auto", hence the floor of one.
+    let crew = ThreadPool::new(queues.iter().filter(|q| !q.is_empty()).count().max(1));
     let epoch = Instant::now();
-    let drain = |chip: usize| {
-        let queue = &queues[chip];
+    let drained = crew.par_map(&queues, |chip, queue| {
         let (mut ran, mut batches, mut i) = (Vec::with_capacity(queue.len()), 0, 0);
         while i < queue.len() {
             let mut now = epoch.elapsed();
@@ -714,12 +658,8 @@ fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
                 std::thread::sleep(release(queue[i]) - now);
                 now = epoch.elapsed();
             }
-            let cap = match coalesce {
-                0 => queue.len(),
-                cap => (i + cap).min(queue.len()),
-            };
             let mut j = i + 1;
-            while j < cap && release(queue[j]) <= now {
+            while j < queue.len() && release(queue[j]) <= now {
                 j += 1;
             }
             batches += 1;
@@ -737,26 +677,7 @@ fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
             i = j;
         }
         (ran, batches)
-    };
-    let busy_chips = queues.iter().filter(|q| !q.is_empty()).count();
-    let drained: Vec<(Vec<Ran>, usize)> = if busy_chips <= 1 {
-        (0..chips.len()).map(drain).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let drain = &drain;
-            let workers: Vec<_> = (0..chips.len())
-                .map(|chip| (!queues[chip].is_empty()).then(|| scope.spawn(move || drain(chip))))
-                .collect();
-            workers
-                .into_iter()
-                .enumerate()
-                .map(|(chip, worker)| match worker {
-                    Some(worker) => worker.join().expect("chip workers contain infer panics"),
-                    None => drain(chip),
-                })
-                .collect()
-        })
-    };
+    });
     let wall = epoch.elapsed();
     let per_chip = drained
         .iter()
@@ -780,6 +701,46 @@ fn execute<C: Chip, I: AsRef<[f64]> + Sync>(
         })
         .collect();
     (ran, per_chip, wall)
+}
+
+/// Execute a frame's plan over `chips` (a pool's, or a fleet's) and fold
+/// it into one item per request, in request order, plus the payload of
+/// the first contained chip panic (the streaming entry points re-raise it).
+pub(crate) fn execute_frame<K: Chip, I: AsRef<[f64]> + Sync>(
+    chips: &[K],
+    steps: Vec<Step>,
+    inputs: &[I],
+) -> (Vec<BatchItem>, Option<Panic>) {
+    let (ran, ..) = execute(chips, &steps, inputs, None);
+    let mut panic = None;
+    let items = steps
+        .into_iter()
+        .zip(ran)
+        .map(|(step, ran)| match step {
+            Step::Shed {
+                chip,
+                estimated_wait_secs,
+            } => BatchItem::Shed {
+                chip,
+                estimated_wait_secs,
+            },
+            Step::Run(chip) => {
+                let ran = ran.expect("every planned run executes");
+                match ran.output {
+                    Ok(output) => BatchItem::Served(Served {
+                        chip,
+                        latency: ran.done - ran.start,
+                        output,
+                    }),
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                        BatchItem::Failed { chip }
+                    }
+                }
+            }
+        })
+        .collect();
+    (items, panic)
 }
 
 #[cfg(test)]
@@ -843,6 +804,8 @@ mod tests {
         assert_eq!(stats.policy, "round_robin");
         assert_eq!(stats.per_chip.len(), 4);
         assert_eq!(stats.per_chip.iter().map(|c| c.served).sum::<usize>(), 20);
+        // A closed batch is released at once: one batch per busy chip.
+        assert!(stats.per_chip.iter().all(|c| c.batches == 1));
         assert!(stats.requests_per_sec > 0.0);
         assert!(stats.p50_latency_us <= stats.p99_latency_us);
     }
@@ -860,26 +823,6 @@ mod tests {
             .collect();
         assert_eq!(streamed, batch, "stream and batch placement diverged");
         assert_eq!(session.served(), inputs.len() as u64);
-    }
-
-    #[test]
-    fn coalesce_cap_bounds_batches_without_changing_outputs() {
-        let engine_unbounded = toy_engine(2);
-        let engine_capped = toy_engine(2).with_coalesce(3);
-        let inputs: Vec<Vec<f64>> = (0..14).map(|i| vec![i as f64, 1.0]).collect();
-        let a = engine_unbounded.serve(&inputs);
-        let b = engine_capped.serve(&inputs);
-        assert_eq!(a.outputs, b.outputs, "coalescing must not change bits");
-        // Closed batch, cap 3: a chip with k requests runs ceil(k/3)
-        // batches; unbounded runs exactly 1 per non-empty queue.
-        for chip in &a.stats.per_chip {
-            if chip.served > 0 {
-                assert_eq!(chip.batches, 1);
-            }
-        }
-        for chip in &b.stats.per_chip {
-            assert_eq!(chip.batches, chip.served.div_ceil(3));
-        }
     }
 
     #[test]
@@ -903,29 +846,6 @@ mod tests {
     #[should_panic(expected = "cost model must cover every chip")]
     fn mismatched_cost_model_is_rejected() {
         let _ = toy_engine(3).with_cost_model(CostModel::input_length(2));
-    }
-
-    /// The documented `with_coalesce` edge semantics: cap 0 (disabled /
-    /// unbounded) and cap 1 (fully uncoalesced, one request per batch)
-    /// are bit-identical to the default path and to each other.
-    #[test]
-    fn coalesce_edge_caps_are_bit_identical_to_default() {
-        let inputs: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64, 0.25, -1.5]).collect();
-        let baseline = toy_engine(3).serve(&inputs);
-        let cap0 = toy_engine(3).with_coalesce(0).serve(&inputs);
-        let cap1 = toy_engine(3).with_coalesce(1).serve(&inputs);
-        assert_eq!(baseline.outputs, cap0.outputs, "cap 0 ≠ default bits");
-        assert_eq!(baseline.outputs, cap1.outputs, "cap 1 ≠ default bits");
-        // cap 1 really is uncoalesced: every request its own batch.
-        for chip in &cap1.stats.per_chip {
-            assert_eq!(chip.batches, chip.served);
-        }
-        // cap 0 really is unbounded: one batch per non-empty closed queue.
-        for chip in &cap0.stats.per_chip {
-            if chip.served > 0 {
-                assert_eq!(chip.batches, 1);
-            }
-        }
     }
 
     #[test]

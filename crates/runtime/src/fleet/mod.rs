@@ -46,7 +46,9 @@ pub mod router;
 pub use health::{EjectReason, HealthPolicy, PoolHealth, Transition};
 
 use crate::chip::Chip;
-use crate::engine::{into_offer, into_served, BatchItem, Engine, Offer, Panic, Served, Session};
+use crate::engine::{
+    execute_frame, into_offer, into_served, BatchItem, Engine, Offer, Panic, Served, Session,
+};
 
 /// Fleet-wide knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -501,9 +503,10 @@ impl<C: Chip> Fleet<C> {
         self.serve_frame(session, inputs, arrival_secs).0
     }
 
-    /// Route `inputs` across the replica set, feed each pool's sub-batch
-    /// (in request order) to that pool's plan and executor, and map the
-    /// items to global chip ids — the one place fleet chip ids are made.
+    /// Route `inputs` across the replica set, plan each pool's share (in
+    /// request order) on that pool's session, shift the steps to global
+    /// chip ids — the one place fleet chip ids are made — and run the
+    /// whole frame as one executor round over every pool's chips.
     fn serve_frame<I: AsRef<[f64]> + Sync>(
         &self,
         session: &mut FleetSession,
@@ -511,30 +514,36 @@ impl<C: Chip> Fleet<C> {
         arrival: Option<f64>,
     ) -> (Vec<BatchItem>, Option<Panic>) {
         let replicas = self.session_replicas(session);
-        let mut per_pool: Vec<Vec<usize>> = vec![Vec::new(); self.pools.len()];
-        for request in 0..inputs.len() {
-            per_pool[replicas[(session.sequence % replicas.len() as u64) as usize]].push(request);
-            session.sequence += 1;
-        }
-        let mut items: Vec<Option<BatchItem>> = (0..inputs.len()).map(|_| None).collect();
-        let mut panic = None;
-        for (pool, requests) in per_pool.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
-            let slot = &self.pools[pool];
-            let sub: Vec<&[f64]> = requests.iter().map(|&r| inputs[r].as_ref()).collect();
-            let (sub_items, sub_panic) =
-                slot.engine
-                    .serve_frame(&mut session.sessions[pool], &sub, arrival);
-            panic = panic.or(sub_panic);
-            for (&request, mut item) in requests.iter().zip(sub_items) {
-                *item.chip_mut() += slot.chip_offset;
-                items[request] = Some(item);
-            }
-        }
-        let items = items
-            .into_iter()
-            .map(|item| item.expect("every request routed"))
+        let pool_of: Vec<usize> = (session.sequence..)
+            .take(inputs.len())
+            .map(|n| replicas[(n % replicas.len() as u64) as usize])
             .collect();
-        (items, panic)
+        session.sequence += inputs.len() as u64;
+        // A request's step is the next unclaimed entry of its pool's plan.
+        let mut plans: Vec<_> = self
+            .pools
+            .iter()
+            .zip(&mut session.sessions)
+            .enumerate()
+            .map(|(pool, (slot, pool_session))| {
+                let share = pool_of.iter().zip(inputs).filter(|&(&p, _)| p == pool);
+                let share = share.map(|(_, x)| (x.as_ref().len(), arrival));
+                slot.engine.plan(pool_session, share).into_iter()
+            })
+            .collect();
+        let steps = pool_of
+            .iter()
+            .map(|&pool| {
+                let step = plans[pool].next().expect("one step per routed request");
+                step.offset(self.pools[pool].chip_offset)
+            })
+            .collect();
+        let chips: Vec<&C> = self
+            .pools
+            .iter()
+            .flat_map(|slot| slot.engine.pool().chips())
+            .collect();
+        execute_frame(&chips, steps, inputs)
     }
 
     /// Record a measured capacity point for [`Fleet::pools_for`].
@@ -621,7 +630,8 @@ mod tests {
     use crate::chip::ChipPool;
     use crate::policy::{CostModel, RoundRobin};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::Duration;
 
     /// A chip whose output encodes its identity; can be broken so
     /// `infer` panics (what a dead device looks like to calibration).
@@ -813,6 +823,48 @@ mod tests {
         // Stricter than every measurement: unanswerable.
         assert_eq!(fleet.pools_for(1000.0, 100.0), None);
         assert_eq!(fleet.pools_for(1.0, 800.0), Some(1));
+    }
+
+    /// A chip whose `infer` returns its input once four chips are inside
+    /// `infer` at the same time, and panics if that has not happened
+    /// after 5 s.
+    struct MeetingChip(Arc<(Mutex<usize>, Condvar)>);
+
+    impl Chip for MeetingChip {
+        fn infer(&self, input: &[f64]) -> Vec<f64> {
+            let (inside, arrived) = &*self.0;
+            let mut count = inside.lock().expect("meeting count");
+            *count += 1;
+            arrived.notify_all();
+            let (count, wait) = arrived
+                .wait_timeout_while(count, Duration::from_secs(5), |n| *n < 4)
+                .expect("meeting count");
+            drop(count);
+            assert!(!wait.timed_out(), "not all four chips were inside infer");
+            input.to_vec()
+        }
+    }
+
+    #[test]
+    fn every_busy_chip_of_a_frame_runs_at_once() {
+        let engine = |chips, meeting: &Arc<_>| {
+            let chips = (0..chips).map(|_| MeetingChip(Arc::clone(meeting)));
+            Engine::new(ChipPool::from_chips(chips.collect())).with_policy(RoundRobin)
+        };
+        let inputs: Vec<Vec<f64>> = (0..4).map(|i| vec![f64::from(i)]).collect();
+        // 2 pools × 2 chips, R = 2: the frame's four requests land on four
+        // chips across both pools, which must all run in one round.
+        let meeting = Arc::default();
+        let pools = vec![engine(2, &meeting), engine(2, &meeting)];
+        let fleet = Fleet::new(pools, FleetConfig::new(42).with_replication(2));
+        let items = fleet.serve_session_batch(&mut fleet.session("w"), &inputs, None);
+        let served = items.iter().filter(|i| matches!(i, BatchItem::Served(_)));
+        assert_eq!(served.count(), 4, "{items:?}");
+        // Open loop, one request per chip released at 1 ms: every chip's
+        // release wait needs a thread of its own.
+        let releases = [Duration::from_millis(1); 4];
+        let outcome = engine(4, &Arc::default()).serve_open_loop(&inputs, &releases);
+        assert!(outcome.failed.is_empty(), "failed: {:?}", outcome.failed);
     }
 
     #[test]

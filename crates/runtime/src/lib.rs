@@ -24,9 +24,9 @@
 //!   a [`CostModel`] (unit input-length proxy, or
 //!   [`CostModel::calibrate`]d from measured per-chip inference times).
 //!   Every serving call is one pure `Engine::plan` — the placement and
-//!   admission fold over a [`Session`] — followed by one executor that
-//!   owns the per-chip queues, coalescing, arrival waits and the
-//!   `catch_unwind` around `Chip::infer`.
+//!   admission fold over a [`Session`] — followed by one executor round
+//!   per frame (a [`Crew`] round) that owns the per-chip queues,
+//!   coalescing, arrival waits and the `catch_unwind` around `Chip::infer`.
 //! * [`net`] — a hermetic `std::net` TCP front-end: the event-driven
 //!   [`net::EventServer`] speaks pipelined binary frames (v2, via
 //!   [`net::ClientV2`]) and falls back to text lines (v1, via

@@ -174,8 +174,9 @@ impl ConnMachine {
     }
 
     /// Extract the next `\n`-terminated line: `None` = need more bytes,
-    /// `Some(Err(()))` = the line (or the unterminated buffer) exceeds
-    /// the cap, `Some(Ok(line))` = a line with `\r\n`/`\n` stripped.
+    /// `Some(Err(()))` = more than `max_line` bytes before the `\n` (a
+    /// trailing `\r` counts as one), or buffered with no `\n` yet,
+    /// `Some(Ok(line))` = a line with `\r\n`/`\n` stripped.
     fn take_line(&mut self) -> Option<Result<String, ()>> {
         let unread = &self.buf[self.read..];
         match unread.iter().position(|&b| b == b'\n') {
@@ -306,5 +307,20 @@ mod tests {
         m.feed(&[b'x'; 64]);
         assert_eq!(m.poll(), Some(ConnEvent::TooLong));
         assert_eq!(m.poll(), None);
+    }
+
+    #[test]
+    fn line_cap_counts_the_bytes_before_the_newline() {
+        let poll = |bytes: &[u8]| {
+            let mut m = ConnMachine::new(4, DEFAULT_MAX_FRAME_BYTES);
+            m.feed(bytes);
+            m.poll()
+        };
+        assert_eq!(poll(b"abcd\n"), Some(ConnEvent::Line("abcd".into())));
+        assert_eq!(poll(b"abc\r\n"), Some(ConnEvent::Line("abc".into())));
+        assert_eq!(poll(b"abcd"), None, "a line at the cap may still end");
+        for over in [&b"abcde\n"[..], b"abcde", b"abcd\r\n"] {
+            assert_eq!(poll(over), Some(ConnEvent::TooLong), "{over:?}");
+        }
     }
 }

@@ -38,10 +38,10 @@
 //! Malformed lines, unknown workloads and wrong-arity inputs get an
 //! `err` line and the connection keeps serving; a request whose chip
 //! panics gets `err chip <id> failed` and the connection keeps serving
-//! too. A line longer than [`EventServerConfig::max_line_bytes`] gets an
-//! `err` line and a clean close (the stream can no longer be framed); a
-//! client disconnect mid-stream closes the connection without disturbing
-//! its siblings.
+//! too. A line with more than [`EventServerConfig::max_line_bytes`] bytes
+//! before its `\n` gets an `err` line and a clean close (the stream can
+//! no longer be framed); a client disconnect mid-stream closes the
+//! connection without disturbing its siblings.
 //!
 //! ## Wire protocol v2 (binary, pipelined)
 //!
@@ -68,7 +68,8 @@
 //! workload), and the matching response frame answers every request in
 //! order. A pipelining client keeps several frames in flight and a
 //! single connection saturates the whole fleet
-//! ([`Fleet::serve_session_batch`] fans the batch out per pool and chip).
+//! ([`Fleet::serve_session_batch`] runs the batch as one executor round
+//! over every pool's chips).
 //! Malformed frame *bodies* get an in-band error frame and the
 //! connection keeps serving; an oversized frame length gets an error
 //! frame and a close (the stream can no longer be framed) — sibling
@@ -106,7 +107,8 @@ use crate::chip::Chip;
 use crate::engine::{BatchItem, Engine, Offer};
 use crate::fleet::{Fleet, FleetConfig, FleetSession};
 
-/// Upper bound on a request line, including the newline.
+/// Upper bound on a request line's bytes before its terminating `\n`;
+/// a trailing `\r` counts as one of them.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Render values as the protocol's CSV: shortest round-trip `Display`

@@ -86,8 +86,8 @@ pub struct EventServerConfig {
     /// Hard cap on one v2 frame; longer frames get an error frame and a
     /// close (the stream can no longer be framed).
     pub max_frame_bytes: usize,
-    /// Hard cap on a v1 request line; longer lines get an `err` line and
-    /// a close.
+    /// Hard cap on a v1 request line's bytes before its `\n` (a trailing
+    /// `\r` counts); longer lines get an `err` line and a close.
     pub max_line_bytes: usize,
 }
 

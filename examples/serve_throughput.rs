@@ -81,10 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // coefficients are frozen at calibration, so placement stays a pure
     // function of the request sequence — the same engine serves the same
     // bits every time, even though the model came from wall-clock timing.
-    let engine = engine
-        .with_policy(SizeAware)
-        .calibrated(&inputs[..8], 3)
-        .with_coalesce(64);
+    let engine = engine.with_policy(SizeAware).calibrated(&inputs[..8], 3);
     println!("\ncalibrated cost model: {}", engine.cost_model().to_json());
     let sized = engine.serve_open_loop(&inputs, &arrivals);
     println!("size-aware   : {}", sized.stats);
