@@ -73,19 +73,30 @@ echo "==> servebench (own package): tests + wire-level runs checked against the 
 # servebench has its own [workspace], so --workspace never compiles it.
 # Each run exits non-zero when the served wire bits differ from the
 # in-process fold; the negative control (a twin built from another seed)
-# must be refused. The traced mlp-roundtrip run replays v1 lines through
-# offer_one; the cnn-pipelined run also requires the served CNN accuracy
-# to equal the digital twin's.
+# must be refused. The exit code covers only the bits, so each positive
+# run must also print "correct": true and "failed": 0 in its result line:
+# an executor that drops or fails requests must not pass. The traced
+# mlp-roundtrip run replays v1 lines through offer_one; the cnn-pipelined
+# run also requires the served CNN accuracy to equal the digital twin's.
 cargo test -q --offline --release --manifest-path servebench/Cargo.toml > /dev/null
 servebench() {
     cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- "$@" \
         > /dev/null 2>&1
 }
-servebench --workload mlp-pipelined --seed 1 --seconds 1 --trace 0
-servebench --workload mlp-roundtrip --seed 1 --seconds 1 --trace 0
-servebench --workload mlp-pipelined --seed 1 --seconds 1 --trace 1
-servebench --workload mlp-roundtrip --seed 1 --seconds 1 --trace 1
-servebench --workload cnn-pipelined --seed 1 --seconds 1 --trace 0
+servebench_served() {
+    local line
+    line=$(cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- "$@" \
+        2> /dev/null)
+    if ! grep -q '"correct": true' <<< "$line" || ! grep -q '"failed": 0,' <<< "$line"; then
+        echo "ERROR: servebench $* did not serve every request correctly: $line" >&2
+        exit 1
+    fi
+}
+servebench_served --workload mlp-pipelined --seed 1 --seconds 1 --trace 0
+servebench_served --workload mlp-roundtrip --seed 1 --seconds 1 --trace 0
+servebench_served --workload mlp-pipelined --seed 1 --seconds 1 --trace 1
+servebench_served --workload mlp-roundtrip --seed 1 --seconds 1 --trace 1
+servebench_served --workload cnn-pipelined --seed 1 --seconds 1 --trace 0
 if servebench --workload mlp-pipelined --seed 1 --twin-seed 2 --seconds 1 --trace 0; then
     echo "ERROR: servebench accepted a twin built from another seed" >&2
     exit 1

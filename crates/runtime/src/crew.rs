@@ -1,13 +1,16 @@
-//! A persistent fork-join crew for iterative algorithms.
+//! A persistent fork-join crew for hot loops.
 //!
 //! [`ThreadPool::par_map`] runs one round on a fresh crew, so it spawns
 //! its workers per call. That is fine for coarse batches (Monte-Carlo
-//! trials, per-sample scoring) but prohibitive for an iterative hot loop:
-//! one mini-batch of backprop is tens of microseconds of arithmetic —
-//! about the cost of a single thread spawn. [`ThreadPool::crew`] spawns
-//! the workers **once**, then lets the caller dispatch any number of
-//! rounds over the same task closure without touching the OS again;
-//! between rounds the workers sleep on a condvar.
+//! trials, per-sample scoring) but prohibitive for a hot loop: one
+//! mini-batch of backprop, or one served frame of MEI chips, is tens of
+//! microseconds of work — about the cost of a single thread spawn.
+//! [`ThreadPool::crew`] spawns the workers **once**, then lets the caller
+//! dispatch any number of rounds over the same task closure without
+//! touching the OS again; between rounds the workers sleep on a condvar,
+//! and a round wakes only as many as it has tasks for. The trainer runs
+//! its mini-batches this way, and every event-server worker runs the
+//! frames it serves on a crew that lives as long as the worker.
 //!
 //! The design stays inside safe Rust (the crate forbids `unsafe`): the one
 //! task closure is created *before* the workers are spawned, so they can
@@ -47,6 +50,8 @@ const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 struct Shared<'a> {
     /// The one round closure: `task(arg, index)`.
     task: &'a (dyn Fn(usize, usize) + Sync),
+    /// Worker threads besides the caller.
+    helpers: usize,
     state: Mutex<State>,
     /// Workers sleep here between rounds.
     go: Condvar,
@@ -77,7 +82,9 @@ pub struct Crew<'a> {
 impl Crew<'_> {
     /// Dispatch one round: execute `task(arg, i)` for every `i` in
     /// `0..tasks`, each exactly once, and return when all have completed.
-    /// The calling thread participates as a full crew member.
+    /// The calling thread participates as a full crew member, and at most
+    /// `tasks - 1` sleeping workers are woken: a one-task round runs on
+    /// the caller without waking anyone.
     ///
     /// # Panics
     ///
@@ -107,7 +114,12 @@ impl Crew<'_> {
                 .cursor
                 .store((round & INDEX_MASK) << INDEX_BITS, Ordering::SeqCst);
         }
-        self.shared.go.notify_all();
+        // One wake per worker the round can use. A worker that is awake
+        // (say, a straggler of the last round) checks the round number
+        // before it sleeps again, so it joins without a wake of its own.
+        for _ in 0..self.shared.helpers.min(tasks - 1) {
+            self.shared.go.notify_one();
+        }
         execute_round(self.shared, round, arg, tasks);
         let mut st = self.shared.state.lock().expect("crew state");
         while st.remaining > 0 {
@@ -126,7 +138,8 @@ impl ThreadPool {
     /// times, each round executing the **same** `task` closure over fresh
     /// `(arg, index)` pairs. Workers are spawned once, before `body`
     /// starts, and joined after it returns — per-round dispatch costs a
-    /// mutex round-trip and a condvar wake, not a thread spawn.
+    /// mutex round-trip and one condvar wake per worker the round needs,
+    /// not a thread spawn.
     ///
     /// With one thread the crew has no workers and `run` executes every
     /// task inline on the caller, through the same claim loop.
@@ -143,6 +156,7 @@ impl ThreadPool {
         let workers = self.threads().max(1);
         let shared = Shared {
             task: &task,
+            helpers: workers - 1,
             state: Mutex::new(State {
                 round: 0,
                 arg: 0,
@@ -157,7 +171,7 @@ impl ThreadPool {
         };
         std::thread::scope(|scope| {
             let shared = &shared;
-            for _ in 1..workers {
+            for _ in 0..shared.helpers {
                 scope.spawn(move || worker_loop(shared));
             }
             let crew = Crew { shared };
@@ -360,6 +374,37 @@ mod tests {
         }));
         let payload = result.expect_err("body panic must surface");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"body exploded"));
+    }
+
+    #[test]
+    fn partial_rounds_leave_every_helper_for_a_full_round() {
+        // A one-task round wakes no helper; the full round after it must
+        // still find all three, so its four tasks can meet inside the task.
+        let pool = ThreadPool::new(4);
+        let meeting = (Mutex::new(0usize), Condvar::new());
+        pool.crew(
+            |full, _| {
+                if full == 0 {
+                    return;
+                }
+                let (inside, arrived) = &meeting;
+                let mut count = inside.lock().unwrap();
+                *count += 1;
+                let target = count.next_multiple_of(4);
+                arrived.notify_all();
+                let (_count, wait) = arrived
+                    .wait_timeout_while(count, std::time::Duration::from_secs(5), |n| *n < target)
+                    .unwrap();
+                assert!(!wait.timed_out(), "a full round's tasks never met");
+            },
+            |crew| {
+                for _ in 0..100 {
+                    crew.run(0, 1);
+                    crew.run(1, 4);
+                }
+            },
+        );
+        assert_eq!(*meeting.0.lock().unwrap(), 400);
     }
 
     #[test]

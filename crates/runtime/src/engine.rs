@@ -18,12 +18,16 @@
 //!   caller's. A sequence fed through a fresh session therefore visits
 //!   exactly the chips a batch run predicts — which is what makes
 //!   in-process and over-the-wire serving bit-identical.
-//! * The executor drains per-chip FIFO queues in one crew round per frame
-//!   ([`ThreadPool::par_map`], a thread per busy chip, the caller among
-//!   them), *coalescing* contiguous runs of already-arrived requests into
+//! * The executor is one [`Crew`](crate::Crew) round per frame: the
+//!   frame's plan and inputs are loaded into a `Round`, and every busy
+//!   chip drains its FIFO queue on a thread of its own, the caller among
+//!   them, *coalescing* contiguous runs of already-arrived requests into
 //!   back-to-back batches; release times come only from open-loop arrival
-//!   offsets. A panicking `infer` is contained at the chip boundary and
-//!   its siblings still complete.
+//!   offsets. An event-server worker runs every frame it serves on its
+//!   own crew, which lives as long as the worker; the in-process entry
+//!   points run theirs on a crew that lives for the call. A panicking
+//!   `infer` is contained at the chip boundary and its siblings still
+//!   complete.
 //!
 //! Coalescing and threading never change outputs: placement is decided
 //! before execution and each chip is deterministic, so execution only
@@ -31,6 +35,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
@@ -332,7 +337,7 @@ impl<C: Chip> Engine<C> {
             "one arrival offset per request"
         );
         let steps = self.plan(&mut self.session(), inputs.iter().map(|x| (x.len(), None)));
-        self.run_outcome(&steps, inputs, arrivals)
+        self.run_outcome(steps, inputs, arrivals)
             .expect("an unstamped plan runs every request")
     }
 
@@ -375,7 +380,7 @@ impl<C: Chip> Engine<C> {
             shed: 0,
         });
         AdmittedOutcome {
-            outcome: self.run_outcome(&steps, inputs, arrivals),
+            outcome: self.run_outcome(steps, inputs, arrivals),
             admitted,
             shed,
             gate_stats,
@@ -388,13 +393,14 @@ impl<C: Chip> Engine<C> {
     /// completion minus arrival.
     fn run_outcome(
         &self,
-        steps: &[Step],
+        steps: Vec<Step>,
         inputs: &[Vec<f64>],
         arrivals: &[Duration],
     ) -> Option<ServeOutcome> {
-        let (ran, per_chip, wall) = execute(self.pool.chips(), steps, inputs, Some(arrivals));
+        let round = self.run_round(steps, inputs.iter().map(Vec::as_slice), Some(arrivals));
+        let (per_chip, wall) = round.chip_runs();
         let (mut outputs, mut latencies, mut failed) = (Vec::new(), Vec::new(), Vec::new());
-        for (ran, arrival) in ran.into_iter().zip(arrivals) {
+        for (ran, arrival) in round.fold(|_, ran| ran).into_iter().zip(arrivals) {
             let Some(ran) = ran else { continue };
             latencies.push(ran.done.saturating_sub(*arrival));
             if ran.output.is_err() {
@@ -416,16 +422,31 @@ impl<C: Chip> Engine<C> {
         })
     }
 
+    /// Run a plan over this pool's chips as one [`Round`], on a crew that
+    /// lives for the call.
+    fn run_round<'a>(
+        &self,
+        steps: Vec<Step>,
+        inputs: impl IntoIterator<Item = &'a [f64]>,
+        releases: Option<&[Duration]>,
+    ) -> Round {
+        let round = Round::default();
+        round.load(steps, self.pool.len(), inputs, releases);
+        round.run_here(|chip| &self.pool.chips()[chip]);
+        round
+    }
+
     /// Plan `inputs` against `session` (every request stamped `arrival`)
-    /// and run the frame ([`execute_frame`]).
-    pub(crate) fn serve_frame<I: AsRef<[f64]> + Sync>(
+    /// and run the frame as one [`Round`].
+    fn serve_frame<I: AsRef<[f64]>>(
         &self,
         session: &mut Session,
         inputs: &[I],
         arrival: Option<f64>,
     ) -> (Vec<BatchItem>, Option<Panic>) {
         let steps = self.plan(session, inputs.iter().map(|x| (x.as_ref().len(), arrival)));
-        execute_frame(self.pool.chips(), steps, inputs)
+        self.run_round(steps, inputs.iter().map(AsRef::as_ref), None)
+            .items()
     }
 
     /// Serve one request against a session, inline on the caller's
@@ -621,37 +642,133 @@ struct Ran {
 /// One chip's share of a run, as [`ServeStats::from_run`] takes it.
 type ChipRun = (usize, usize, usize, Duration);
 
-/// The executor: run a plan's [`Step::Run`] requests on per-chip FIFO
-/// queues, as one [`ThreadPool::par_map`] round over `chips` on a crew of
-/// one thread per busy chip (at least one). The caller is one of those
-/// threads, so with one busy chip the queue drains inline and no thread
-/// is spawned; with more, no chip's release waits delay another chip's
-/// requests. A chip waits for its head request's release time (its
-/// open-loop arrival offset, if any), then coalesces every queued request
-/// already released into one back-to-back batch. `infer` runs inside
-/// `catch_unwind`, so a panicking chip fails only its own requests.
+/// The executor: one crew round over a frame's busy chips. The owner
+/// [`load`](Round::load)s a plan, runs `drain(task)` for every task in
+/// `0..tasks` (one busy chip each, all at once), then folds the result
+/// ([`items`](Round::items)). A crew has one task closure that cannot
+/// borrow a frame (see [`crate::crew`]), so the round owns everything a
+/// task reads, in buffers kept from round to round: an event-server
+/// worker loads every frame it serves into one `Round` that its
+/// long-lived crew drains (its buffers grow to the largest frame the
+/// worker has served, which the server's frame and line caps bound), and
+/// the in-process entry points build one per call and drain it on a crew
+/// that lives for the call ([`run_here`](Round::run_here)).
 ///
-/// Returns one entry per planned request, in request order (`None` =
-/// shed); per chip `(runs, coalesced batches, failures, busy time)`; and
-/// the run's wall time. Times count from the run's start.
-fn execute<K: Chip, I: AsRef<[f64]> + Sync>(
-    chips: &[K],
-    steps: &[Step],
-    inputs: &[I],
-    releases: Option<&[Duration]>,
-) -> (Vec<Option<Ran>>, Vec<ChipRun>, Duration) {
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); chips.len()];
-    for (request, step) in steps.iter().enumerate() {
-        if let Step::Run(chip) = *step {
-            queues[chip].push(request);
-        }
+/// A chip waits for its head request's release time (its open-loop
+/// arrival offset, if any), then runs every queued request already
+/// released back to back, as one batch. `infer` runs inside
+/// `catch_unwind`, so a panicking chip fails only its own requests.
+#[derive(Default)]
+pub(crate) struct Round(RwLock<RoundState>);
+
+#[derive(Default)]
+struct RoundState {
+    /// The plan, one step per request.
+    steps: Vec<Step>,
+    /// Every request's input, back to back; request `r` is
+    /// `values[spans[r].0..spans[r].1]`.
+    values: Vec<f64>,
+    spans: Vec<(usize, usize)>,
+    /// Open-loop release offsets, one per request; empty = all at once.
+    releases: Vec<Duration>,
+    /// One lane per chip id (a server worker's round keeps the lanes of
+    /// the largest fleet it has served; the rest stay empty).
+    lanes: Vec<Mutex<Lane>>,
+    /// Ids of the chips with queued requests, in id order: task `i`
+    /// drains chip `busy[i]`.
+    busy: Vec<usize>,
+    /// The round's time origin: releases and run times count from here.
+    epoch: Option<Instant>,
+}
+
+/// One chip's FIFO queue of request indices and the runs that drained it.
+#[derive(Default)]
+struct Lane {
+    queue: Vec<usize>,
+    runs: Vec<Ran>,
+    batches: usize,
+}
+
+/// A lane under the round's write lock. `load` rewrites the whole round,
+/// so a lock poisoned by an earlier round guards nothing stale.
+fn lane(lane: &mut Mutex<Lane>) -> &mut Lane {
+    lane.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Round {
+    fn read(&self) -> RwLockReadGuard<'_, RoundState> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
-    let release = |request: usize| releases.map_or(Duration::ZERO, |r| r[request]);
-    // `ThreadPool::new(0)` means "auto", hence the floor of one.
-    let crew = ThreadPool::new(queues.iter().filter(|q| !q.is_empty()).count().max(1));
-    let epoch = Instant::now();
-    let drained = crew.par_map(&queues, |chip, queue| {
-        let (mut ran, mut batches, mut i) = (Vec::with_capacity(queue.len()), 0, 0);
+
+    fn write(&self) -> RwLockWriteGuard<'_, RoundState> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Load a plan over chip ids `0..chips`: queue every [`Step::Run`] on
+    /// its chip in request order, copy the inputs in, and start the
+    /// round's clock. Returns the task count: the number of busy chips.
+    pub(crate) fn load<'a>(
+        &self,
+        steps: Vec<Step>,
+        chips: usize,
+        inputs: impl IntoIterator<Item = &'a [f64]>,
+        releases: Option<&[Duration]>,
+    ) -> usize {
+        let mut guard = self.write();
+        let state = &mut *guard;
+        state.values.clear();
+        state.spans.clear();
+        for input in inputs {
+            let start = state.values.len();
+            state.values.extend_from_slice(input);
+            state.spans.push((start, state.values.len()));
+        }
+        state.releases.clear();
+        state
+            .releases
+            .extend_from_slice(releases.unwrap_or_default());
+        if state.lanes.len() < chips {
+            state.lanes.resize_with(chips, Mutex::default);
+        }
+        for lane in state.lanes.iter_mut().map(lane) {
+            lane.queue.clear();
+            lane.runs.clear();
+            lane.batches = 0;
+        }
+        for (request, step) in steps.iter().enumerate() {
+            if let Step::Run(chip) = *step {
+                lane(&mut state.lanes[chip]).queue.push(request);
+            }
+        }
+        state.steps = steps;
+        state.busy.clear();
+        let lanes = state.lanes.iter_mut().map(lane).enumerate();
+        let busy = lanes.filter_map(|(chip, lane)| (!lane.queue.is_empty()).then_some(chip));
+        state.busy.extend(busy);
+        state.epoch = Some(Instant::now());
+        state.busy.len()
+    }
+
+    /// The task: drain busy chip `task`'s queue on `chip(id)`.
+    pub(crate) fn drain<'c, K: Chip + ?Sized + 'c>(
+        &self,
+        task: usize,
+        chip: impl FnOnce(usize) -> &'c K,
+    ) {
+        let state = self.read();
+        let id = state.busy[task];
+        let chip = chip(id);
+        let epoch = state.epoch.expect("a loaded round has a clock");
+        let release = |request: usize| state.releases.get(request).copied().unwrap_or_default();
+        let mut guard = state.lanes[id]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let Lane {
+            queue,
+            runs,
+            batches,
+        } = &mut *guard;
+        let mut i = 0;
         while i < queue.len() {
             let mut now = epoch.elapsed();
             if release(queue[i]) > now {
@@ -662,13 +779,14 @@ fn execute<K: Chip, I: AsRef<[f64]> + Sync>(
             while j < queue.len() && release(queue[j]) <= now {
                 j += 1;
             }
-            batches += 1;
+            *batches += 1;
             for &request in &queue[i..j] {
-                let input = inputs[request].as_ref();
+                let (from, to) = state.spans[request];
+                let input = &state.values[from..to];
                 let start = epoch.elapsed();
-                let output = catch_unwind(AssertUnwindSafe(|| chips[chip].infer(input)));
+                let output = catch_unwind(AssertUnwindSafe(|| chip.infer(input)));
                 let done = epoch.elapsed();
-                ran.push(Ran {
+                runs.push(Ran {
                     output,
                     start,
                     done,
@@ -676,47 +794,51 @@ fn execute<K: Chip, I: AsRef<[f64]> + Sync>(
             }
             i = j;
         }
-        (ran, batches)
-    });
-    let wall = epoch.elapsed();
-    let per_chip = drained
-        .iter()
-        .map(|(ran, batches)| {
-            let failures = ran.iter().filter(|r| r.output.is_err()).count();
-            let busy = ran.iter().map(|r| r.done - r.start).sum();
-            (ran.len(), *batches, failures, busy)
-        })
-        .collect();
-    // Each chip's queue is in request order, so a request's run is the
-    // next unclaimed entry of its chip's log.
-    let mut logs: Vec<_> = drained
-        .into_iter()
-        .map(|(ran, _)| ran.into_iter())
-        .collect();
-    let ran = steps
-        .iter()
-        .map(|step| match *step {
-            Step::Run(chip) => logs[chip].next(),
-            Step::Shed { .. } => None,
-        })
-        .collect();
-    (ran, per_chip, wall)
-}
+    }
 
-/// Execute a frame's plan over `chips` (a pool's, or a fleet's) and fold
-/// it into one item per request, in request order, plus the payload of
-/// the first contained chip panic (the streaming entry points re-raise it).
-pub(crate) fn execute_frame<K: Chip, I: AsRef<[f64]> + Sync>(
-    chips: &[K],
-    steps: Vec<Step>,
-    inputs: &[I],
-) -> (Vec<BatchItem>, Option<Panic>) {
-    let (ran, ..) = execute(chips, &steps, inputs, None);
-    let mut panic = None;
-    let items = steps
-        .into_iter()
-        .zip(ran)
-        .map(|(step, ran)| match step {
+    /// Drain the loaded round on a crew that lives for this call: one
+    /// thread per busy chip, the caller among them, so one busy chip
+    /// runs inline and no chip's release waits delay another's requests.
+    pub(crate) fn run_here<'c, K: Chip + ?Sized + 'c>(&self, chip: impl Fn(usize) -> &'c K + Sync) {
+        let tasks = self.read().busy.len();
+        // `ThreadPool::new(0)` means "auto", hence the floor of one.
+        ThreadPool::new(tasks.max(1))
+            .crew(|_, task| self.drain(task, &chip), |crew| crew.run(0, tasks));
+    }
+
+    /// Per lane `(runs, batches, failures, busy time)`, and the wall time
+    /// since the round's clock started.
+    fn chip_runs(&self) -> (Vec<ChipRun>, Duration) {
+        let mut state = self.write();
+        let wall = state.epoch.map_or(Duration::ZERO, |epoch| epoch.elapsed());
+        let stats = |lane: &mut Lane| {
+            let failures = lane.runs.iter().filter(|r| r.output.is_err()).count();
+            let busy = lane.runs.iter().map(|r| r.done - r.start).sum();
+            (lane.runs.len(), lane.batches, failures, busy)
+        };
+        (state.lanes.iter_mut().map(lane).map(stats).collect(), wall)
+    }
+
+    /// Fold the drained round in request order: `f` gets each step and
+    /// its run (`None` when shed). Consumes the runs.
+    fn fold<T>(&self, mut f: impl FnMut(Step, Option<Ran>) -> T) -> Vec<T> {
+        let mut state = self.write();
+        let RoundState { steps, lanes, .. } = &mut *state;
+        // Each chip's queue is in request order, so a request's run is the
+        // next unclaimed entry of its chip's log: pop them off reversed.
+        lanes.iter_mut().for_each(|l| lane(l).runs.reverse());
+        let mut ran = |step| match step {
+            Step::Run(chip) => lane(&mut lanes[chip]).runs.pop(),
+            Step::Shed { .. } => None,
+        };
+        steps.iter().map(|&step| f(step, ran(step))).collect()
+    }
+
+    /// One item per request, in request order, plus the payload of the
+    /// first contained chip panic (the streaming entry points re-raise it).
+    pub(crate) fn items(&self) -> (Vec<BatchItem>, Option<Panic>) {
+        let mut panic = None;
+        let items = self.fold(|step, ran| match step {
             Step::Shed {
                 chip,
                 estimated_wait_secs,
@@ -738,9 +860,9 @@ pub(crate) fn execute_frame<K: Chip, I: AsRef<[f64]> + Sync>(
                     }
                 }
             }
-        })
-        .collect();
-    (items, panic)
+        });
+        (items, panic)
+    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use health::{EjectReason, HealthPolicy, PoolHealth, Transition};
 
 use crate::chip::Chip;
 use crate::engine::{
-    execute_frame, into_offer, into_served, BatchItem, Engine, Offer, Panic, Served, Session,
+    into_offer, into_served, BatchItem, Engine, Offer, Panic, Round, Served, Session, Step,
 };
 
 /// Fleet-wide knobs.
@@ -263,6 +263,12 @@ impl<C: Chip> Fleet<C> {
         )
     }
 
+    /// The chip with global id `chip`.
+    pub(crate) fn chip(&self, chip: usize) -> &C {
+        let slot = &self.pools[self.pool_of_chip(chip)];
+        &slot.engine.pool().chips()[chip - slot.chip_offset]
+    }
+
     /// The pool that owns global chip id `chip`.
     ///
     /// # Panics
@@ -434,19 +440,17 @@ impl<C: Chip> Fleet<C> {
         }
     }
 
-    /// The session's replica set, which cannot change under `&self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no pool is healthy.
-    fn session_replicas(&self, session: &FleetSession) -> Vec<usize> {
+    /// The session's replica set, which cannot change under `&self`, or
+    /// the in-band message when no pool is healthy.
+    fn session_replicas(&self, session: &FleetSession) -> Result<Vec<usize>, String> {
         let replicas = self.ranked(session.key);
-        assert!(
-            !replicas.is_empty(),
-            "no healthy pool to serve workload '{}'",
-            session.key_name
-        );
-        replicas
+        if replicas.is_empty() {
+            return Err(format!(
+                "no healthy pool to serve workload '{}'",
+                session.key_name
+            ));
+        }
+        Ok(replicas)
     }
 
     /// The pool the session's next request will land on. Pure function
@@ -457,7 +461,9 @@ impl<C: Chip> Fleet<C> {
     /// Panics if no pool is healthy.
     #[must_use]
     pub fn next_pool(&self, session: &FleetSession) -> usize {
-        let replicas = self.session_replicas(session);
+        let replicas = self
+            .session_replicas(session)
+            .unwrap_or_else(|e| panic!("{e}"));
         replicas[(session.sequence % replicas.len() as u64) as usize]
     }
 
@@ -503,22 +509,60 @@ impl<C: Chip> Fleet<C> {
         self.serve_frame(session, inputs, arrival_secs).0
     }
 
-    /// Route `inputs` across the replica set, plan each pool's share (in
-    /// request order) on that pool's session, shift the steps to global
-    /// chip ids — the one place fleet chip ids are made — and run the
-    /// whole frame as one executor round over every pool's chips.
-    fn serve_frame<I: AsRef<[f64]> + Sync>(
+    /// Plan `inputs` and run them as one [`Round`] on a crew that lives
+    /// for the call ([`Round::run_here`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pool is healthy.
+    fn serve_frame<I: AsRef<[f64]>>(
         &self,
         session: &mut FleetSession,
         inputs: &[I],
         arrival: Option<f64>,
     ) -> (Vec<BatchItem>, Option<Panic>) {
-        let replicas = self.session_replicas(session);
+        let round = Round::default();
+        let inputs = inputs.iter().map(AsRef::as_ref);
+        self.serve_round(session, inputs, arrival, &round, |_| {
+            round.run_here(|chip| self.chip(chip));
+        })
+        .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// The body of every fleet serving call: plan `inputs` ([`Fleet::plan`]),
+    /// load the plan into `round`, have `run(tasks)` drain it, and fold the
+    /// items. The error is the in-band message when no pool is healthy;
+    /// nothing is planned or run then.
+    pub(crate) fn serve_round<'a>(
+        &self,
+        session: &mut FleetSession,
+        inputs: impl Iterator<Item = &'a [f64]> + Clone,
+        arrival: Option<f64>,
+        round: &Round,
+        run: impl FnOnce(usize),
+    ) -> Result<(Vec<BatchItem>, Option<Panic>), String> {
+        let steps = self.plan(session, inputs.clone().map(<[f64]>::len), arrival)?;
+        run(round.load(steps, self.total_chips(), inputs, None));
+        Ok(round.items())
+    }
+
+    /// Route requests of the given input lengths across the replica set,
+    /// plan each pool's share (in request order) on that pool's session,
+    /// and shift the steps to global chip ids — the one place fleet chip
+    /// ids are made. The error is the in-band message when no pool is
+    /// healthy; the session is untouched then.
+    fn plan(
+        &self,
+        session: &mut FleetSession,
+        lens: impl Iterator<Item = usize> + Clone,
+        arrival: Option<f64>,
+    ) -> Result<Vec<Step>, String> {
+        let replicas = self.session_replicas(session)?;
         let pool_of: Vec<usize> = (session.sequence..)
-            .take(inputs.len())
-            .map(|n| replicas[(n % replicas.len() as u64) as usize])
+            .zip(lens.clone())
+            .map(|(n, _)| replicas[(n % replicas.len() as u64) as usize])
             .collect();
-        session.sequence += inputs.len() as u64;
+        session.sequence += pool_of.len() as u64;
         // A request's step is the next unclaimed entry of its pool's plan.
         let mut plans: Vec<_> = self
             .pools
@@ -526,24 +570,21 @@ impl<C: Chip> Fleet<C> {
             .zip(&mut session.sessions)
             .enumerate()
             .map(|(pool, (slot, pool_session))| {
-                let share = pool_of.iter().zip(inputs).filter(|&(&p, _)| p == pool);
-                let share = share.map(|(_, x)| (x.as_ref().len(), arrival));
+                let share = pool_of
+                    .iter()
+                    .zip(lens.clone())
+                    .filter(|&(&p, _)| p == pool);
+                let share = share.map(|(_, len)| (len, arrival));
                 slot.engine.plan(pool_session, share).into_iter()
             })
             .collect();
-        let steps = pool_of
+        Ok(pool_of
             .iter()
             .map(|&pool| {
                 let step = plans[pool].next().expect("one step per routed request");
                 step.offset(self.pools[pool].chip_offset)
             })
-            .collect();
-        let chips: Vec<&C> = self
-            .pools
-            .iter()
-            .flat_map(|slot| slot.engine.pool().chips())
-            .collect();
-        execute_frame(&chips, steps, inputs)
+            .collect())
     }
 
     /// Record a measured capacity point for [`Fleet::pools_for`].

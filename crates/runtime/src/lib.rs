@@ -14,9 +14,10 @@
 //!   completes, and the lowest-indexed panic is re-raised in the caller.
 //! * [`Crew`] — the runtime's one scheduler, a persistent fork-join crew
 //!   ([`ThreadPool::crew`]): workers spawn once and then execute any
-//!   number of dispatched rounds of the same borrowed task closure, so an
-//!   iterative hot loop (the trainer's per-mini-batch shards) pays a
-//!   condvar wake per round instead of a thread spawn.
+//!   number of dispatched rounds of the same borrowed task closure, so a
+//!   hot loop (the trainer's per-mini-batch shards, an event-server
+//!   worker's frames) pays a condvar wake per round instead of a thread
+//!   spawn.
 //! * [`ChipPool`] — N independently manufactured [`Chip`] instances, each
 //!   with its own `(root_seed, chip_index)`-derived write-noise draw.
 //! * [`Engine`] — the serving stack over one pool: a [`PlacementPolicy`]
@@ -25,8 +26,11 @@
 //!   [`CostModel::calibrate`]d from measured per-chip inference times).
 //!   Every serving call is one pure `Engine::plan` — the placement and
 //!   admission fold over a [`Session`] — followed by one executor round
-//!   per frame (a [`Crew`] round) that owns the per-chip queues,
-//!   coalescing, arrival waits and the `catch_unwind` around `Chip::infer`.
+//!   per frame (a [`Crew`] round, a thread per busy chip) that owns the
+//!   per-chip queues, coalescing, arrival waits and the `catch_unwind`
+//!   around `Chip::infer`. An event-server worker runs every frame on
+//!   one crew that lives as long as the worker; in-process calls use a
+//!   crew per call.
 //! * [`net`] — a hermetic `std::net` TCP front-end: the event-driven
 //!   [`net::EventServer`] speaks pipelined binary frames (v2, via
 //!   [`net::ClientV2`]) and falls back to text lines (v1, via

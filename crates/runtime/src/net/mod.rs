@@ -67,9 +67,10 @@
 //! payload is the concatenated input vectors (`dim` implied by the
 //! workload), and the matching response frame answers every request in
 //! order. A pipelining client keeps several frames in flight and a
-//! single connection saturates the whole fleet
-//! ([`Fleet::serve_session_batch`] runs the batch as one executor round
-//! over every pool's chips).
+//! single connection saturates the whole fleet: the server runs each
+//! batch as one executor round over every pool's chips, on the serving
+//! worker's long-lived crew (in process, [`Fleet::serve_session_batch`]
+//! runs the same round on a crew that lives for the call).
 //! Malformed frame *bodies* get an in-band error frame and the
 //! connection keeps serving; an oversized frame length gets an error
 //! frame and a close (the stream can no longer be framed) — sibling
@@ -304,7 +305,10 @@ impl NetWorkload {
     }
 
     /// Serve a batch through the session, results in request order: the
-    /// path both wire protocols take (a v1 line is a one-request batch).
+    /// in-process twin of what the server does for both wire protocols (a
+    /// v1 line is a one-request batch), with the same items. The server
+    /// runs the round on its worker's crew; this call builds one for the
+    /// call.
     ///
     /// # Panics
     ///

@@ -18,7 +18,8 @@
 //!            │ collect results → per-conn write buffers      │◀── done queue
 //!            │ flush (nonblocking)                           │
 //!            └───────────────────────────────────────────────┘
-//!                                  workers (fixed pool) ──▶ Fleet
+//!             worker (fixed pool) ──▶ Fleet plan ──▶ Round ──▶ Crew::run
+//!               └─ its crew: max-chips − 1 helpers, asleep between frames
 //! ```
 //!
 //! The scan is a level-triggered readiness loop over nonblocking
@@ -33,6 +34,19 @@
 //! [`ConnMachine`], job serialization, the worker pool) is
 //! readiness-agnostic.
 //!
+//! ## The workers
+//!
+//! Each worker runs its job loop inside one [`Crew`] that lives as long
+//! as the worker, sized to the largest registered fleet's chip count. A
+//! job's requests are planned by the workload's fleet (routing,
+//! placement, admission) and loaded into the worker's executor round — the
+//! busy chips' queues and the inputs, a v2 frame's flat payload copied in
+//! — and the frame runs as one [`Crew::run`] over its busy chips, each on
+//! a thread of its own, the worker among them. No thread starts per
+//! frame, and a one-chip round (every v1 line) runs on the worker without
+//! waking a helper. The server therefore runs at most
+//! `1 + workers × max chips` threads (see [`EventServerConfig::workers`]).
+//!
 //! ## Determinism
 //!
 //! Each connection's requests are serialized: one job (a v1 line or a
@@ -41,11 +55,13 @@
 //! back in request order and the chip sequence is a pure function of the
 //! connection's own request sequence — independent of the worker count,
 //! asserted in `tests/serving_engine.rs`. Both protocols serve through
-//! [`NetWorkload::serve_batch`] (a v1 line is a one-request batch), so a
-//! chip panic is contained and answered in band on either. Any other
-//! panic while a worker runs a job (a fleet with no healthy pool, say)
-//! is caught around the whole job and answered in band too (`err` line
-//! or error frame), and the sessions go back to the connection.
+//! the same round (a v1 line is a one-request batch), with the same items
+//! as the in-process [`NetWorkload::serve_batch`], so a chip panic is
+//! contained and answered in band on either. A fleet with no healthy pool
+//! is answered in band without unwinding (`err` line or error frame, the
+//! planner's message); any other panic while a worker runs a job is
+//! caught around the whole job and answered the same way, and the
+//! sessions go back to the connection.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -62,7 +78,9 @@ use super::conn::{ConnEvent, ConnMachine, ConnMode};
 use super::frame::{self, Frame, ItemResponse, RequestFrame, ResponseFrame};
 use super::WorkloadSession;
 use super::{format_csv, parse_request, NetWorkload, Response, DEFAULT_MAX_LINE_BYTES};
-use crate::engine::BatchItem;
+use crate::crew::Crew;
+use crate::engine::{BatchItem, Round};
+use crate::pool::ThreadPool;
 
 /// Per-connection cap on decoded-but-unserved jobs; past this the loop
 /// stops reading that socket (TCP backpressure), which only *delays*
@@ -79,7 +97,11 @@ const EVENT_IDLE_SLEEP: Duration = Duration::from_micros(500);
 /// Event server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EventServerConfig {
-    /// Worker threads serving decoded jobs. The connection count is
+    /// Worker threads serving decoded jobs. Each keeps an executor crew
+    /// sized to the largest registered fleet's chip count
+    /// ([`Fleet::total_chips`](crate::Fleet::total_chips)) for its whole
+    /// life, so the server runs at most `1 + workers × max chips` threads:
+    /// the event thread plus every worker's crew. The connection count is
     /// unbounded by threads — idle connections cost a slab slot, not a
     /// thread.
     pub workers: usize,
@@ -210,31 +232,7 @@ impl EventServer {
                 let work_rx = Arc::clone(&work_rx);
                 let done_tx = done_tx.clone();
                 let workloads = Arc::clone(&workloads);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let guard = work_rx.lock().expect("work queue");
-                        guard.recv()
-                    };
-                    let Ok(mut job) = job else {
-                        return; // sender dropped: server shut down
-                    };
-                    let bytes = catch_unwind(AssertUnwindSafe(|| {
-                        run_job(&job.kind, &workloads, &mut job.sessions)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let v2 = matches!(job.kind, JobKind::V2Batch { .. });
-                        error_reply(v2, panic_message(&*payload))
-                    });
-                    let done = Done {
-                        slot: job.slot,
-                        generation: job.generation,
-                        sessions: job.sessions,
-                        bytes,
-                    };
-                    if done_tx.send(done).is_err() {
-                        return; // event loop gone
-                    }
-                })
+                std::thread::spawn(move || worker(&workloads, &work_rx, &done_tx))
             })
             .collect();
         drop(done_tx);
@@ -282,6 +280,80 @@ impl EventServer {
     }
 }
 
+/// A worker thread's life: one executor crew, sized to the largest
+/// registered fleet, standing by for the whole job loop. Each served
+/// batch is one [`Crew::run`] over its busy chips, reading the frame the
+/// worker loaded into its [`Round`]; the round's `arg` is the workload
+/// index, so the task finds each chip by workload and global chip id.
+fn worker(
+    workloads: &[NetWorkload],
+    work_rx: &Mutex<mpsc::Receiver<Job>>,
+    done_tx: &mpsc::Sender<Done>,
+) {
+    // `bind` registers at least one workload, and every pool has a chip.
+    let max_chips = workloads.iter().map(|w| w.fleet.total_chips()).max();
+    let round = Round::default();
+    ThreadPool::new(max_chips.unwrap_or(1)).crew(
+        |workload, task| round.drain(task, |chip| workloads[workload].fleet.chip(chip)),
+        |crew| loop {
+            let job = {
+                let guard = work_rx.lock().expect("work queue");
+                guard.recv()
+            };
+            let Ok(mut job) = job else {
+                return; // sender dropped: server shut down
+            };
+            let executor = Executor {
+                workloads,
+                round: &round,
+                crew,
+            };
+            let bytes = catch_unwind(AssertUnwindSafe(|| {
+                run_job(&job.kind, &mut job.sessions, &executor)
+            }))
+            .unwrap_or_else(|payload| {
+                let v2 = matches!(job.kind, JobKind::V2Batch { .. });
+                error_reply(v2, panic_message(&*payload))
+            });
+            let done = Done {
+                slot: job.slot,
+                generation: job.generation,
+                sessions: job.sessions,
+                bytes,
+            };
+            if done_tx.send(done).is_err() {
+                return; // event loop gone
+            }
+        },
+    );
+}
+
+/// A worker's executor: the registered workloads, the round it loads
+/// frames into, and the crew that drains them.
+struct Executor<'a, 'c> {
+    workloads: &'a [NetWorkload],
+    round: &'a Round,
+    crew: &'a Crew<'c>,
+}
+
+impl Executor<'_, '_> {
+    /// Serve `inputs` through workload `index`'s fleet as one crew round.
+    /// The error is the in-band message when no pool of the fleet is
+    /// healthy; nothing unwinds on that path.
+    fn serve<'a>(
+        &self,
+        index: usize,
+        session: &mut WorkloadSession,
+        inputs: impl Iterator<Item = &'a [f64]> + Clone,
+        arrival: f64,
+    ) -> Result<Vec<BatchItem>, String> {
+        let run = |tasks| self.crew.run(index, tasks);
+        let fleet = &self.workloads[index].fleet;
+        let (items, _) = fleet.serve_round(session, inputs, Some(arrival), self.round, run)?;
+        Ok(items)
+    }
+}
+
 /// An in-band error answer in the connection's protocol: an error frame
 /// on v2, an `err` line otherwise.
 fn error_reply(v2: bool, message: String) -> Vec<u8> {
@@ -303,26 +375,32 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Execute one job against the connection's sessions.
-fn run_job(kind: &JobKind, workloads: &[NetWorkload], sessions: &mut [WorkloadSession]) -> Vec<u8> {
+fn run_job(
+    kind: &JobKind,
+    sessions: &mut [WorkloadSession],
+    executor: &Executor<'_, '_>,
+) -> Vec<u8> {
     match kind {
         JobKind::Reply(bytes) => bytes.clone(),
         JobKind::V1Line { line, arrival } => {
-            let response = match parse_request(line, workloads) {
+            let response = match parse_request(line, executor.workloads) {
                 Ok((index, input)) => {
-                    let inputs = std::slice::from_ref(&input);
-                    let mut items =
-                        workloads[index].serve_batch(&mut sessions[index], inputs, Some(*arrival));
-                    match items.pop().expect("one request, one item") {
-                        BatchItem::Served(served) => Response::Ok {
-                            chip: served.chip,
-                            latency_us: served.latency.as_micros(),
-                            output: served.output,
+                    let session = &mut sessions[index];
+                    let input = std::iter::once(input.as_slice());
+                    match executor.serve(index, session, input, *arrival) {
+                        Ok(mut items) => match items.pop().expect("one request, one item") {
+                            BatchItem::Served(served) => Response::Ok {
+                                chip: served.chip,
+                                latency_us: served.latency.as_micros(),
+                                output: served.output,
+                            },
+                            // Fixed text: the bytes carry no measurement.
+                            BatchItem::Shed { .. } => Response::Error("overloaded".to_string()),
+                            BatchItem::Failed { chip } => {
+                                Response::Error(format!("chip {chip} failed"))
+                            }
                         },
-                        // Fixed text: the bytes carry no measurement.
-                        BatchItem::Shed { .. } => Response::Error("overloaded".to_string()),
-                        BatchItem::Failed { chip } => {
-                            Response::Error(format!("chip {chip} failed"))
-                        }
+                        Err(message) => Response::Error(message),
                     }
                 }
                 Err(response) => response,
@@ -330,23 +408,23 @@ fn run_job(kind: &JobKind, workloads: &[NetWorkload], sessions: &mut [WorkloadSe
             response.line_bytes()
         }
         JobKind::V2Batch { frame, arrival } => {
-            serve_frame(frame, *arrival, workloads, sessions).encode()
+            serve_frame(frame, *arrival, sessions, executor).encode()
         }
     }
 }
 
-/// Serve one v2 request batch: workload lookup, arity check, then
-/// [`NetWorkload::serve_batch`] over the whole batch. The arrival stamp
-/// (taken at frame decode) rides into the session's admission gate when
-/// one is configured.
+/// Serve one v2 request batch: workload lookup, arity check, then one
+/// executor round over the whole batch, read straight from the frame's
+/// flat payload. The arrival stamp (taken at frame decode) rides into the
+/// session's admission gate when one is configured.
 fn serve_frame(
     request: &RequestFrame,
     arrival: f64,
-    workloads: &[NetWorkload],
     sessions: &mut [WorkloadSession],
+    executor: &Executor<'_, '_>,
 ) -> Frame {
     let index = usize::from(request.workload);
-    let Some(workload) = workloads.get(index) else {
+    let Some(workload) = executor.workloads.get(index) else {
         return Frame::Error(format!("unknown workload id {}", request.workload));
     };
     let dim = request.dim().expect("decoder guarantees divisibility");
@@ -361,8 +439,11 @@ fn serve_frame(
             items: vec![ItemResponse::Err(message); request.count as usize],
         });
     }
-    let inputs = request.inputs();
-    let items = workload.serve_batch(&mut sessions[index], &inputs, Some(arrival));
+    let inputs = request.values.chunks(dim);
+    let items = match executor.serve(index, &mut sessions[index], inputs, arrival) {
+        Ok(items) => items,
+        Err(message) => return Frame::Error(message),
+    };
     let items = items
         .into_iter()
         .map(|item| match item {

@@ -13,6 +13,9 @@
 //! Latency fields are explicitly *outside* the determinism contract —
 //! only chip ids and output bits are compared.
 
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use mei::{manufacture_boxed_engine, manufacture_chips, MeiConfig, MeiRcs};
@@ -23,7 +26,10 @@ use runtime::net::frame::ItemResponse;
 use runtime::net::{
     format_csv, Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response,
 };
-use runtime::{AdmissionConfig, Chip, ChipPool, DriftProfile, DriftingChip, Engine};
+use runtime::{
+    AdmissionConfig, Chip, ChipPool, DriftProfile, DriftingChip, Engine, Fleet, FleetConfig,
+    RoundRobin,
+};
 
 const ROOT_SEED: u64 = 42;
 const CHIPS: usize = 3;
@@ -535,4 +541,86 @@ fn batch_and_streaming_assignments_agree_end_to_end() {
     seen.sort_unstable();
     seen.dedup();
     assert!(seen.len() > 1, "a {CHIPS}-chip pool must use several chips");
+}
+
+/// The threads that ran `infer`, and the running count of `infer` calls.
+#[derive(Default)]
+struct Census {
+    state: Mutex<(HashSet<ThreadId>, usize)>,
+    arrived: Condvar,
+}
+
+/// A chip that records which thread runs it, then waits (5 s deadline)
+/// until the running call count reaches the next multiple of four: every
+/// four-request frame needs four chips inside `infer` at once.
+struct CensusChip(Arc<Census>);
+
+impl Chip for CensusChip {
+    fn infer(&self, input: &[f64]) -> Vec<f64> {
+        let census = &*self.0;
+        let mut state = census.state.lock().expect("census");
+        state.0.insert(std::thread::current().id());
+        state.1 += 1;
+        let target = state.1.next_multiple_of(4);
+        census.arrived.notify_all();
+        let (_state, wait) = census
+            .arrived
+            .wait_timeout_while(state, Duration::from_secs(5), |s| s.1 < target)
+            .expect("census");
+        assert!(
+            !wait.timed_out(),
+            "four chips were not inside infer at once"
+        );
+        input.to_vec()
+    }
+}
+
+#[test]
+fn event_workers_reuse_one_executor_crew() {
+    const FRAMES: usize = 50;
+    let census = Arc::new(Census::default());
+    let pool = || {
+        let chips: Vec<Box<dyn Chip>> = (0..2)
+            .map(|_| Box::new(CensusChip(Arc::clone(&census))) as Box<dyn Chip>)
+            .collect();
+        Engine::new(ChipPool::from_chips(chips)).with_policy(RoundRobin)
+    };
+    // 2 pools × 2 chips, R = 2, round-robin: a four-request frame lands
+    // on all four chips.
+    let fleet = Fleet::new(
+        vec![pool(), pool()],
+        FleetConfig::new(42).with_replication(2),
+    );
+    let total_chips = fleet.total_chips();
+    let config = EventServerConfig::default();
+    let workers = config.workers;
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        vec![NetWorkload::fleet("w", 1, fleet)],
+        config,
+    )
+    .expect("bind event server");
+    let mut client = ClientV2::connect(server.addr()).expect("negotiate v2");
+    let inputs: Vec<Vec<f64>> = (0..4).map(|i| vec![f64::from(i)]).collect();
+    for frame in 0..FRAMES {
+        let items = client.request_batch("w", &inputs).expect("round trip");
+        assert_eq!(items.len(), inputs.len(), "frame {frame}");
+        for item in &items {
+            assert!(
+                matches!(item, ItemResponse::Ok { .. }),
+                "frame {frame}: {item:?}"
+            );
+        }
+    }
+    drop(client);
+    server.shutdown();
+    let (threads, calls) = &*census.state.lock().expect("census");
+    assert_eq!(*calls, FRAMES * inputs.len());
+    // Each worker's crew serves every frame it takes: no thread is
+    // started per frame.
+    assert!(
+        threads.len() <= workers * total_chips,
+        "{} threads ran infer, more than {workers} workers × {total_chips} chips",
+        threads.len()
+    );
 }
