@@ -11,7 +11,7 @@
 
 use crossbar::ir_drop::attenuation;
 use crossbar::{CrossbarArray, IrDropConfig};
-use mei::{MeiConfig, MeiRcs};
+use mei::{AnalogWorkspace, Drive, MeiConfig, MeiRcs};
 use mei_bench::{format_table, pct, ExperimentConfig};
 use neural::dataset_mse;
 use rram::DeviceParams;
@@ -71,10 +71,16 @@ fn main() {
     .expect("MEI training");
 
     println!("== End-to-end MEI accuracy on Sobel under IR drop ==\n");
+    let mut ws = AnalogWorkspace::new();
     let mut rows = Vec::new();
     for &r_wire in &[0.0, 1.0, 2.5, 10.0, 25.0] {
         let ir = IrDropConfig::with_wire_resistance(r_wire);
-        let mse = dataset_mse(|x| rcs.infer_ir(x, &ir).expect("validated input"), &test);
+        let infer = |x: &[f64]| {
+            let bits = rcs.input_spec().encode(x);
+            let out = rcs.infer_bits_driven(&bits, &mut Drive::IrDrop(&ir), &mut ws);
+            rcs.output_spec().decode(&out.expect("validated input"))
+        };
+        let mse = dataset_mse(infer, &test);
         rows.push(vec![format!("{r_wire:.1} Ω"), format!("{mse:.5}")]);
     }
     println!("{}", format_table(&["wire resistance", "test MSE"], &rows));

@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use crossbar::{direct_conv, TiledConv};
-use mei::{argmax, manufacture_engine, manufacture_fleet, CnnConfig, CnnRcs, Rcs};
+use mei::{argmax, manufacture_chips, manufacture_fleet, CnnConfig, CnnRcs, Rcs};
 use mei_bench::{
     fast_mode, format_table, measure_window, ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
@@ -235,7 +235,8 @@ fn main() {
     );
 
     // -- Phase 3: measured serving throughput (reported, not asserted). --
-    let engine = manufacture_engine(&cnn, CHIPS, EXPERIMENT_WRITE_SIGMA, cfg.seed);
+    let chips = || manufacture_chips(&cnn, CHIPS, EXPERIMENT_WRITE_SIGMA, cfg.seed);
+    let engine = Engine::new(chips());
     let sheet = Chip::cost_sheet(&cnn).expect("CNN chips are accounted");
     let batch = requests(test.inputs(), if fast { 32 } else { 128 });
     let start = Instant::now();
@@ -257,7 +258,7 @@ fn main() {
     let batch_len = if fast { 40 } else { 120 };
     let preage = if fast { 60 } else { 300 };
     let build = |policy_rr: bool| {
-        let mut engine = manufacture_engine(&cnn, CHIPS, EXPERIMENT_WRITE_SIGMA, cfg.seed);
+        let mut engine = Engine::new(chips());
         if policy_rr {
             engine = engine.with_policy(RoundRobin);
         }

@@ -39,7 +39,7 @@
 
 use std::time::Duration;
 
-use mei::{manufacture_drifting_engine, manufacture_engine, MeiRcs};
+use mei::{manufacture_chips, manufacture_drifting_engine, MeiRcs};
 use mei_bench::ramp::{ramp_to_knee, RampConfig};
 use mei_bench::{
     closed_rate, fast_mode, format_table, measure_window, open_phase, schedule, serving_mei,
@@ -176,7 +176,8 @@ fn main() {
     );
 
     // -- Phase 2: knee-calibrated admission on a healthy pool. --
-    let engine = manufacture_engine(&mei, CHIPS, EXPERIMENT_WRITE_SIGMA, cfg.seed);
+    let chips = || manufacture_chips(&mei, CHIPS, EXPERIMENT_WRITE_SIGMA, cfg.seed);
+    let engine = Engine::new(chips());
     let closed = closed_rate(&engine, &inputs, window);
     let ramp_config = RampConfig {
         start_rps: (closed * 0.15).max(10.0),
@@ -217,8 +218,7 @@ fn main() {
 
     // The gate simulates queueing in virtual time, so these two checks
     // are pure functions of (rate, config) and hold on any host.
-    let gated =
-        manufacture_engine(&mei, CHIPS, EXPERIMENT_WRITE_SIGMA, cfg.seed).with_admission(admit);
+    let gated = Engine::new(chips()).with_admission(admit);
     let under_rate = knee_rps * 0.5;
     let over_rate = knee_rps * 1.5;
     let under = gated_phase(&gated, &inputs, under_rate, window);

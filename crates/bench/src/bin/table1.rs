@@ -5,7 +5,7 @@
 //! the LSB-pruning pass, and the Eq (6)/(7) area & power savings.
 //!
 //! Run with: `cargo run --release -p mei-bench --bin table1`
-//! (set `MEI_BENCH_QUICK=1` for a fast smoke run)
+//! (set `MEI_BENCH_FAST=1` for a smoke run)
 
 use interface::cost::{AddaTopology, CostModel};
 use mei::prune::prune_to_requirement;

@@ -29,8 +29,8 @@
 //! "chips". Without such noise the behavioural analog path is *exact* and
 //! the AD/DA baseline becomes unrealistically strong (see DESIGN.md).
 //!
-//! Set `MEI_BENCH_QUICK=1` to shrink every training budget ~4× for smoke
-//! runs.
+//! Set `MEI_BENCH_FAST=1` for smoke runs: it shrinks every training budget
+//! ~4× here and the serving benches' windows and training.
 //!
 //! Every numeric knob (`MEI_THREADS`, `MEI_BENCH_SECONDS`,
 //! `MEI_BENCH_MIN_SPEEDUP`, …) is parsed through [`prng::env`]: an unset
@@ -64,7 +64,7 @@ pub const EXPERIMENT_WRITE_SIGMA: f64 = 0.02;
 /// Budgets and seeds shared by every reproduction binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
-    /// Training-set size (halved twice in quick mode).
+    /// Training-set size (quartered in fast mode).
     pub train_samples: usize,
     /// Test-set size.
     pub test_samples: usize,
@@ -84,14 +84,11 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The default budgets, honouring `MEI_BENCH_QUICK=1`.
+    /// The default budgets, shrunk in [`fast_mode`].
     #[must_use]
     pub fn from_env() -> Self {
-        let quick = std::env::var("MEI_BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
         let threads = prng::env::parse_or("MEI_THREADS", 0);
-        if quick {
+        if fast_mode() {
             Self {
                 train_samples: 1_500,
                 test_samples: 300,
@@ -370,9 +367,7 @@ where
 /// Whether `MEI_BENCH_FAST=1` smoke mode is on.
 #[must_use]
 pub fn fast_mode() -> bool {
-    std::env::var("MEI_BENCH_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    std::env::var("MEI_BENCH_FAST").is_ok_and(|v| v == "1")
 }
 
 /// The per-phase measurement window: `MEI_BENCH_SECONDS` when set and
@@ -481,13 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn quick_config_is_smaller() {
-        std::env::set_var("MEI_BENCH_QUICK", "1");
-        let quick = ExperimentConfig::from_env();
-        std::env::remove_var("MEI_BENCH_QUICK");
+    fn fast_config_is_smaller() {
+        std::env::set_var("MEI_BENCH_FAST", "1");
+        let fast = ExperimentConfig::from_env();
+        std::env::remove_var("MEI_BENCH_FAST");
         let full = ExperimentConfig::from_env();
-        assert!(quick.train_samples < full.train_samples);
-        assert!(quick.mei_epochs < full.mei_epochs);
+        assert!(fast.train_samples < full.train_samples);
+        assert!(fast.mei_epochs < full.mei_epochs);
     }
 
     #[test]

@@ -84,9 +84,7 @@ impl Runner {
     /// A new suite named `suite` (used in the report header).
     #[must_use]
     pub fn new(suite: &str) -> Self {
-        let fast = std::env::var("MEI_BENCH_FAST")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+        let fast = crate::fast_mode();
         Self {
             suite: suite.to_string(),
             reports: Vec::new(),

@@ -1,4 +1,8 @@
 //! The traditional RCS: analog crossbar network behind B-bit AD/DAs.
+//!
+//! One inference body takes the pass's [`Drive`] as an argument:
+//! [`AddaRcs::infer`] and `Chip::infer` run it ideal, `Rcs::predict_noisy`
+//! under signal fluctuation.
 
 use std::fmt;
 
@@ -6,11 +10,11 @@ use crossbar::{MappingConfig, SignalFluctuation};
 use interface::cost::AddaTopology;
 use interface::{quantize_fraction, CostModel, Throughput};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::{Rng, RngCore};
+use prng::RngCore;
 use rram::{DeviceParams, VariationModel};
 use runtime::{Chip, ChipCostSheet};
 
-use crate::analog::{AnalogMlp, AnalogWorkspace};
+use crate::analog::{AnalogMlp, AnalogWorkspace, Drive};
 use crate::error::{InferError, TrainRcsError};
 use crate::eval::Rcs;
 
@@ -143,41 +147,19 @@ impl AddaRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_with(x, &mut AnalogWorkspace::new())
+        self.infer_driven(x, &mut Drive::Ideal, &mut AnalogWorkspace::new())
     }
 
-    /// [`infer`](Self::infer) against a caller-owned workspace — the body
-    /// [`Chip::infer`] runs on its thread's workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Result<Vec<f64>, InferError> {
-        self.through_converters(x, |dac| self.analog.forward_with(dac, ws))
-    }
-
-    /// Inference with signal fluctuation on every analog voltage (the DAC
-    /// outputs and all inter-layer signals). Process variation is a device
-    /// state change — apply it with [`disturb`](Self::disturb) first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_noisy<R: Rng + ?Sized>(
+    /// The inference body: check `x`, DAC-quantize it, run the analog
+    /// network under `drive`, ADC-quantize the output. Under
+    /// [`Drive::Fluctuating`] every analog voltage fluctuates — the DAC
+    /// outputs and all inter-layer signals. Process variation is a device
+    /// state change: apply it with [`Rcs::disturb`] first.
+    fn infer_driven(
         &self,
         x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, InferError> {
-        self.through_converters(x, |dac| self.analog.forward_noisy(dac, fluctuation, rng))
-    }
-
-    /// The converter wrap of every entry point: check `x`, DAC-quantize
-    /// it, run `forward` on the analog network, ADC-quantize the output.
-    fn through_converters(
-        &self,
-        x: &[f64],
-        forward: impl FnOnce(&[f64]) -> Vec<f64>,
+        drive: &mut Drive<'_>,
+        ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
         if x.len() != self.mlp.input_dim() {
             return Err(InferError::InputLength {
@@ -186,7 +168,7 @@ impl AddaRcs {
             });
         }
         let dac: Vec<f64> = x.iter().map(|&v| quantize_fraction(v, self.bits)).collect();
-        let mut out = forward(&dac);
+        let mut out = self.analog.forward_driven(&dac, drive, ws);
         for v in &mut out {
             *v = quantize_fraction(*v, self.bits);
         }
@@ -202,7 +184,7 @@ impl fmt::Display for AddaRcs {
 
 impl Chip for AddaRcs {
     fn infer(&self, input: &[f64]) -> Vec<f64> {
-        AnalogWorkspace::with_thread(|ws| self.infer_with(input, ws))
+        AnalogWorkspace::with_thread(|ws| self.infer_driven(input, &mut Drive::Ideal, ws))
             .expect("dataset-validated input")
     }
 
@@ -220,7 +202,8 @@ impl Rcs for AddaRcs {
         fluctuation: &SignalFluctuation,
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
-        self.infer_noisy(x, fluctuation, rng)
+        let mut drive = Drive::Fluctuating(fluctuation, rng);
+        AnalogWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
             .expect("dataset-validated input")
     }
 
@@ -237,7 +220,7 @@ impl Rcs for AddaRcs {
 mod tests {
     use super::*;
     use prng::rngs::StdRng;
-    use prng::SeedableRng;
+    use prng::{Rng, SeedableRng};
 
     fn expfit_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -351,9 +334,7 @@ mod tests {
         let rcs = AddaRcs::train(&data, &quick_config()).unwrap();
         let mut rng = StdRng::seed_from_u64(10);
         for _ in 0..20 {
-            let y = rcs
-                .infer_noisy(&[0.5], &SignalFluctuation::new(0.3), &mut rng)
-                .unwrap();
+            let y = rcs.predict_noisy(&[0.5], &SignalFluctuation::new(0.3), &mut rng);
             assert!((0.0..=1.0).contains(&y[0]));
         }
     }

@@ -6,6 +6,11 @@
 //! is applied by the analog peripheral circuit. Process variation disturbs
 //! the programmed devices; signal fluctuation perturbs the voltages entering
 //! each layer.
+//!
+//! One loop, [`AnalogMlp::forward_driven`], runs every forward pass. The
+//! pass's analog condition — ideal, fluctuating signals or resistive
+//! wires — is its [`Drive`] argument, so serving, the §5.3 noise protocol
+//! and the IR-drop ablation cannot drift apart.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -14,10 +19,10 @@ use crossbar::{
     BitInput, DifferentialPair, IrDropConfig, MapWeightsError, MappingConfig, SignalFluctuation,
 };
 use neural::{Activation, Mlp};
-use prng::Rng;
+use prng::{Rng, RngCore};
 use rram::{DeviceParams, VariationModel};
 
-/// Reusable scratch for [`AnalogMlp::forward_with`]: the activation
+/// Reusable scratch for [`AnalogMlp::forward_driven`]: the activation
 /// ping-pong buffers, the minus-array current scratch, and a packed-bit
 /// lane buffer for the interface-bit fast path. One workspace per serving
 /// thread removes every per-call allocation except the returned vector.
@@ -48,6 +53,21 @@ impl AnalogWorkspace {
         }
         WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
     }
+}
+
+/// The analog condition a forward pass runs under — the argument every
+/// inference body takes, so serving, the §5.3 noise protocol and the
+/// IR-drop ablation all run one loop per system.
+pub enum Drive<'a> {
+    /// Noiseless signals on ideal wires: the serving condition.
+    Ideal,
+    /// Lognormal signal fluctuation on the voltages entering every layer
+    /// (the bias port included — it is a physical signal too), drawn from
+    /// the generator in layer order. An ideal fluctuation draws nothing.
+    Fluctuating(&'a SignalFluctuation, &'a mut dyn RngCore),
+    /// Every layer read through the wire-resistance (IR-drop) model — the
+    /// effect the paper defers to future work, made measurable.
+    IrDrop(&'a IrDropConfig),
 }
 
 /// One crossbar-mapped layer: a differential pair over the augmented
@@ -155,29 +175,45 @@ impl AnalogMlp {
 
     /// Ideal forward pass (no noise, current device state).
     ///
-    /// Routes each layer through the bit-packed kernel when its input is an
-    /// exact interface-bit vector (MEI's whole first layer, bias included,
-    /// is 0/1) — bit-identical to the scalar path either way.
-    ///
     /// # Panics
     ///
     /// Panics if `x.len() != input_dim()`.
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut ws = AnalogWorkspace::new();
-        self.forward_with(x, &mut ws)
+        self.forward_with(x, &mut AnalogWorkspace::new())
     }
 
     /// [`forward`](Self::forward) against a caller-owned workspace: the
-    /// serving hot path. Per-layer activation buffers, the minus-array
-    /// current scratch, and the packed-bit lanes all live in `ws`, so a
-    /// thread reusing its workspace allocates only the returned vector.
+    /// serving hot path, [`forward_driven`](Self::forward_driven) under
+    /// [`Drive::Ideal`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != input_dim()`.
     #[must_use]
     pub fn forward_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Vec<f64> {
+        self.forward_driven(x, &mut Drive::Ideal, ws)
+    }
+
+    /// The forward pass: every layer under the analog condition `drive`.
+    ///
+    /// Per-layer activation buffers, the minus-array current scratch and
+    /// the packed-bit lanes all live in `ws`, so a thread reusing its
+    /// workspace allocates only the returned vector. A layer whose input
+    /// is an exact interface-bit vector (MEI's whole first layer, bias
+    /// included, is 0/1) rides the bit-packed kernel, bit-identical to the
+    /// scalar one either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != input_dim()`.
+    #[must_use]
+    pub fn forward_driven(
+        &self,
+        x: &[f64],
+        drive: &mut Drive<'_>,
+        ws: &mut AnalogWorkspace,
+    ) -> Vec<f64> {
         assert_eq!(x.len(), self.input_dim, "analog input length");
         ws.a.clear();
         ws.a.extend_from_slice(x);
@@ -186,7 +222,12 @@ impl AnalogMlp {
             let outputs = layer.pair.outputs();
             ws.z.resize(outputs, 0.0);
             ws.scratch.resize(outputs, 0.0);
-            if ws.bits.try_pack(&ws.a) {
+            if let Drive::Fluctuating(fluctuation, rng) = drive {
+                fluctuation.apply_in_place(&mut ws.a, &mut **rng);
+            }
+            if let Drive::IrDrop(config) = drive {
+                ws.z = layer.pair.matvec_ir(&ws.a, config);
+            } else if ws.bits.try_pack(&ws.a) {
                 layer
                     .pair
                     .matvec_binary_into(&ws.bits, &mut ws.z, &mut ws.scratch);
@@ -197,54 +238,6 @@ impl AnalogMlp {
             std::mem::swap(&mut ws.a, &mut ws.z);
         }
         ws.a.clone()
-    }
-
-    /// Forward pass with lognormal signal fluctuation applied to the voltage
-    /// vector entering every layer (including the bias port — it is a
-    /// physical signal too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != input_dim()`.
-    #[must_use]
-    pub fn forward_noisy<R: Rng + ?Sized>(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim, "analog input length");
-        if fluctuation.is_ideal() {
-            return self.forward(x);
-        }
-        let mut a = x.to_vec();
-        for layer in &self.layers {
-            a.push(1.0);
-            fluctuation.apply_in_place(&mut a, rng);
-            let mut z = layer.pair.matvec(&a);
-            layer.activation.apply_in_place(&mut z);
-            a = z;
-        }
-        a
-    }
-
-    /// Forward pass through the wire-resistance (IR-drop) model of every
-    /// layer — the effect the paper defers to future work, made measurable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != input_dim()`.
-    #[must_use]
-    pub fn forward_ir(&self, x: &[f64], config: &IrDropConfig) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim, "analog input length");
-        let mut a = x.to_vec();
-        for layer in &self.layers {
-            a.push(1.0);
-            let mut z = layer.pair.matvec_ir(&a, config);
-            layer.activation.apply_in_place(&mut z);
-            a = z;
-        }
-        a
     }
 
     /// Disturb every device with a variation model (process variation).
@@ -346,10 +339,16 @@ mod tests {
     fn signal_fluctuation_perturbs_output() {
         let p = analog();
         let x = [0.2, 0.4, 0.6];
+        let mut ws = AnalogWorkspace::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let clean = p.forward_noisy(&x, &SignalFluctuation::ideal(), &mut rng);
+        let untouched = rng.clone();
+        let ideal = SignalFluctuation::ideal();
+        let clean = p.forward_driven(&x, &mut Drive::Fluctuating(&ideal, &mut rng), &mut ws);
         assert_eq!(clean, p.forward(&x));
-        let noisy = p.forward_noisy(&x, &SignalFluctuation::new(0.2), &mut rng);
+        // An ideal fluctuation draws nothing from the generator.
+        assert_eq!(rng, untouched);
+        let sf = SignalFluctuation::new(0.2);
+        let noisy = p.forward_driven(&x, &mut Drive::Fluctuating(&sf, &mut rng), &mut ws);
         assert_ne!(noisy, clean);
         // Sigmoid outputs remain bounded even under noise.
         assert!(noisy.iter().all(|v| (0.0..=1.0).contains(v)));
@@ -378,8 +377,10 @@ mod tests {
     fn ideal_wires_match_plain_forward() {
         let p = analog();
         let x = [0.2, 0.5, 0.8];
+        let ideal = IrDropConfig::ideal();
+        let mut ws = AnalogWorkspace::new();
         assert_eq!(
-            p.forward_ir(&x, &crossbar::IrDropConfig::ideal()),
+            p.forward_driven(&x, &mut Drive::IrDrop(&ideal), &mut ws),
             p.forward(&x)
         );
     }
@@ -389,7 +390,9 @@ mod tests {
         let p = analog();
         let x = [0.2, 0.5, 0.8];
         let clean = p.forward(&x);
-        let dropped = p.forward_ir(&x, &crossbar::IrDropConfig::with_wire_resistance(50.0));
+        let wires = IrDropConfig::with_wire_resistance(50.0);
+        let mut ws = AnalogWorkspace::new();
+        let dropped = p.forward_driven(&x, &mut Drive::IrDrop(&wires), &mut ws);
         assert_ne!(clean, dropped);
         // Sigmoid keeps even the degraded outputs bounded.
         assert!(dropped.iter().all(|v| (0.0..=1.0).contains(v)));

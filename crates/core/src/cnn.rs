@@ -13,6 +13,11 @@
 //!    bits and whose output is a [`InterfaceSpec`]-coded class vector
 //!    thresholded by comparators, exactly the [`MeiRcs`] pattern.
 //!
+//! One inference body runs the stack and takes the pass's [`Drive`] as an
+//! argument; the drive acts on the head, since the tile boundary is
+//! digital. The digital twin ([`BinConv`]) runs on the tiles' own
+//! [`ConvShape`] and [`crossbar::direct_conv`] oracle.
+//!
 //! Training mirrors the split. The conv layer is learned with
 //! straight-through SGD ([`neural::conv::train_ste`]); each patch column
 //! carries a gradient **significance weight derived from its tile's
@@ -31,13 +36,13 @@ use crossbar::conv::{tile_ranges, ConvShape, ConvWorkspace, TiledConv};
 use crossbar::{Comparator, MappingConfig, SignalFluctuation};
 use interface::cost::MeiTopology;
 use interface::{BitCoding, InterfaceSpec};
-use neural::conv::{binarize, train_ste, BinConv, ConvSpec, SteConfig, SteReport};
-use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::{Rng, RngCore};
+use neural::conv::{binarize, train_ste, BinConv, SteConfig, SteReport};
+use neural::{argmax, Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
+use prng::RngCore;
 use rram::{DeviceParams, RetentionModel, VariationModel};
 use runtime::{Chip, ChipCostSheet};
 
-use crate::analog::{AnalogMlp, AnalogWorkspace};
+use crate::analog::{AnalogMlp, AnalogWorkspace, Drive};
 use crate::bitweights::msb_weighted_loss;
 use crate::error::{InferError, TrainRcsError};
 use crate::eval::Rcs;
@@ -129,24 +134,10 @@ impl CnnConfig {
         }
     }
 
-    /// The crossbar-side conv geometry.
+    /// The conv geometry the crossbar tiles and the digital twin share.
     #[must_use]
     pub fn shape(&self) -> ConvShape {
         ConvShape {
-            in_channels: self.in_channels,
-            in_h: self.in_h,
-            in_w: self.in_w,
-            filters: self.filters,
-            kernel: self.kernel,
-            stride: self.stride,
-        }
-    }
-
-    /// The digital-twin conv geometry (same numbers, dependency-free
-    /// mirror type).
-    #[must_use]
-    pub fn spec(&self) -> ConvSpec {
-        ConvSpec {
             in_channels: self.in_channels,
             in_h: self.in_h,
             in_w: self.in_w,
@@ -279,7 +270,7 @@ impl CnnRcs {
             seed: config.seed,
             ..config.ste.clone()
         };
-        let (twin, ste_report) = train_ste(config.spec(), classes, data, &ste)
+        let (twin, ste_report) = train_ste(shape, classes, data, &ste)
             .map_err(|e| TrainRcsError::InvalidConfig(e.to_string()))?;
 
         // Stage 2: shard the learned ternary filters across the tiles.
@@ -302,13 +293,10 @@ impl CnnRcs {
         let encoded = data
             .map_inputs(|x| twin.features(x))?
             .map_targets(|_, y| output_spec.encode(y))?;
-        let mut head_mlp = MlpBuilder::new(&[
-            config.spec().feature_len(),
-            config.hidden,
-            output_spec.ports(),
-        ])
-        .seed(config.seed)
-        .build();
+        let mut head_mlp =
+            MlpBuilder::new(&[shape.output_len(), config.hidden, output_spec.ports()])
+                .seed(config.seed)
+                .build();
         let trainer = if config.weighted_loss {
             Trainer::with_loss(config.train, msb_weighted_loss(&output_spec))
         } else {
@@ -402,7 +390,7 @@ impl CnnRcs {
     #[must_use]
     pub fn head_topology(&self) -> MeiTopology {
         MeiTopology::new(
-            self.config.spec().feature_len(),
+            self.conv.shape().output_len(),
             1,
             self.config.hidden,
             self.classes,
@@ -454,39 +442,32 @@ impl CnnRcs {
     }
 
     /// [`infer`](Self::infer) against a caller-owned workspace — the
-    /// allocation-light body [`Chip::infer`] runs on its thread's
+    /// allocation-light path [`Chip::infer`] runs on its thread's
     /// workspace.
     ///
     /// # Errors
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_with(&self, x: &[f64], ws: &mut CnnWorkspace) -> Result<Vec<f64>, InferError> {
+        self.infer_driven(x, &mut Drive::Ideal, ws)
+    }
+
+    /// The inference body: tiled conv, binarize, the head under `drive`,
+    /// comparator, decode. The conv tile boundary is digital
+    /// (integer-sensed), so the drive acts on the head, where the signals
+    /// are continuous.
+    fn infer_driven(
+        &self,
+        x: &[f64],
+        drive: &mut Drive<'_>,
+        ws: &mut CnnWorkspace,
+    ) -> Result<Vec<f64>, InferError> {
         self.check_input(x)?;
         ws.features = self.conv.forward_with(x, &mut ws.conv);
         for v in &mut ws.features {
             *v = binarize(*v);
         }
-        let out = self.head.forward_with(&ws.features, &mut ws.head);
-        Ok(self.decode_head(&out))
-    }
-
-    /// Analog inference with signal fluctuation on the head's analog
-    /// voltages. The conv tile boundary is digital (integer-sensed), so
-    /// fluctuation is modeled on the head stage where signals are
-    /// continuous.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_noisy<R: Rng + ?Sized>(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, InferError> {
-        self.check_input(x)?;
-        let features: Vec<f64> = self.conv.forward(x).iter().map(|&v| binarize(v)).collect();
-        let out = self.head.forward_noisy(&features, fluctuation, rng);
+        let out = self.head.forward_driven(&ws.features, drive, &mut ws.head);
         Ok(self.decode_head(&out))
     }
 
@@ -545,18 +526,6 @@ impl CnnRcs {
     }
 }
 
-/// Index of the largest value (ties to the lowest index).
-#[must_use]
-pub fn argmax(values: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in values.iter().enumerate() {
-        if v > values[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 impl fmt::Display for CnnRcs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CNN RCS {} → head {}", self.conv, self.head_topology())
@@ -590,7 +559,8 @@ impl Rcs for CnnRcs {
         fluctuation: &SignalFluctuation,
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
-        self.infer_noisy(x, fluctuation, rng)
+        let mut drive = Drive::Fluctuating(fluctuation, rng);
+        CnnWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
             .expect("dataset-validated input")
     }
 
@@ -651,7 +621,7 @@ mod tests {
                     // The tiling also shapes the STE significance; pin it
                     // uniform so only the serving shard count varies.
                     ste: SteConfig {
-                        significance: Some(vec![1.0; base.spec().patch_len()]),
+                        significance: Some(vec![1.0; base.shape().patch_len()]),
                         ..base.ste.clone()
                     },
                     ..base.clone()
@@ -718,7 +688,7 @@ mod tests {
         assert_eq!(rcs.tile_topologies().len(), 2);
         assert!(rcs.tile_interface_bits() > 0);
         let head = rcs.head_topology();
-        assert_eq!(head.layer_sizes()[0], rcs.config().spec().feature_len());
+        assert_eq!(head.layer_sizes()[0], rcs.config().shape().output_len());
     }
 
     #[test]
@@ -762,12 +732,6 @@ mod tests {
         ));
         assert!(rcs.infer_digital(&[1.0; 2]).is_err());
         assert!(rcs.classify(&[1.0; 65]).is_err());
-    }
-
-    #[test]
-    fn argmax_ties_to_lowest_index() {
-        assert_eq!(argmax(&[0.3, 0.7, 0.7]), 1);
-        assert_eq!(argmax(&[1.0]), 0);
     }
 
     #[test]

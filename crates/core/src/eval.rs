@@ -1,5 +1,9 @@
 //! Uniform evaluation across architectures: the [`Rcs`] trait and the
 //! Monte-Carlo robustness protocol of paper §5.3.
+//!
+//! The protocol evaluates the *same* inference body that serves: every
+//! system takes the pass's analog condition as a [`Drive`](crate::Drive)
+//! argument, and `predict_noisy` is that body under signal fluctuation.
 
 use std::fmt;
 
@@ -19,7 +23,10 @@ use runtime::{Chip, ThreadPool};
 /// trait adds what the robustness protocol needs on top. Each
 /// architecture states its whole inference contract — inherent `infer*`
 /// methods, `Chip` and `Rcs` — in its own module (`mei_arch`, `adda`,
-/// `saab`, `cnn`, `digital`).
+/// `saab`, `cnn`, `digital`), and runs all of them through one body per
+/// domain that takes the pass's [`Drive`](crate::Drive): `Chip::infer`
+/// is that body under `Drive::Ideal`, [`predict_noisy`](Rcs::predict_noisy)
+/// under `Drive::Fluctuating`.
 ///
 /// Implementations panic on wrong input lengths: they are driven by
 /// datasets that were validated up front.

@@ -25,8 +25,11 @@
 //! Each trained system ([`MeiRcs`], [`AddaRcs`], [`Saab`], [`CnnRcs`],
 //! [`DigitalAnn`]) states its whole inference in its own module: the
 //! inherent `infer*` methods, its [`runtime::Chip`] impl and its [`Rcs`]
-//! impl. `Rcs` extends `Chip`, so the noise-free prediction *is*
-//! `Chip::infer`, run by the same body as the inherent `infer`.
+//! impl, all run by one body per domain that takes the pass's analog
+//! condition as a [`Drive`] argument. `Rcs` extends `Chip`, so the
+//! noise-free prediction *is* `Chip::infer` — the body under
+//! [`Drive::Ideal`] — and `Rcs::predict_noisy` is the same body under
+//! [`Drive::Fluctuating`].
 //!
 //! ## Quickstart
 //!
@@ -70,9 +73,9 @@ pub mod saab;
 pub mod serve;
 
 pub use adda::{AddaConfig, AddaRcs};
-pub use analog::{AnalogMlp, AnalogWorkspace};
+pub use analog::{AnalogMlp, AnalogWorkspace, Drive};
 pub use bitweights::exponential_bit_weights;
-pub use cnn::{argmax, tile_significance, CnnConfig, CnnRcs, CnnWorkspace};
+pub use cnn::{tile_significance, CnnConfig, CnnRcs, CnnWorkspace};
 pub use diagnostics::{analog_fidelity, comparator_margins, FidelityReport, MarginReport};
 pub use digital::DigitalAnn;
 pub use dse::{DseConfig, DseDesign, DseResult, HiddenGrowth};
@@ -85,10 +88,11 @@ pub use mei_arch::{MeiConfig, MeiRcs};
 pub use persist::ParseRcsError;
 pub use report::{system_report, ReportConfig};
 pub use saab::{Saab, SaabConfig, SaabTrainer};
-pub use serve::{
-    manufacture_boxed_engine, manufacture_boxed_fleet, manufacture_chips,
-    manufacture_drifting_engine, manufacture_engine, manufacture_fleet,
-};
+pub use serve::{manufacture_chips, manufacture_drifting_engine, manufacture_fleet};
 
 // The σ-vector shared by every noisy evaluation path.
 pub use rram::NonIdealFactors;
+
+// The CNN's class decision, kept at the crate root for the serving code
+// that imports it from here.
+pub use neural::argmax;

@@ -6,6 +6,12 @@
 //! of the B-bit interface becomes its own crossbar port; outputs are
 //! binarized by comparators working as 1-bit ADCs; and the training loss
 //! weights each port by its bit significance (Eq (5)).
+//!
+//! Inference has one body per domain: [`MeiRcs::infer_bits_driven`] over
+//! the interface bits, and its encode/decode wrap over analog values. Both
+//! take the pass's [`Drive`] as an argument, so serving, the noise
+//! protocol, SAAB's learner scoring and the IR-drop ablation differ only
+//! in the drive they pass.
 
 use std::fmt;
 
@@ -13,11 +19,11 @@ use crossbar::{Comparator, MappingConfig, SignalFluctuation};
 use interface::cost::MeiTopology;
 use interface::{BitCoding, InterfaceSpec};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::{Rng, RngCore};
+use prng::RngCore;
 use rram::{DeviceParams, VariationModel};
 use runtime::{Chip, ChipCostSheet};
 
-use crate::analog::{AnalogMlp, AnalogWorkspace};
+use crate::analog::{AnalogMlp, AnalogWorkspace, Drive};
 use crate::bitweights::msb_weighted_loss;
 use crate::error::{InferError, TrainRcsError};
 use crate::eval::Rcs;
@@ -244,26 +250,29 @@ impl MeiRcs {
         bits: &[f64],
         ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
-        self.check_bits(bits)?;
-        Ok(self.comparator.bits(&self.analog.forward_with(bits, ws)))
+        self.infer_bits_driven(bits, &mut Drive::Ideal, ws)
     }
 
-    /// Binary-domain inference under signal fluctuation on every analog
-    /// voltage (the 0/1 drive levels included — they are physical signals).
+    /// The binary-domain body: the crossbars run under `drive`, then the
+    /// comparators threshold every output port. Serving, the noise
+    /// protocol, SAAB's learner scoring and the IR-drop ablation all run
+    /// it; under [`Drive::Fluctuating`] the 0/1 drive levels fluctuate too
+    /// (they are physical signals).
     ///
     /// # Errors
     ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_bits_noisy<R: Rng + ?Sized>(
+    /// Returns [`InferError::InputLength`] if `bits.len()` differs from the
+    /// input port count.
+    pub fn infer_bits_driven(
         &self,
         bits: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
+        drive: &mut Drive<'_>,
+        ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
         self.check_bits(bits)?;
         Ok(self
             .comparator
-            .bits(&self.analog.forward_noisy(bits, fluctuation, rng)))
+            .bits(&self.analog.forward_driven(bits, drive, ws)))
     }
 
     /// Analog-domain convenience: encode the input, infer, decode the output.
@@ -272,52 +281,19 @@ impl MeiRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_with(x, &mut AnalogWorkspace::new())
+        self.infer_driven(x, &mut Drive::Ideal, &mut AnalogWorkspace::new())
     }
 
-    /// [`infer`](Self::infer) against a caller-owned workspace (see
-    /// [`infer_bits_with`](Self::infer_bits_with)) — the body
-    /// [`Chip::infer`] runs on its thread's workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Result<Vec<f64>, InferError> {
-        through_interface(self.input_spec, self.output_spec, x, |bits| {
-            self.infer_bits_with(bits, ws)
-        })
-    }
-
-    /// Analog-domain inference under signal fluctuation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_noisy<R: Rng + ?Sized>(
+    /// The analog-domain body: [`infer_bits_driven`](Self::infer_bits_driven)
+    /// between the input encoder and the output decoder.
+    fn infer_driven(
         &self,
         x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
+        drive: &mut Drive<'_>,
+        ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
         through_interface(self.input_spec, self.output_spec, x, |bits| {
-            self.infer_bits_noisy(bits, fluctuation, rng)
-        })
-    }
-
-    /// Analog-domain inference through the wire-resistance (IR-drop) model —
-    /// the degradation the paper's 90 nm choice avoids, exposed for the
-    /// `ablation_irdrop` study.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_ir(
-        &self,
-        x: &[f64],
-        config: &crossbar::IrDropConfig,
-    ) -> Result<Vec<f64>, InferError> {
-        through_interface(self.input_spec, self.output_spec, x, |bits| {
-            Ok(self.comparator.bits(&self.analog.forward_ir(bits, config)))
+            self.infer_bits_driven(bits, drive, ws)
         })
     }
 
@@ -420,7 +396,7 @@ impl fmt::Display for MeiRcs {
 
 impl Chip for MeiRcs {
     fn infer(&self, input: &[f64]) -> Vec<f64> {
-        AnalogWorkspace::with_thread(|ws| self.infer_with(input, ws))
+        AnalogWorkspace::with_thread(|ws| self.infer_driven(input, &mut Drive::Ideal, ws))
             .expect("dataset-validated input")
     }
 
@@ -440,7 +416,8 @@ impl Rcs for MeiRcs {
         fluctuation: &SignalFluctuation,
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
-        self.infer_noisy(x, fluctuation, rng)
+        let mut drive = Drive::Fluctuating(fluctuation, rng);
+        AnalogWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
             .expect("dataset-validated input")
     }
 
@@ -496,7 +473,7 @@ pub(crate) fn through_interface(
 mod tests {
     use super::*;
     use prng::rngs::StdRng;
-    use prng::SeedableRng;
+    use prng::{Rng, SeedableRng};
 
     fn expfit_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -637,11 +614,14 @@ mod tests {
         let bits_in = rcs.input_spec().encode(&[0.6]);
         let clean = rcs.infer_bits(&bits_in).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
+        let sf = SignalFluctuation::new(0.05);
+        let mut ws = AnalogWorkspace::new();
         let mut matches = 0;
         let trials = 50;
         for _ in 0..trials {
+            let mut drive = Drive::Fluctuating(&sf, &mut rng);
             let noisy = rcs
-                .infer_bits_noisy(&bits_in, &SignalFluctuation::new(0.05), &mut rng)
+                .infer_bits_driven(&bits_in, &mut drive, &mut ws)
                 .unwrap();
             if noisy == clean {
                 matches += 1;

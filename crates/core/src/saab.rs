@@ -10,6 +10,11 @@
 //!   distribution `p_n` (line 4);
 //! * the ensemble answers by `α`-weighted voting over the learners' output
 //!   bit patterns (line 10).
+//!
+//! The ensemble has one inference body per domain (bits and analog), each
+//! taking the pass's [`Drive`] as an argument and handing it to every
+//! learner's [`MeiRcs::infer_bits_driven`] in learner order. The line-6
+//! scoring runs that same learner body under the injected factors.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,7 +27,7 @@ use prng::{RngCore, SeedableRng};
 use rram::{NonIdealFactors, VariationModel};
 use runtime::{Chip, ChipCostSheet, ThreadPool};
 
-use crate::analog::AnalogWorkspace;
+use crate::analog::{AnalogWorkspace, Drive};
 use crate::error::{InferError, TrainRcsError};
 use crate::eval::Rcs;
 use crate::mei_arch::{through_interface, MeiConfig, MeiRcs};
@@ -274,9 +279,11 @@ impl SaabTrainer {
             let target_bits = &encoded_targets[i];
             let mut rng: StdRng = prng::substream_rng(eval_seed, i as u64);
             let bits_in = in_spec.encode(x);
-            let out = scored
-                .infer_bits_noisy(&bits_in, &fluctuation, &mut rng)
-                .expect("validated input");
+            let mut drive = Drive::Fluctuating(&fluctuation, &mut rng);
+            let out = AnalogWorkspace::with_thread(|ws| {
+                scored.infer_bits_driven(&bits_in, &mut drive, ws)
+            })
+            .expect("validated input");
             let wrong_groups = (0..groups)
                 .filter(|g| {
                     let base = g * out_bits;
@@ -378,36 +385,21 @@ impl Saab {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_bits(&self, bits: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_bits_with(bits, &mut AnalogWorkspace::new())
+        self.infer_bits_driven(bits, &mut Drive::Ideal, &mut AnalogWorkspace::new())
     }
 
-    /// [`infer_bits`](Self::infer_bits) with every learner running on `ws`.
-    fn infer_bits_with(
+    /// The binary-domain body: every learner runs under `drive` on `ws`,
+    /// in learner order (so a fluctuating drive's draws come in a fixed
+    /// order), then the vote.
+    fn infer_bits_driven(
         &self,
         bits: &[f64],
+        drive: &mut Drive<'_>,
         ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
         let mut outputs = Vec::with_capacity(self.learners.len());
         for (learner, alpha) in &self.learners {
-            outputs.push((learner.infer_bits_with(bits, ws)?, *alpha));
-        }
-        Ok(self.tally(outputs))
-    }
-
-    /// Binary-domain inference with signal fluctuation inside each learner.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_bits_noisy<R: prng::Rng + ?Sized>(
-        &self,
-        bits: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, InferError> {
-        let mut outputs = Vec::with_capacity(self.learners.len());
-        for (learner, alpha) in &self.learners {
-            outputs.push((learner.infer_bits_noisy(bits, fluctuation, rng)?, *alpha));
+            outputs.push((learner.infer_bits_driven(bits, drive, ws)?, *alpha));
         }
         Ok(self.tally(outputs))
     }
@@ -418,30 +410,19 @@ impl Saab {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_with(x, &mut AnalogWorkspace::new())
+        self.infer_driven(x, &mut Drive::Ideal, &mut AnalogWorkspace::new())
     }
 
-    /// [`infer`](Self::infer) on `ws` — the body [`Chip::infer`] runs on
-    /// its thread's workspace.
-    fn infer_with(&self, x: &[f64], ws: &mut AnalogWorkspace) -> Result<Vec<f64>, InferError> {
-        through_interface(self.input_spec(), self.output_spec(), x, |bits| {
-            self.infer_bits_with(bits, ws)
-        })
-    }
-
-    /// Analog-domain noisy inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] on a wrong-sized input.
-    pub fn infer_noisy<R: prng::Rng + ?Sized>(
+    /// The analog-domain body: [`infer_bits_driven`](Self::infer_bits_driven)
+    /// between the input encoder and the output decoder.
+    fn infer_driven(
         &self,
         x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
+        drive: &mut Drive<'_>,
+        ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
         through_interface(self.input_spec(), self.output_spec(), x, |bits| {
-            self.infer_bits_noisy(bits, fluctuation, rng)
+            self.infer_bits_driven(bits, drive, ws)
         })
     }
 
@@ -510,7 +491,7 @@ impl fmt::Display for Saab {
 
 impl Chip for Saab {
     fn infer(&self, input: &[f64]) -> Vec<f64> {
-        AnalogWorkspace::with_thread(|ws| self.infer_with(input, ws))
+        AnalogWorkspace::with_thread(|ws| self.infer_driven(input, &mut Drive::Ideal, ws))
             .expect("dataset-validated input")
     }
 
@@ -530,7 +511,8 @@ impl Rcs for Saab {
         fluctuation: &SignalFluctuation,
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
-        self.infer_noisy(x, fluctuation, rng)
+        let mut drive = Drive::Fluctuating(fluctuation, rng);
+        AnalogWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
             .expect("dataset-validated input")
     }
 

@@ -16,9 +16,7 @@ use interface::{CostModel, Throughput};
 use prng::rngs::StdRng;
 use prng::SeedableRng;
 use rram::VariationModel;
-use runtime::{
-    Chip, ChipCostSheet, ChipPool, DriftProfile, DriftingChip, Engine, Fleet, FleetConfig,
-};
+use runtime::{ChipCostSheet, ChipPool, DriftProfile, DriftingChip, Engine, Fleet, FleetConfig};
 
 use crate::eval::Rcs;
 
@@ -77,50 +75,15 @@ where
     })
 }
 
-/// Manufacture a pool (as [`manufacture_chips`]) and wrap it in a
-/// serving [`Engine`] with the default least-loaded policy over the
-/// input-length cost proxy. Rebind policy/cost model with the engine's
-/// `with_*` builders; `.calibrated(...)` fits a measured cost model for
-/// the size-aware policy.
-///
-/// # Panics
-///
-/// Panics if `chips` is zero.
-pub fn manufacture_engine<T>(rcs: &T, chips: usize, write_sigma: f64, root_seed: u64) -> Engine<T>
-where
-    T: Rcs + Clone,
-{
-    Engine::new(manufacture_chips(rcs, chips, write_sigma, root_seed))
-}
-
-/// [`manufacture_engine`], but over type-erased chips — the form
-/// `runtime::net::NetWorkload` takes, and the one that lets chips of
-/// several trained systems share a pool.
-///
-/// # Panics
-///
-/// Panics if `chips` is zero.
-pub fn manufacture_boxed_engine<T>(
-    rcs: &T,
-    chips: usize,
-    write_sigma: f64,
-    root_seed: u64,
-) -> Engine<Box<dyn Chip>>
-where
-    T: Rcs + Clone + 'static,
-{
-    Engine::new(manufacture_chips(rcs, chips, write_sigma, root_seed).boxed())
-}
-
 /// Salt folded into a fleet's root seed before deriving per-pool
 /// manufacturing seeds, so pool substreams never collide with any other
 /// consumer of the same root seed (routing draws, chip write noise).
 const FLEET_POOL_SALT: u64 = 0x4D45_495F_504F_4F4C; // "MEI_POOL"
 
-/// Manufacture `pools` independent chip pools (as
-/// [`manufacture_engine`], pool `p` seeded from
-/// `substream(config.seed ^ SALT, p)`) and assemble them into a serving
-/// [`Fleet`] routed under `config`. Pool `p` holds the same physical
+/// Manufacture `pools` independent chip pools (as [`manufacture_chips`],
+/// pool `p` seeded from `substream(config.seed ^ SALT, p)`), each behind
+/// a default [`Engine`], and assemble them into a serving [`Fleet`]
+/// routed under `config`. Pool `p` holds the same physical
 /// devices on every run and for every fleet size — the fleet-level face
 /// of the manufacturing determinism rule.
 ///
@@ -141,32 +104,9 @@ where
     let engines = (0..pools)
         .map(|p| {
             let pool_seed = prng::substream(config.seed ^ FLEET_POOL_SALT, p as u64);
-            manufacture_engine(rcs, chips_per_pool, write_sigma, pool_seed)
+            let chips = manufacture_chips(rcs, chips_per_pool, write_sigma, pool_seed);
+            Engine::new(chips)
         })
-        .collect();
-    Fleet::new(engines, config)
-}
-
-/// [`manufacture_fleet`], but over type-erased chips — the form
-/// `runtime::net::NetWorkload::fleet` takes.
-///
-/// # Panics
-///
-/// Panics if `pools` or `chips_per_pool` is zero.
-pub fn manufacture_boxed_fleet<T>(
-    rcs: &T,
-    pools: usize,
-    chips_per_pool: usize,
-    write_sigma: f64,
-    config: FleetConfig,
-) -> Fleet<Box<dyn Chip>>
-where
-    T: Rcs + Clone + 'static,
-{
-    let engines = manufacture_fleet(rcs, pools, chips_per_pool, write_sigma, config)
-        .into_engines()
-        .into_iter()
-        .map(|engine| Engine::new(engine.into_pool().boxed()))
         .collect();
     Fleet::new(engines, config)
 }
@@ -178,7 +118,7 @@ where
 /// result is an [`Engine`] whose chips age deterministically as the
 /// engine's serving window advances (`Engine::advance_window` /
 /// `Engine::recalibrate_window`); at window 0 outputs are bit-identical
-/// to [`manufacture_engine`] over the same arguments.
+/// to an [`Engine`] over [`manufacture_chips`] with the same arguments.
 ///
 /// # Panics
 ///
@@ -217,7 +157,7 @@ mod tests {
     use crate::saab::{Saab, SaabConfig};
     use neural::{Dataset, TrainConfig};
     use prng::Rng;
-    use runtime::{LeastLoaded, RoundRobin};
+    use runtime::{Chip, LeastLoaded, RoundRobin};
 
     fn expfit_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -382,10 +322,10 @@ mod tests {
             .serve(&inputs);
         // Engine default = LeastLoaded over the input-length proxy: the
         // exact placement (and therefore bits) of an explicit policy.
-        let engine = manufacture_engine(&rcs, 3, 0.05, 9);
+        let engine = Engine::new(manufacture_chips(&rcs, 3, 0.05, 9));
         assert_eq!(engine.serve(&inputs).outputs, pool_outcome.outputs);
         // The boxed engine is the same pool behind `dyn Chip`.
-        let boxed = manufacture_boxed_engine(&rcs, 3, 0.05, 9);
+        let boxed = Engine::new(manufacture_chips(&rcs, 3, 0.05, 9).boxed());
         assert_eq!(boxed.serve(&inputs).outputs, pool_outcome.outputs);
     }
 
@@ -394,7 +334,7 @@ mod tests {
         let data = expfit_data(200, 6);
         let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
         let inputs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 8.0]).collect();
-        let fresh = manufacture_engine(&rcs, 2, 0.05, 13).serve(&inputs);
+        let fresh = Engine::new(manufacture_chips(&rcs, 2, 0.05, 13)).serve(&inputs);
         let profile = DriftProfile {
             latency_per_drift: 0.0,
             ..DriftProfile::aggressive()
@@ -479,7 +419,7 @@ mod tests {
         assert_eq!((digital_acc.chips, digital_acc.known_chips), (1, 1));
         assert_eq!(digital_acc.area_um2, 0.0);
         // Serving a manufactured engine reports measured energy.
-        let outcome = manufacture_engine(&rcs, 2, 0.05, 33)
+        let outcome = Engine::new(manufacture_chips(&rcs, 2, 0.05, 33))
             .serve(&(0..6).map(|i| vec![i as f64 / 6.0]).collect::<Vec<_>>());
         let energy = outcome.stats.energy.expect("MEI chips bill energy");
         assert_eq!(energy.known_chips, 2);
@@ -494,7 +434,14 @@ mod tests {
         // output quantization; probe several inputs per chip.
         let config = runtime::FleetConfig::new(42);
         let fleet_a = manufacture_fleet(&rcs, 2, 2, 0.4, config);
-        let fleet_b = manufacture_boxed_fleet(&rcs, 2, 2, 0.4, config);
+        let fleet_b = Fleet::new(
+            manufacture_fleet(&rcs, 2, 2, 0.4, config)
+                .into_engines()
+                .into_iter()
+                .map(|engine| Engine::new(engine.into_pool().boxed()))
+                .collect(),
+            config,
+        );
         let probes: Vec<Vec<f64>> = (0..8).map(|i| vec![f64::from(i) / 8.0]).collect();
         let sample = |fleet: &Fleet<MeiRcs>, pool: usize| -> Vec<Vec<f64>> {
             fleet

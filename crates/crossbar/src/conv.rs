@@ -116,13 +116,15 @@ impl ConvShape {
     }
 
     /// Write the im2col patch at output pixel `(ox, oy)` into `patch`
-    /// (channel-major, then kernel-row-major — the layout
-    /// [`im2col`] and [`TiledConv`] share).
+    /// (channel-major, then kernel-row-major — the layout [`TiledConv`]
+    /// and the digital twin's training share).
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != input_len()`, the pixel is out of range,
     /// or `patch.len() != patch_len()`.
+    // Inlined across crates: `neural::train_ste` calls it per gradient pixel.
+    #[inline]
     pub fn patch_into(&self, input: &[f64], ox: usize, oy: usize, patch: &mut [f64]) {
         assert_eq!(input.len(), self.input_len(), "conv input length");
         assert_eq!(patch.len(), self.patch_len(), "conv patch length");
@@ -256,6 +258,8 @@ pub fn tile_ranges(patch_len: usize, tiles: usize) -> Vec<(usize, usize)> {
 /// Panics if `weights` is not `filters × patch_len` or `input` is not
 /// `input_len()` long.
 #[must_use]
+// Inlined across crates: `neural::train_ste` runs it once per sample and epoch.
+#[inline]
 pub fn direct_conv(shape: &ConvShape, weights: &[Vec<f64>], input: &[f64]) -> Vec<f64> {
     assert_eq!(weights.len(), shape.filters, "direct_conv filter count");
     assert_eq!(input.len(), shape.input_len(), "direct_conv input length");
@@ -282,26 +286,6 @@ pub fn direct_conv(shape: &ConvShape, weights: &[Vec<f64>], input: &[f64]) -> Ve
         }
     }
     out
-}
-
-/// The full im2col lowering: one patch row per output pixel, row-major
-/// over `(oy, ox)`. Exposed for tests and digital twins; [`TiledConv`]
-/// extracts patches in place and never materializes this matrix.
-///
-/// # Panics
-///
-/// Panics if `input.len() != shape.input_len()`.
-#[must_use]
-pub fn im2col(shape: &ConvShape, input: &[f64]) -> Vec<Vec<f64>> {
-    let mut patches = Vec::with_capacity(shape.patches());
-    for oy in 0..shape.out_h() {
-        for ox in 0..shape.out_w() {
-            let mut patch = vec![0.0; shape.patch_len()];
-            shape.patch_into(input, ox, oy, &mut patch);
-            patches.push(patch);
-        }
-    }
-    patches
 }
 
 /// One conv tile: a differential pair over a contiguous slice of the
@@ -665,17 +649,6 @@ mod tests {
         let c = conv(2);
         let x = binary_input(&shape(), 5);
         assert_eq!(c.forward(&x), c.forward_scalar(&x));
-    }
-
-    #[test]
-    fn im2col_rows_match_patch_into() {
-        let s = shape();
-        let x = binary_input(&s, 3);
-        let patches = im2col(&s, &x);
-        assert_eq!(patches.len(), s.patches());
-        let mut patch = vec![0.0; s.patch_len()];
-        s.patch_into(&x, 1, 2, &mut patch);
-        assert_eq!(patches[2 * s.out_w() + 1], patch);
     }
 
     #[test]

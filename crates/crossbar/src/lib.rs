@@ -61,7 +61,7 @@ pub mod sense;
 
 pub use array::CrossbarArray;
 pub use bitvec::BitInput;
-pub use conv::{direct_conv, im2col, tile_ranges, ConvError, ConvShape, ConvWorkspace, TiledConv};
+pub use conv::{direct_conv, tile_ranges, ConvError, ConvShape, ConvWorkspace, TiledConv};
 pub use divider::{DividerLayer, SignedDividerLayer};
 pub use ir_drop::IrDropConfig;
 pub use mapping::{MapWeightsError, MappingConfig, WeightMapping};

@@ -9,7 +9,6 @@ use crate::array::CrossbarArray;
 use crate::bitvec::BitInput;
 use crate::ir_drop::IrDropConfig;
 use crate::mapping::{map_differential, MapWeightsError, MappingConfig};
-use crate::noise::SignalFluctuation;
 
 /// A pair of crossbar arrays computing `y = W·x` for a signed weight matrix.
 ///
@@ -17,8 +16,8 @@ use crate::noise::SignalFluctuation;
 /// carries the positive weight parts, the other the negative parts, and the
 /// sensing circuit subtracts their column currents. Process variation is
 /// applied to the programmed devices via [`disturb`](Self::disturb); signal
-/// fluctuation is applied per evaluation via
-/// [`matvec_noisy`](Self::matvec_noisy).
+/// fluctuation is applied to the input vector before each evaluation
+/// ([`SignalFluctuation::apply_in_place`](crate::SignalFluctuation::apply_in_place)).
 ///
 /// ```
 /// use crossbar::{DifferentialPair, MappingConfig};
@@ -206,22 +205,6 @@ impl DifferentialPair {
             .collect()
     }
 
-    /// Matrix-vector product with lognormal signal fluctuation applied to the
-    /// input vector before it reaches the rows.
-    #[must_use]
-    pub fn matvec_noisy<R: Rng + ?Sized>(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        if fluctuation.is_ideal() {
-            return self.matvec(x);
-        }
-        let noisy = fluctuation.apply(x, rng);
-        self.matvec(&noisy)
-    }
-
     /// Matrix-vector product through the IR-drop wire model.
     #[must_use]
     pub fn matvec_ir(&self, x: &[f64], config: &IrDropConfig) -> Vec<f64> {
@@ -344,17 +327,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn noisy_matvec_differs_but_ideal_matches() {
-        let p = pair();
-        let x = [1.0, 1.0, 1.0];
-        let mut rng = StdRng::seed_from_u64(5);
-        let clean = p.matvec_noisy(&x, &SignalFluctuation::ideal(), &mut rng);
-        assert_eq!(clean, p.matvec(&x));
-        let noisy = p.matvec_noisy(&x, &SignalFluctuation::new(0.3), &mut rng);
-        assert_ne!(noisy, clean);
     }
 
     #[test]

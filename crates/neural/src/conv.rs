@@ -14,101 +14,25 @@
 //! discarded afterwards — downstream the learned ternary filters feed a
 //! separately-trained interface-bit head.
 //!
-//! The crossbar deployment shards the conv's patch dimension over analog
-//! tiles with per-tile digital sense interfaces of differing bit widths.
-//! [`SteConfig::significance`]-weighted training mirrors that: each patch
-//! *column* carries a gradient significance weight (derived upstream from
-//! its tile's interface bits), so shadow weights behind wider — more
-//! significant — tile interfaces receive proportionally larger updates,
-//! the conv-layer analogue of the MEI bit-significance loss (Eq (5)).
-//! This crate has no crossbar dependency, so the weights arrive as a
-//! plain slice.
+//! The layer runs on the crossbar crate's conv geometry
+//! ([`ConvShape`]) and its direct-convolution oracle ([`direct_conv`]),
+//! so the trained layer and the crossbar tiles that serve it walk one
+//! im2col layout. The crossbar deployment shards the conv's patch
+//! dimension over analog tiles with per-tile digital sense interfaces of
+//! differing bit widths; [`SteConfig::significance`]-weighted training
+//! follows that: each patch *column* carries a gradient significance
+//! weight (derived upstream from its tile's interface bits), so shadow
+//! weights behind wider — more significant — tile interfaces receive
+//! proportionally larger updates, the conv-layer analogue of the MEI
+//! bit-significance loss (Eq (5)).
 
 use std::fmt;
 
+use crossbar::conv::{direct_conv, ConvShape};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 
 use crate::data::Dataset;
-
-/// Shape of a (valid-padding) conv layer — the digital mirror of the
-/// crossbar crate's tile geometry, kept dependency-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvSpec {
-    /// Input channels (inputs are channel-major `[c][y][x]`).
-    pub in_channels: usize,
-    /// Input height in pixels.
-    pub in_h: usize,
-    /// Input width in pixels.
-    pub in_w: usize,
-    /// Output channels (filters).
-    pub filters: usize,
-    /// Square kernel edge length.
-    pub kernel: usize,
-    /// Stride in both directions.
-    pub stride: usize,
-}
-
-impl ConvSpec {
-    /// Output feature-map height.
-    #[must_use]
-    pub fn out_h(&self) -> usize {
-        (self.in_h - self.kernel) / self.stride + 1
-    }
-
-    /// Output feature-map width.
-    #[must_use]
-    pub fn out_w(&self) -> usize {
-        (self.in_w - self.kernel) / self.stride + 1
-    }
-
-    /// Patches per image (`out_h × out_w`).
-    #[must_use]
-    pub fn patches(&self) -> usize {
-        self.out_h() * self.out_w()
-    }
-
-    /// im2col patch length (`in_channels × kernel²`).
-    #[must_use]
-    pub fn patch_len(&self) -> usize {
-        self.in_channels * self.kernel * self.kernel
-    }
-
-    /// Input vector length (`in_channels × in_h × in_w`).
-    #[must_use]
-    pub fn input_len(&self) -> usize {
-        self.in_channels * self.in_h * self.in_w
-    }
-
-    /// Flattened feature length after the conv (`filters × patches`).
-    #[must_use]
-    pub fn feature_len(&self) -> usize {
-        self.filters * self.patches()
-    }
-
-    /// Write the channel-major im2col patch at output pixel `(ox, oy)`
-    /// into `patch` — the same layout the crossbar tiler walks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or `patch` have the wrong length or the pixel is
-    /// out of range.
-    pub fn patch_into(&self, input: &[f64], ox: usize, oy: usize, patch: &mut [f64]) {
-        assert_eq!(input.len(), self.input_len(), "conv input length");
-        assert_eq!(patch.len(), self.patch_len(), "conv patch length");
-        assert!(ox < self.out_w() && oy < self.out_h(), "patch out of range");
-        let (x0, y0) = (ox * self.stride, oy * self.stride);
-        let mut i = 0;
-        for c in 0..self.in_channels {
-            let plane = c * self.in_h * self.in_w;
-            for ky in 0..self.kernel {
-                let row = plane + (y0 + ky) * self.in_w + x0;
-                patch[i..i + self.kernel].copy_from_slice(&input[row..row + self.kernel]);
-                i += self.kernel;
-            }
-        }
-    }
-}
 
 /// Project a shadow weight onto `{−1, 0, +1}`: zero inside the dead zone
 /// `|w| < threshold`, sign outside it.
@@ -137,11 +61,11 @@ pub fn binarize(x: f64) -> f64 {
 /// Errors from binarized-conv construction or training.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConvTrainError {
-    /// A spec dimension is zero or the kernel does not fit the image.
+    /// A shape dimension is zero or the kernel does not fit the image.
     BadSpec,
     /// Shadow weights are not `filters × patch_len`.
     ShadowShape,
-    /// The dataset's input/target dims don't match the spec/classes.
+    /// The dataset's input/target dims don't match the shape/classes.
     DatasetShape {
         /// Expected input length.
         expected_input: usize,
@@ -158,7 +82,7 @@ pub enum ConvTrainError {
 impl fmt::Display for ConvTrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConvTrainError::BadSpec => write!(f, "invalid conv spec"),
+            ConvTrainError::BadSpec => write!(f, "invalid conv shape"),
             ConvTrainError::ShadowShape => write!(f, "shadow weights must be filters × patch_len"),
             ConvTrainError::DatasetShape {
                 expected_input,
@@ -181,7 +105,7 @@ impl std::error::Error for ConvTrainError {}
 /// projection that is actually served.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinConv {
-    spec: ConvSpec,
+    shape: ConvShape,
     shadow: Vec<Vec<f64>>,
     threshold: f64,
 }
@@ -191,31 +115,31 @@ impl BinConv {
     ///
     /// # Errors
     ///
-    /// Returns [`ConvTrainError`] on a bad spec, mis-shaped shadow, or
+    /// Returns [`ConvTrainError`] on a bad shape, mis-shaped shadow, or
     /// non-positive threshold.
     pub fn from_shadow(
-        spec: ConvSpec,
+        shape: ConvShape,
         shadow: Vec<Vec<f64>>,
         threshold: f64,
     ) -> Result<Self, ConvTrainError> {
-        validate_spec(&spec)?;
-        if shadow.len() != spec.filters || shadow.iter().any(|r| r.len() != spec.patch_len()) {
+        let shape = shape.validated().map_err(|_| ConvTrainError::BadSpec)?;
+        if shadow.len() != shape.filters || shadow.iter().any(|r| r.len() != shape.patch_len()) {
             return Err(ConvTrainError::ShadowShape);
         }
         if threshold <= 0.0 || threshold.is_nan() {
             return Err(ConvTrainError::BadHyper("threshold"));
         }
         Ok(Self {
-            spec,
+            shape,
             shadow,
             threshold,
         })
     }
 
-    /// The conv spec.
+    /// The conv geometry.
     #[must_use]
-    pub fn spec(&self) -> &ConvSpec {
-        &self.spec
+    pub fn shape(&self) -> &ConvShape {
+        &self.shape
     }
 
     /// The full-precision shadow weights (training state).
@@ -234,15 +158,15 @@ impl BinConv {
     }
 
     /// Integer pre-activations of the ternary conv, filter-major
-    /// (`[f][oy][ox]`). For binary inputs every entry is an exact small
-    /// integer in `f64`.
+    /// (`[f][oy][ox]`), computed by [`direct_conv`]. For binary inputs
+    /// every entry is an exact small integer in `f64`.
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != spec.input_len()`.
+    /// Panics if `input.len() != shape.input_len()`.
     #[must_use]
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        conv_forward(&self.spec, &self.ternary_weights(), input)
+        direct_conv(&self.shape, &self.ternary_weights(), input)
     }
 
     /// Served binary feature map: [`binarize`] applied to
@@ -250,34 +174,11 @@ impl BinConv {
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != spec.input_len()`.
+    /// Panics if `input.len() != shape.input_len()`.
     #[must_use]
     pub fn features(&self, input: &[f64]) -> Vec<f64> {
         self.forward(input).iter().map(|&v| binarize(v)).collect()
     }
-}
-
-/// Ternary conv forward pass via im2col (reference digital path).
-///
-/// # Panics
-///
-/// Panics on mis-shaped weights or input.
-#[must_use]
-pub fn conv_forward(spec: &ConvSpec, weights: &[Vec<f64>], input: &[f64]) -> Vec<f64> {
-    assert_eq!(weights.len(), spec.filters, "conv_forward filter count");
-    let (out_h, out_w) = (spec.out_h(), spec.out_w());
-    let mut patch = vec![0.0; spec.patch_len()];
-    let mut out = vec![0.0; spec.feature_len()];
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            spec.patch_into(input, ox, oy, &mut patch);
-            for (f, w) in weights.iter().enumerate() {
-                let acc: f64 = w.iter().zip(&patch).map(|(a, b)| a * b).sum();
-                out[f * out_h * out_w + oy * out_w + ox] = acc;
-            }
-        }
-    }
-    out
 }
 
 /// Hyperparameters for [`train_ste`].
@@ -328,41 +229,25 @@ pub struct SteReport {
     pub probe_accuracy: f64,
 }
 
-fn validate_spec(spec: &ConvSpec) -> Result<(), ConvTrainError> {
-    let ok = spec.in_channels > 0
-        && spec.in_h > 0
-        && spec.in_w > 0
-        && spec.filters > 0
-        && spec.kernel > 0
-        && spec.stride > 0
-        && spec.kernel <= spec.in_h
-        && spec.kernel <= spec.in_w;
-    if ok {
-        Ok(())
-    } else {
-        Err(ConvTrainError::BadSpec)
-    }
-}
-
 /// Train a [`BinConv`] on a classification dataset (one-hot targets,
 /// `classes` wide) jointly with a throwaway linear probe, using
 /// full-batch straight-through SGD. Deterministic: a pure function of
-/// `(spec, classes, data, cfg)` — no thread-count or iteration-order
+/// `(shape, classes, data, cfg)` — no thread-count or iteration-order
 /// dependence.
 ///
 /// # Errors
 ///
 /// Returns [`ConvTrainError`] on shape or hyperparameter problems.
 pub fn train_ste(
-    spec: ConvSpec,
+    shape: ConvShape,
     classes: usize,
     data: &Dataset,
     cfg: &SteConfig,
 ) -> Result<(BinConv, SteReport), ConvTrainError> {
-    validate_spec(&spec)?;
-    if classes == 0 || data.input_dim() != spec.input_len() || data.output_dim() != classes {
+    let shape = shape.validated().map_err(|_| ConvTrainError::BadSpec)?;
+    if classes == 0 || data.input_dim() != shape.input_len() || data.output_dim() != classes {
         return Err(ConvTrainError::DatasetShape {
-            expected_input: spec.input_len(),
+            expected_input: shape.input_len(),
             expected_target: classes,
         });
     }
@@ -379,7 +264,7 @@ pub fn train_ste(
             return Err(ConvTrainError::BadHyper(name));
         }
     }
-    let patch_len = spec.patch_len();
+    let patch_len = shape.patch_len();
     let significance = match &cfg.significance {
         Some(s) => {
             if s.len() != patch_len || s.iter().any(|&w| !w.is_finite() || w < 0.0) {
@@ -390,11 +275,11 @@ pub fn train_ste(
         None => vec![1.0; patch_len],
     };
 
-    let feature_len = spec.feature_len();
+    let feature_len = shape.output_len();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Shadow init straddles the dead zone so early ternary filters are
     // sparse but not empty.
-    let mut shadow: Vec<Vec<f64>> = (0..spec.filters)
+    let mut shadow: Vec<Vec<f64>> = (0..shape.filters)
         .map(|_| {
             (0..patch_len)
                 .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * 2.0 * cfg.threshold)
@@ -412,7 +297,7 @@ pub fn train_ste(
     let mut probe_bias = vec![0.0; classes];
 
     let n = data.len() as f64;
-    let (out_h, out_w) = (spec.out_h(), spec.out_w());
+    let (out_h, out_w) = (shape.out_h(), shape.out_w());
     let mut initial_loss = 0.0;
     let mut final_loss = 0.0;
     let mut patch = vec![0.0; patch_len];
@@ -422,12 +307,12 @@ pub fn train_ste(
             .iter()
             .map(|row| row.iter().map(|&w| ternarize(w, cfg.threshold)).collect())
             .collect();
-        let mut grad_w = vec![vec![0.0; patch_len]; spec.filters];
+        let mut grad_w = vec![vec![0.0; patch_len]; shape.filters];
         let mut grad_p = vec![vec![0.0; feature_len]; classes];
         let mut grad_b = vec![0.0; classes];
         let mut loss = 0.0;
         for (x, target) in data.iter() {
-            let pre = conv_forward(&spec, &ternary, x);
+            let pre = direct_conv(&shape, &ternary, x);
             let act: Vec<f64> = pre.iter().map(|&v| binarize(v)).collect();
             let mut dpre = vec![0.0; feature_len];
             for (k, (pk, bk)) in probe.iter().zip(&probe_bias).enumerate() {
@@ -453,7 +338,7 @@ pub fn train_ste(
                 }
                 let f = j / (out_h * out_w);
                 let pixel = j % (out_h * out_w);
-                spec.patch_into(x, pixel % out_w, pixel / out_w, &mut patch);
+                shape.patch_into(x, pixel % out_w, pixel / out_w, &mut patch);
                 for ((gw, &xv), &sig) in grad_w[f].iter_mut().zip(&patch).zip(&significance) {
                     *gw += d * xv * sig;
                 }
@@ -482,7 +367,7 @@ pub fn train_ste(
         }
     }
 
-    let conv = BinConv::from_shadow(spec, shadow, cfg.threshold)?;
+    let conv = BinConv::from_shadow(shape, shadow, cfg.threshold)?;
     let mut correct = 0usize;
     for (x, target) in data.iter() {
         let act = conv.features(x);
@@ -524,8 +409,8 @@ pub fn train_ste(
 mod tests {
     use super::*;
 
-    fn spec() -> ConvSpec {
-        ConvSpec {
+    fn shape() -> ConvShape {
+        ConvShape {
             in_channels: 1,
             in_h: 6,
             in_w: 6,
@@ -535,16 +420,16 @@ mod tests {
         }
     }
 
-    fn toy_dataset(spec: &ConvSpec, classes: usize, n: usize) -> Dataset {
+    fn toy_dataset(shape: &ConvShape, classes: usize, n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(3);
         let mut inputs = Vec::new();
         let mut targets = Vec::new();
         for i in 0..n {
             let class = i % classes;
-            let img: Vec<f64> = (0..spec.input_len())
+            let img: Vec<f64> = (0..shape.input_len())
                 .map(|j| {
                     // Class-dependent stripes plus noise bits.
-                    let stripe = (j / spec.in_w + class).is_multiple_of(2);
+                    let stripe = (j / shape.in_w + class).is_multiple_of(2);
                     let flip = rng.gen::<u64>() % 8 == 0;
                     f64::from(u8::from(stripe != flip))
                 })
@@ -569,7 +454,7 @@ mod tests {
 
     #[test]
     fn training_reduces_probe_loss_and_is_deterministic() {
-        let s = spec();
+        let s = shape();
         let data = toy_dataset(&s, 2, 24);
         let cfg = SteConfig::default();
         let (conv_a, rep_a) = train_ste(s, 2, &data, &cfg).unwrap();
@@ -587,7 +472,7 @@ mod tests {
 
     #[test]
     fn served_weights_are_ternary_and_features_binary() {
-        let s = spec();
+        let s = shape();
         let data = toy_dataset(&s, 2, 12);
         let (conv, _) = train_ste(s, 2, &data, &SteConfig::default()).unwrap();
         for row in conv.ternary_weights() {
@@ -604,7 +489,7 @@ mod tests {
 
     #[test]
     fn zero_significance_freezes_columns() {
-        let s = spec();
+        let s = shape();
         let data = toy_dataset(&s, 2, 12);
         let mut sig = vec![1.0; s.patch_len()];
         sig[0] = 0.0;
@@ -643,10 +528,15 @@ mod tests {
 
     #[test]
     fn shape_and_hyper_validation() {
-        let s = spec();
+        let s = shape();
         let data = toy_dataset(&s, 2, 8);
         assert!(matches!(
-            train_ste(ConvSpec { kernel: 0, ..s }, 2, &data, &SteConfig::default()),
+            train_ste(
+                ConvShape { kernel: 0, ..s },
+                2,
+                &data,
+                &SteConfig::default()
+            ),
             Err(ConvTrainError::BadSpec)
         ));
         assert!(matches!(
@@ -684,8 +574,8 @@ mod tests {
     }
 
     #[test]
-    fn conv_forward_matches_hand_computation() {
-        let s = ConvSpec {
+    fn forward_matches_hand_computation() {
+        let s = ConvShape {
             in_channels: 1,
             in_h: 3,
             in_w: 3,
@@ -695,7 +585,7 @@ mod tests {
         };
         // Input 0..8 row-major; kernel all ones → 2×2 sums.
         let x: Vec<f64> = (0..9).map(f64::from).collect();
-        let w = vec![vec![1.0; 4]];
-        assert_eq!(conv_forward(&s, &w, &x), vec![8.0, 12.0, 20.0, 24.0]);
+        let conv = BinConv::from_shadow(s, vec![vec![1.0; 4]], 0.3).unwrap();
+        assert_eq!(conv.forward(&x), vec![8.0, 12.0, 20.0, 24.0]);
     }
 }

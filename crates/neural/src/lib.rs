@@ -20,6 +20,9 @@
 //! * [`data::Dataset`] — sample storage, splitting, and the *weighted
 //!   resampling* SAAB uses to focus new learners on hard examples
 //!   (Algorithm 1, line 4).
+//! * [`conv::BinConv`] — the CNN workload's binarized conv layer, trained
+//!   with the straight-through estimator on the crossbar crate's conv
+//!   geometry and direct-convolution oracle.
 //!
 //! ## Example: fit XOR
 //!
@@ -61,15 +64,12 @@ pub mod mlp;
 pub mod train;
 
 pub use activation::Activation;
-pub use conv::{
-    binarize, conv_forward, ternarize, train_ste, BinConv, ConvSpec, ConvTrainError, SteConfig,
-    SteReport,
-};
+pub use conv::{binarize, ternarize, train_ste, BinConv, ConvTrainError, SteConfig, SteReport};
 pub use data::{Dataset, DatasetError};
 pub use gradcheck::{check_gradients, GradCheckReport};
 pub use io::{read_mlp, write_mlp, ParseMlpError};
 pub use loss::WeightedMse;
 pub use matrix::Matrix;
-pub use metrics::{dataset_mse, mlp_mse};
+pub use metrics::{argmax, dataset_mse, mlp_mse};
 pub use mlp::{Layer, Mlp, MlpBuilder};
 pub use train::{sharded_mean_gradients, TrainConfig, TrainReport, Trainer};

@@ -44,6 +44,19 @@ pub fn mlp_mse(mlp: &Mlp, data: &Dataset) -> f64 {
     dataset_mse(|x| mlp.forward(x), data)
 }
 
+/// Index of the largest value (ties to the lowest index): the predicted
+/// class of a score vector.
+#[must_use]
+pub fn argmax(values: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &v) in values.iter().enumerate() {
+        if v > values[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,5 +98,12 @@ mod tests {
     fn rejects_wrong_output_length() {
         let data = Dataset::new(vec![vec![0.0]], vec![vec![1.0]]).unwrap();
         let _ = dataset_mse(|_| vec![0.0, 0.0], &data);
+    }
+
+    #[test]
+    fn argmax_ties_to_lowest_index() {
+        assert_eq!(argmax(&[0.3, 0.7, 0.7]), 1);
+        assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
+        assert_eq!(argmax(&[1.0]), 0);
     }
 }

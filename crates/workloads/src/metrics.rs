@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use neural::argmax;
+
 /// Which application error metric a benchmark reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorMetric {
@@ -107,18 +109,6 @@ pub fn psnr(predictions: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
     }
 }
 
-/// Index of the largest element (first on ties).
-#[must_use]
-pub fn argmax(values: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in values.iter().enumerate() {
-        if v > values[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,12 +170,6 @@ mod tests {
         let small = vec![vec![0.52; 8]];
         let large = vec![vec![0.7; 8]];
         assert!(psnr(&small, &t) > psnr(&large, &t));
-    }
-
-    #[test]
-    fn argmax_prefers_first_on_tie() {
-        assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
-        assert_eq!(argmax(&[0.1, 0.9, 0.3]), 1);
     }
 
     #[test]

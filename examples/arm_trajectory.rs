@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example arm_trajectory`
 
 use crossbar::SignalFluctuation;
-use mei::{AddaConfig, AddaRcs, MeiConfig, MeiRcs};
+use mei::{AddaConfig, AddaRcs, MeiConfig, MeiRcs, Rcs};
 use neural::TrainConfig;
 use prng::rngs::StdRng;
 use prng::SeedableRng;
@@ -120,8 +120,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (rx, ry) = forward_kinematics(a1, a2);
             ((tx - rx).powi(2) + (ty - ry).powi(2)).sqrt()
         };
-        mei_noisy += err_of(&rcs.infer_noisy(&pos, &sf, &mut rng)?);
-        adda_noisy += err_of(&adda.infer_noisy(&pos, &sf, &mut rng)?);
+        mei_noisy += err_of(&rcs.predict_noisy(&pos, &sf, &mut rng));
+        adda_noisy += err_of(&adda.predict_noisy(&pos, &sf, &mut rng));
     }
     println!(
         "\nwith signal fluctuation σ = 0.1: MEI {:.4} | AD/DA RCS {:.4}  (the Fig 5 flip)",

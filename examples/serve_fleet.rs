@@ -19,13 +19,13 @@
 //!
 //! Run with: `cargo run --release --example serve_fleet`
 
-use mei::{manufacture_boxed_fleet, MeiConfig, MeiRcs};
+use mei::{manufacture_fleet, MeiConfig, MeiRcs};
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use runtime::net::frame::ItemResponse;
 use runtime::net::{ClientV2, EventServer, EventServerConfig, NetWorkload};
-use runtime::{EjectReason, FleetConfig, SlaPoint};
+use runtime::{EjectReason, Engine, Fleet, FleetConfig, SlaPoint};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train a small MEI system on exp(−x²), as in the serve_tcp example.
@@ -51,7 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three pools of two chips each, replication 2: the workload lands
     // on its two top-ranked pools and rotates between them.
     let config = FleetConfig::new(42).with_replication(2).from_env();
-    let mut fleet = manufacture_boxed_fleet(&mei, 3, 2, 0.02, config);
+    // The event server takes type-erased chips: box each pool.
+    let engines = manufacture_fleet(&mei, 3, 2, 0.02, config)
+        .into_engines()
+        .into_iter()
+        .map(|engine| Engine::new(engine.into_pool().boxed()))
+        .collect();
+    let mut fleet = Fleet::new(engines, config);
     println!(
         "fleet: {} pools, {} chips total, replicas for 'expfit' = {:?}",
         fleet.len(),

@@ -24,12 +24,13 @@
 //!
 //! Run with: `cargo run --release --example serve_tcp`
 
-use mei::{manufacture_boxed_engine, MeiConfig, MeiRcs};
+use mei::{manufacture_chips, MeiConfig, MeiRcs};
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use runtime::net::frame::ItemResponse;
 use runtime::net::{Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response};
+use runtime::Engine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train a small MEI system on exp(−x²).
@@ -55,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 4-chip pool behind the default least-loaded policy, published as
     // the workload "expfit" (1 input element per request). One readiness
     // thread holds every connection; a small worker pool runs inference.
-    let engine = manufacture_boxed_engine(&mei, 4, 0.02, 42);
+    let engine = Engine::new(manufacture_chips(&mei, 4, 0.02, 42).boxed());
     let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],

@@ -17,11 +17,11 @@
 
 use std::time::Duration;
 
-use mei::{manufacture_engine, MeiConfig, MeiRcs};
+use mei::{manufacture_chips, MeiConfig, MeiRcs};
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
-use runtime::SizeAware;
+use runtime::{Engine, SizeAware};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train a small MEI system on exp(−x²).
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Manufacture 4 chips with 2% lognormal write noise, wrapped in a
     // serving engine (default policy: least-loaded).
-    let engine = manufacture_engine(&mei, 4, 0.02, 42);
+    let engine = Engine::new(manufacture_chips(&mei, 4, 0.02, 42));
     println!(
         "manufactured a {}-chip pool behind the '{}' policy\n",
         engine.pool().len(),

@@ -16,7 +16,10 @@
 //! CI. Another libm may move them without any change to this code.
 
 use crossbar::{IrDropConfig, SignalFluctuation};
-use mei::{AddaConfig, AddaRcs, CnnConfig, CnnRcs, MeiConfig, MeiRcs, Rcs, Saab, SaabConfig};
+use mei::{
+    AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, Drive, MeiConfig, MeiRcs, Rcs, Saab,
+    SaabConfig,
+};
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
@@ -109,9 +112,15 @@ fn cnn_noisy_bits_are_pinned() {
 fn mei_ir_drop_bits_are_pinned() {
     let mei = MeiRcs::train(&expfit(200, 1), &MeiConfig::quick_test()).unwrap();
     let wires = IrDropConfig::with_wire_resistance(2.5);
+    let mut ws = AnalogWorkspace::new();
     let outputs: Vec<Vec<f64>> = points()
         .iter()
-        .map(|x| mei.infer_ir(x, &wires).unwrap())
+        .map(|x| {
+            let bits = mei.input_spec().encode(x);
+            let mut drive = Drive::IrDrop(&wires);
+            let out = mei.infer_bits_driven(&bits, &mut drive, &mut ws).unwrap();
+            mei.output_spec().decode(&out)
+        })
         .collect();
     assert_eq!(fnv1a(&outputs), 8_131_931_387_564_284_801);
 }
@@ -127,14 +136,21 @@ fn raw_crossbar_bits_are_pinned() {
         .collect();
     let fluctuation = SignalFluctuation::new(SIGMA);
     let mut rng = StdRng::seed_from_u64(23);
+    let mut ws = AnalogWorkspace::new();
     let noisy: Vec<Vec<f64>> = bits
         .iter()
-        .map(|b| mei.analog().forward_noisy(b, &fluctuation, &mut rng))
+        .map(|b| {
+            let mut drive = Drive::Fluctuating(&fluctuation, &mut rng);
+            mei.analog().forward_driven(b, &mut drive, &mut ws)
+        })
         .collect();
     let wires = IrDropConfig::with_wire_resistance(2.5);
     let dropped: Vec<Vec<f64>> = bits
         .iter()
-        .map(|b| mei.analog().forward_ir(b, &wires))
+        .map(|b| {
+            mei.analog()
+                .forward_driven(b, &mut Drive::IrDrop(&wires), &mut ws)
+        })
         .collect();
     assert_eq!(fnv1a(&noisy), 3_201_119_189_082_665_355);
     assert_eq!(fnv1a(&dropped), 18_420_418_629_840_846_849);

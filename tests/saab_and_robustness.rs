@@ -2,8 +2,8 @@
 
 use crossbar::SignalFluctuation;
 use mei::{
-    evaluate_mse, mse_scorer, robustness, AddaConfig, AddaRcs, MeiConfig, MeiRcs, NonIdealFactors,
-    Saab, SaabConfig,
+    evaluate_mse, mse_scorer, robustness, AddaConfig, AddaRcs, AnalogWorkspace, Drive, MeiConfig,
+    MeiRcs, NonIdealFactors, Saab, SaabConfig,
 };
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
@@ -202,6 +202,7 @@ fn binary_interface_survives_moderate_fluctuation_per_bit() {
     .unwrap();
     let mut rng = StdRng::seed_from_u64(13);
     let sf = SignalFluctuation::new(0.05);
+    let mut ws = AnalogWorkspace::new();
     let mut stable = 0usize;
     let mut total = 0usize;
     for i in 0..40 {
@@ -209,7 +210,8 @@ fn binary_interface_survives_moderate_fluctuation_per_bit() {
         let bits = mei.input_spec().encode(&x);
         let clean = mei.infer_bits(&bits).unwrap();
         for _ in 0..5 {
-            let noisy = mei.infer_bits_noisy(&bits, &sf, &mut rng).unwrap();
+            let mut drive = Drive::Fluctuating(&sf, &mut rng);
+            let noisy = mei.infer_bits_driven(&bits, &mut drive, &mut ws).unwrap();
             stable += clean.iter().zip(&noisy).filter(|(a, b)| a == b).count();
             total += clean.len();
         }

@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use mei::{manufacture_boxed_engine, manufacture_chips, MeiConfig, MeiRcs};
+use mei::{manufacture_chips, MeiConfig, MeiRcs};
 use neural::Dataset;
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ fn request_sequence() -> Vec<Vec<f64>> {
 /// against an event server with the given worker count; return
 /// `(chip, output)` pairs.
 fn serve_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
-    let engine = manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
+    let engine = Engine::new(manufacture_chips(mei, CHIPS, WRITE_SIGMA, ROOT_SEED).boxed());
     let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
@@ -81,7 +81,7 @@ fn tcp_front_end_serves_the_same_bits_as_the_in_process_engine() {
     let mei = trained_mei();
     // In-process reference: a streaming session over the boxed engine —
     // the exact code path the server runs per connection.
-    let engine = manufacture_boxed_engine(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
+    let engine = Engine::new(manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED).boxed());
     let mut session = engine.session();
     let reference: Vec<(usize, Vec<f64>)> = request_sequence()
         .iter()
@@ -119,8 +119,8 @@ fn server_thread_count_cannot_change_response_bits() {
     );
 }
 
-/// The drifted deployment under test: the same manufactured pool as
-/// [`manufacture_boxed_engine`], each chip wrapped in a [`DriftingChip`]
+/// The drifted deployment under test: the standard manufactured pool,
+/// each chip wrapped in a [`DriftingChip`]
 /// under its own `(ROOT_SEED, chip)` substream (exactly what
 /// `mei::manufacture_drifting_engine` does, but boxed so the TCP
 /// front-end can serve it), aged `windows` windows, with optional
@@ -278,7 +278,7 @@ fn generous_admission_is_bit_transparent_end_to_end() {
 
 /// Bind an event-driven server over the standard manufactured pool.
 fn bind_event_server(mei: &MeiRcs, workers: usize) -> EventServer {
-    let engine = manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
+    let engine = Engine::new(manufacture_chips(mei, CHIPS, WRITE_SIGMA, ROOT_SEED).boxed());
     EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
@@ -527,7 +527,7 @@ fn event_server_holds_hundreds_of_idle_connections() {
 fn batch_and_streaming_assignments_agree_end_to_end() {
     let mei = trained_mei();
     let inputs = request_sequence();
-    let engine = manufacture_boxed_engine(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
+    let engine = Engine::new(manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED).boxed());
     let lens: Vec<usize> = inputs.iter().map(Vec::len).collect();
     let batch = engine.assignment(&lens);
     let mut session = engine.session();
