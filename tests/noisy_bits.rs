@@ -9,7 +9,9 @@
 //! noisy case disturbs its system with seeded σ = 0.05 process variation,
 //! then runs `Rcs::predict_noisy` on 16 inputs under σ = 0.05 signal
 //! fluctuation from one fixed generator. The IR-drop case runs the MEI
-//! system through 2.5 Ω wires.
+//! system through 2.5 Ω wires. The Monte-Carlo cases hash the `mean`,
+//! `std_dev`, `min` and `max` of a robustness report: three trials on a
+//! two-thread pool, each trial on its own substream of one seed.
 //!
 //! The lognormal draws go through the platform's `exp`, `ln` and `cos`,
 //! so the constants hold where they were recorded: x86_64 Linux, as in
@@ -17,13 +19,14 @@
 
 use crossbar::{IrDropConfig, SignalFluctuation};
 use mei::{
-    AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, Drive, MeiConfig, MeiRcs, Rcs, Saab,
-    SaabConfig,
+    mse_scorer, robustness_par, AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, Drive,
+    MeiConfig, MeiRcs, NonIdealFactors, Rcs, Saab, SaabConfig,
 };
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use rram::VariationModel;
+use runtime::ThreadPool;
 
 const SIGMA: f64 = 0.05;
 
@@ -53,6 +56,37 @@ fn fnv1a(outputs: &[Vec<f64>]) -> u64 {
     hash
 }
 
+fn mei() -> MeiRcs {
+    MeiRcs::train(&expfit(200, 1), &MeiConfig::quick_test()).unwrap()
+}
+
+fn adda() -> AddaRcs {
+    let config = AddaConfig {
+        train: TrainConfig {
+            epochs: 20,
+            learning_rate: 1.0,
+            ..TrainConfig::default()
+        },
+        ..AddaConfig::default()
+    };
+    AddaRcs::train(&expfit(200, 1), &config).unwrap()
+}
+
+fn saab() -> Saab {
+    let config = SaabConfig {
+        rounds: 2,
+        compare_bits: 4,
+        ..SaabConfig::default()
+    };
+    Saab::train(&expfit(200, 1), &MeiConfig::quick_test(), &config).unwrap()
+}
+
+fn cnn() -> (CnnRcs, Dataset) {
+    let images = workloads::cnn_dataset(8, 8, 12, 5);
+    let cnn = CnnRcs::train(&images, &CnnConfig::quick_test()).unwrap();
+    (cnn, images)
+}
+
 /// Disturb `rcs` with seeded process variation, then hash its noisy
 /// predictions on `inputs`.
 fn noisy_hash(mut rcs: impl Rcs, inputs: &[Vec<f64>]) -> u64 {
@@ -67,41 +101,36 @@ fn noisy_hash(mut rcs: impl Rcs, inputs: &[Vec<f64>]) -> u64 {
     fnv1a(&outputs)
 }
 
+/// Hash the statistics of a three-trial Monte-Carlo robustness report
+/// of `rcs` over `data` under `factors`, run on a two-thread pool.
+fn robustness_hash<T: Rcs + Clone + Send + Sync>(
+    rcs: &T,
+    data: &Dataset,
+    factors: &NonIdealFactors,
+) -> u64 {
+    let pool = ThreadPool::new(2);
+    let report = robustness_par(&pool, rcs, data, factors, 3, 31, mse_scorer);
+    fnv1a(&[vec![report.mean, report.std_dev, report.min, report.max]])
+}
+
 #[test]
 fn mei_noisy_bits_are_pinned() {
-    let mei = MeiRcs::train(&expfit(200, 1), &MeiConfig::quick_test()).unwrap();
-    assert_eq!(noisy_hash(mei, &points()), 11_682_906_487_768_988_061);
+    assert_eq!(noisy_hash(mei(), &points()), 11_682_906_487_768_988_061);
 }
 
 #[test]
 fn adda_noisy_bits_are_pinned() {
-    let config = AddaConfig {
-        train: TrainConfig {
-            epochs: 20,
-            learning_rate: 1.0,
-            ..TrainConfig::default()
-        },
-        ..AddaConfig::default()
-    };
-    let adda = AddaRcs::train(&expfit(200, 1), &config).unwrap();
-    assert_eq!(noisy_hash(adda, &points()), 12_822_804_867_354_279_973);
+    assert_eq!(noisy_hash(adda(), &points()), 12_822_804_867_354_279_973);
 }
 
 #[test]
 fn saab_noisy_bits_are_pinned() {
-    let config = SaabConfig {
-        rounds: 2,
-        compare_bits: 4,
-        ..SaabConfig::default()
-    };
-    let saab = Saab::train(&expfit(200, 1), &MeiConfig::quick_test(), &config).unwrap();
-    assert_eq!(noisy_hash(saab, &points()), 6_136_635_321_093_167_648);
+    assert_eq!(noisy_hash(saab(), &points()), 6_136_635_321_093_167_648);
 }
 
 #[test]
 fn cnn_noisy_bits_are_pinned() {
-    let images = workloads::cnn_dataset(8, 8, 12, 5);
-    let cnn = CnnRcs::train(&images, &CnnConfig::quick_test()).unwrap();
+    let (cnn, images) = cnn();
     assert_eq!(
         noisy_hash(cnn, &images.inputs()[..16]),
         4_111_028_510_894_361_573
@@ -109,8 +138,47 @@ fn cnn_noisy_bits_are_pinned() {
 }
 
 #[test]
+fn robustness_bits_are_pinned() {
+    let sigma = NonIdealFactors::new(SIGMA, SIGMA);
+    let test = expfit(64, 2);
+    let (cnn, images) = cnn();
+    assert_eq!(
+        robustness_hash(&mei(), &test, &sigma),
+        7_787_005_328_974_223_130
+    );
+    assert_eq!(
+        robustness_hash(&adda(), &test, &sigma),
+        10_351_047_137_402_826_788
+    );
+    assert_eq!(
+        robustness_hash(&saab(), &test, &sigma),
+        5_070_416_264_230_506_831
+    );
+    assert_eq!(
+        robustness_hash(&cnn, &images, &sigma),
+        17_224_699_009_466_341_741
+    );
+}
+
+#[test]
+fn write_draw_bits_are_pinned() {
+    // The condition of the bench binaries' write-draw means: lognormal
+    // write noise only, no signal fluctuation.
+    let write = NonIdealFactors::process_only(0.02);
+    let test = expfit(64, 2);
+    assert_eq!(
+        robustness_hash(&mei(), &test, &write),
+        13_171_875_391_274_947_404
+    );
+    assert_eq!(
+        robustness_hash(&adda(), &test, &write),
+        5_191_123_370_839_174_347
+    );
+}
+
+#[test]
 fn mei_ir_drop_bits_are_pinned() {
-    let mei = MeiRcs::train(&expfit(200, 1), &MeiConfig::quick_test()).unwrap();
+    let mei = mei();
     let wires = IrDropConfig::with_wire_resistance(2.5);
     let mut ws = AnalogWorkspace::new();
     let outputs: Vec<Vec<f64>> = points()
@@ -129,7 +197,7 @@ fn mei_ir_drop_bits_are_pinned() {
 fn raw_crossbar_bits_are_pinned() {
     // The comparators can absorb a small perturbation; the crossbar
     // outputs before them cannot.
-    let mei = MeiRcs::train(&expfit(200, 1), &MeiConfig::quick_test()).unwrap();
+    let mei = mei();
     let bits: Vec<Vec<f64>> = points()
         .iter()
         .map(|x| mei.input_spec().encode(x))
