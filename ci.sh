@@ -50,6 +50,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 
+echo "==> paper reproduction smoke (Table 1, Fig 3, encoding ablation)"
+# These binaries consume the Monte-Carlo robustness protocol, so a panic
+# in it fails the gate. FAST mode shrinks every training budget; their
+# shape checks are judged on full-budget runs only (EXPERIMENTS.md).
+for bin in table1 fig3_exp_fit ablation_encoding; do
+    MEI_BENCH_FAST=1 cargo run --release --offline -p mei-bench --bin "$bin" > /dev/null
+done
+
 echo "==> throughput bench smoke (closed sweep, in-process ramp-to-knee, policies)"
 # FAST mode shrinks training, windows, and the open-loop ramp. The report
 # must be strict JSON (the binary validates it) and non-empty. The wire is

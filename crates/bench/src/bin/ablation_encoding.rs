@@ -29,6 +29,7 @@ fn expfit(n: usize, seed: u64) -> Dataset {
 
 fn main() {
     let cfg = ExperimentConfig::from_env();
+    let pool = cfg.pool();
     println!("== Ablation: interface wire coding (binary vs Gray) ==\n");
 
     // Two tasks: the smooth Fig 3 function and the boundary-rich K-means
@@ -68,10 +69,11 @@ fn main() {
             .expect("MEI training")
         };
         for coding in [BitCoding::Binary, BitCoding::Gray] {
-            let mut rcs = train_with(coding);
+            let rcs = train_with(coding);
             let clean = evaluate_mse(&rcs, test);
             let noisy = robustness(
-                &mut rcs,
+                &pool,
+                &rcs,
                 test,
                 &NonIdealFactors::new(0.1, 0.05),
                 cfg.noise_trials.min(30),

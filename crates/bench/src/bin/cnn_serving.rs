@@ -37,7 +37,10 @@
 use std::time::Instant;
 
 use crossbar::{direct_conv, TiledConv};
-use mei::{argmax, manufacture_chips, manufacture_fleet, CnnConfig, CnnRcs, Rcs};
+use mei::{
+    argmax, manufacture_chips, manufacture_fleet, robustness, CnnConfig, CnnRcs, NonIdealFactors,
+    Rcs,
+};
 use mei_bench::{
     fast_mode, format_table, measure_window, ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
@@ -217,17 +220,18 @@ fn main() {
         (acc_digital - acc_analog).abs() < f64::EPSILON,
         "clean analog accuracy must equal the digital twin exactly"
     );
-    let draws: u32 = if fast { 2 } else { 5 };
-    let variation = VariationModel::process_variation(EXPERIMENT_WRITE_SIGMA);
-    let acc_disturbed = (0..draws)
-        .map(|draw| {
-            let mut noisy = cnn.clone();
-            let mut rng: StdRng = substream_rng(cfg.seed, u64::from(draw));
-            noisy.disturb(&variation, &mut rng);
-            noisy.accuracy(&test)
-        })
-        .sum::<f64>()
-        / f64::from(draws);
+    let draws = if fast { 2 } else { 5 };
+    let accuracy = |predictions: &[Vec<f64>], targets: &[Vec<f64>]| {
+        let correct = predictions
+            .iter()
+            .zip(targets)
+            .filter(|(p, t)| argmax(p) == argmax(t))
+            .count();
+        correct as f64 / predictions.len() as f64
+    };
+    let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
+    let acc_disturbed =
+        robustness(&cfg.pool(), &cnn, &test, &noise, draws, cfg.seed, accuracy).mean;
     eprintln!(
         "accuracy: train {:.3}, digital {acc_digital:.3}, analog {acc_analog:.3}, \
          disturbed(σ={EXPERIMENT_WRITE_SIGMA}) {acc_disturbed:.3} over {draws} draws",

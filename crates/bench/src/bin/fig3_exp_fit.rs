@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin fig3_exp_fit`
 
-use mei::{evaluate_mse, AddaConfig, AddaRcs, MeiConfig, MeiRcs};
-use mei_bench::{format_table, mean_over_write_draws, ExperimentConfig};
+use mei::{mse_scorer, robustness, AddaConfig, AddaRcs, MeiConfig, MeiRcs, NonIdealFactors};
+use mei_bench::{format_table, ExperimentConfig, EXPERIMENT_WRITE_SIGMA};
 use neural::Dataset;
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
@@ -25,6 +25,8 @@ fn expfit(n: usize, seed: u64) -> Dataset {
 
 fn main() {
     let cfg = ExperimentConfig::from_env();
+    let pool = cfg.pool();
+    let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
     // Paper: 10 000 training samples in (0, 1), 1 000 test samples.
     let train = expfit(cfg.train_samples.max(4000), 1);
     let test = expfit(cfg.test_samples, 2);
@@ -37,7 +39,7 @@ fn main() {
     let sizes = [2usize, 4, 8, 16, 32];
     let mut rows = Vec::new();
     for &n in &sizes {
-        let mut adda = AddaRcs::train(
+        let adda = AddaRcs::train(
             &train,
             &AddaConfig {
                 hidden: n,
@@ -62,16 +64,17 @@ fn main() {
             )
             .expect("mei")
         };
-        let mut mei_w = mei(true);
-        let mut mei_u = mei(false);
-        let score = |r: &mut dyn mei::Rcs, seed| {
-            mean_over_write_draws(r, cfg.write_draws, seed, |rr| evaluate_mse(rr, &test))
-        };
+        let mei_w = mei(true);
+        let mei_u = mei(false);
+        let draws = cfg.write_draws;
+        let adda_mse = robustness(&pool, &adda, &test, &noise, draws, 11, mse_scorer).mean;
+        let mei_u_mse = robustness(&pool, &mei_u, &test, &noise, draws, 12, mse_scorer).mean;
+        let mei_w_mse = robustness(&pool, &mei_w, &test, &noise, draws, 13, mse_scorer).mean;
         rows.push(vec![
             format!("1×{n}×1"),
-            format!("{:.5}", score(&mut adda, 11)),
-            format!("{:.5}", score(&mut mei_u, 12)),
-            format!("{:.5}", score(&mut mei_w, 13)),
+            format!("{adda_mse:.5}"),
+            format!("{mei_u_mse:.5}"),
+            format!("{mei_w_mse:.5}"),
         ]);
     }
     println!(

@@ -9,14 +9,16 @@
 //! Run with: `cargo run --release -p mei-bench --bin fig4_methods`
 
 use interface::cost::{AddaTopology, CostModel};
-use mei::{evaluate_metric, MeiConfig, SaabConfig};
+use mei::{evaluate_metric, robustness, MeiConfig, NonIdealFactors, SaabConfig};
 use mei_bench::{
-    format_table, mean_over_write_draws, table1_setups, train_saab_adaptive, train_trio,
-    ExperimentConfig,
+    format_table, table1_setups, train_saab_adaptive, train_trio, ExperimentConfig,
+    EXPERIMENT_WRITE_SIGMA,
 };
 
 fn main() {
     let cfg = ExperimentConfig::from_env();
+    let pool = cfg.pool();
+    let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
     let cost = CostModel::dac2015();
     println!("== Fig 4: method comparison (application error metric per benchmark) ==\n");
 
@@ -37,7 +39,7 @@ fn main() {
             .expect("test data");
         let metric = w.metric();
 
-        let mut trio = train_trio(&setup, &train, &cfg);
+        let trio = train_trio(&setup, &train, &cfg);
 
         // Eq (9): the ensemble budget for this benchmark.
         let (i, h, o) = w.digital_topology();
@@ -59,20 +61,17 @@ fn main() {
         let saab_cfg = SaabConfig {
             rounds: k_max,
             compare_bits: setup.mei_out_bits.clamp(1, 4),
-            factors: mei::NonIdealFactors::new(0.05, 0.02),
+            factors: NonIdealFactors::new(0.05, 0.02),
             ..SaabConfig::default()
         };
-        let (mut saab, bc) = train_saab_adaptive(&train, &mei_cfg, &saab_cfg);
+        let (saab, bc) = train_saab_adaptive(&train, &mei_cfg, &saab_cfg);
 
-        let score = |r: &mut dyn mei::Rcs, seed: u64| {
-            mean_over_write_draws(r, cfg.write_draws, seed, |rr| {
-                evaluate_metric(rr, &test, |p, t| metric.evaluate(p, t))
-            })
-        };
-        let err_digital = evaluate_metric(&trio.digital, &test, |p, t| metric.evaluate(p, t));
-        let err_adda = score(&mut trio.adda, 21);
-        let err_mei = score(&mut trio.mei, 23);
-        let err_saab = score(&mut saab, 25);
+        let error = |p: &[Vec<f64>], t: &[Vec<f64>]| metric.evaluate(p, t);
+        let draws = cfg.write_draws;
+        let err_digital = evaluate_metric(&trio.digital, &test, error);
+        let err_adda = robustness(&pool, &trio.adda, &test, &noise, draws, 21, error).mean;
+        let err_mei = robustness(&pool, &trio.mei, &test, &noise, draws, 23, error).mean;
+        let err_saab = robustness(&pool, &saab, &test, &noise, draws, 25, error).mean;
 
         improvements.push((err_mei - err_saab).max(-1.0));
         rows.push(vec![

@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin fig5_noise`
 
-use mei::{mse_scorer, robustness_par, MeiConfig, MeiRcs, NonIdealFactors, Rcs, SaabConfig};
+use mei::{mse_scorer, robustness, MeiConfig, MeiRcs, NonIdealFactors, Rcs, SaabConfig};
 use mei_bench::{format_table, table1_setups, train_saab_adaptive, train_trio, ExperimentConfig};
 use neural::Dataset;
 use runtime::ThreadPool;
@@ -35,7 +35,7 @@ fn mc_mean<T: Rcs + Clone + Send + Sync>(
     trials: usize,
     seed: u64,
 ) -> f64 {
-    robustness_par(pool, rcs, test, factors, trials, seed, mse_scorer).mean
+    robustness(pool, rcs, test, factors, trials, seed, mse_scorer).mean
 }
 
 fn main() {

@@ -9,9 +9,9 @@
 
 use interface::cost::{AddaTopology, CostModel};
 use mei::prune::prune_to_requirement;
-use mei::{evaluate_metric, evaluate_mse};
+use mei::{evaluate_metric, evaluate_mse, mse_scorer, robustness, NonIdealFactors};
 use mei_bench::{
-    format_table, mean_over_write_draws_par, pct, table1_setups, train_trio, ExperimentConfig,
+    format_table, pct, table1_setups, train_trio, ExperimentConfig, EXPERIMENT_WRITE_SIGMA,
 };
 
 /// The paper's Table 1 reference values: (mse_digital, mse_adda, mse_mei,
@@ -58,6 +58,7 @@ const PAPER: [(&str, [f64; 8]); 6] = [
 fn main() {
     let cfg = ExperimentConfig::from_env();
     let pool = cfg.pool();
+    let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
     let cost = CostModel::dac2015();
     println!(
         "== Table 1: six benchmarks, {} train / {} test samples, {} write draws, {} threads ==\n",
@@ -95,20 +96,14 @@ fn main() {
         let mei_topology = pruned.rcs.topology();
 
         // Digital is noise-free; the two RCSs average over write draws.
+        let error = |p: &[Vec<f64>], t: &[Vec<f64>]| metric.evaluate(p, t);
         let mse_digital = evaluate_mse(&trio.digital, &test);
-        let err_digital = evaluate_metric(&trio.digital, &test, |p, t| metric.evaluate(p, t));
-        let mse_adda = mean_over_write_draws_par(&pool, &trio.adda, cfg.write_draws, 11, |r| {
-            evaluate_mse(r, &test)
-        });
-        let err_adda = mean_over_write_draws_par(&pool, &trio.adda, cfg.write_draws, 11, |r| {
-            evaluate_metric(r, &test, |p, t| metric.evaluate(p, t))
-        });
-        let mse_mei = mean_over_write_draws_par(&pool, &trio.mei, cfg.write_draws, 13, |r| {
-            evaluate_mse(r, &test)
-        });
-        let err_mei = mean_over_write_draws_par(&pool, &trio.mei, cfg.write_draws, 13, |r| {
-            evaluate_metric(r, &test, |p, t| metric.evaluate(p, t))
-        });
+        let err_digital = evaluate_metric(&trio.digital, &test, error);
+        let draws = cfg.write_draws;
+        let mse_adda = robustness(&pool, &trio.adda, &test, &noise, draws, 11, mse_scorer).mean;
+        let err_adda = robustness(&pool, &trio.adda, &test, &noise, draws, 11, error).mean;
+        let mse_mei = robustness(&pool, &trio.mei, &test, &noise, draws, 13, mse_scorer).mean;
+        let err_mei = robustness(&pool, &trio.mei, &test, &noise, draws, 13, error).mean;
 
         let (i, h, o) = w.digital_topology();
         let adda_topology = AddaTopology::new(i, h, o, 8);

@@ -26,8 +26,10 @@
 //! lognormal write-accuracy noise** ([`EXPERIMENT_WRITE_SIGMA`]) — the
 //! program-and-verify tolerance reported for analog RRAM tuning — and
 //! reports the mean over [`ExperimentConfig::write_draws`] manufactured
-//! "chips". Without such noise the behavioural analog path is *exact* and
-//! the AD/DA baseline becomes unrealistically strong (see DESIGN.md).
+//! "chips". Each draw is one trial of [`mei::robustness`] at that
+//! process-variation level alone, the same protocol the noise sweeps use.
+//! Without such noise the behavioural analog path is *exact* and the
+//! AD/DA baseline becomes unrealistically strong (see DESIGN.md).
 //!
 //! Set `MEI_BENCH_FAST=1` for smoke runs: it shrinks every training budget
 //! ~4× here and the serving benches' windows and training.
@@ -46,11 +48,9 @@ pub mod timing;
 
 use std::time::{Duration, Instant};
 
-use mei::{AddaConfig, AddaRcs, DigitalAnn, MeiConfig, MeiRcs, Rcs};
+use mei::{AddaConfig, AddaRcs, DigitalAnn, MeiConfig, MeiRcs};
 use neural::{Dataset, TrainConfig};
-use prng::rngs::StdRng;
-use prng::SeedableRng;
-use rram::{DeviceParams, VariationModel};
+use rram::DeviceParams;
 use runtime::{Chip, Engine, ServeStats};
 use workloads::{all_benchmarks, Workload};
 
@@ -315,55 +315,6 @@ pub fn train_saab_adaptive(
     panic!("SAAB untrainable even at B_C = 1 with 50% group tolerance");
 }
 
-/// Mean of `score` over `draws` manufactured chips: each draw programs the
-/// arrays with fresh lognormal write noise, scores, and restores.
-pub fn mean_over_write_draws<F>(rcs: &mut dyn Rcs, draws: usize, seed: u64, mut score: F) -> f64
-where
-    F: FnMut(&dyn Rcs) -> f64,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
-    let variation = VariationModel::process_variation(EXPERIMENT_WRITE_SIGMA);
-    let mut total = 0.0;
-    for _ in 0..draws.max(1) {
-        rcs.disturb(&variation, &mut rng);
-        total += score(rcs);
-        rcs.restore();
-    }
-    total / draws.max(1) as f64
-}
-
-/// Parallel variant of [`mean_over_write_draws`]: draw `i` disturbs a
-/// *clone* of `rcs` under its `(seed, i)` substream, so the result is
-/// bit-identical for every thread count (including 1). The per-draw
-/// streams differ from the serial variant's single shared stream, so the
-/// two functions agree statistically, not bitwise.
-pub fn mean_over_write_draws_par<T, F>(
-    pool: &runtime::ThreadPool,
-    rcs: &T,
-    draws: usize,
-    seed: u64,
-    score: F,
-) -> f64
-where
-    T: Rcs + Clone + Send + Sync,
-    F: Fn(&dyn Rcs) -> f64 + Sync,
-{
-    let variation = VariationModel::process_variation(EXPERIMENT_WRITE_SIGMA);
-    let draws = draws.max(1);
-    let total = pool.par_reduce(
-        &vec![(); draws],
-        |i, ()| {
-            let mut chip = rcs.clone();
-            let mut rng = StdRng::seed_from_u64(prng::substream(seed, i as u64));
-            chip.disturb(&variation, &mut rng);
-            score(&chip)
-        },
-        0.0,
-        |acc, s| acc + s,
-    );
-    total / draws as f64
-}
-
 /// Whether `MEI_BENCH_FAST=1` smoke mode is on.
 #[must_use]
 pub fn fast_mode() -> bool {
@@ -461,7 +412,7 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mei::evaluate_mse;
+    use mei::{evaluate_mse, mse_scorer, robustness, NonIdealFactors};
 
     #[test]
     fn setups_cover_all_six_benchmarks() {
@@ -501,20 +452,11 @@ mod tests {
         let sobel = &setups[5];
         let train = sobel.workload.dataset(cfg.train_samples, 1).unwrap();
         let test = sobel.workload.dataset(cfg.test_samples, 2).unwrap();
-        let mut trio = train_trio(sobel, &train, &cfg);
+        let trio = train_trio(sobel, &train, &cfg);
         assert!(evaluate_mse(&trio.digital, &test).is_finite());
-        let noisy = mean_over_write_draws(&mut trio.mei, 2, 7, |r| evaluate_mse(r, &test));
+        let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
+        let noisy = robustness(&cfg.pool(), &trio.mei, &test, &noise, 2, 7, mse_scorer).mean;
         assert!(noisy.is_finite() && noisy >= 0.0);
-        // The parallel mean is bit-identical for every thread count.
-        let par = |threads| {
-            mean_over_write_draws_par(&runtime::ThreadPool::new(threads), &trio.mei, 3, 7, |r| {
-                evaluate_mse(r, &test)
-            })
-        };
-        let serial = par(1);
-        assert!(serial.is_finite() && serial >= 0.0);
-        assert_eq!(serial.to_bits(), par(2).to_bits());
-        assert_eq!(serial.to_bits(), par(4).to_bits());
     }
 
     #[test]

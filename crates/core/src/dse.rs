@@ -17,6 +17,7 @@ use std::fmt;
 use interface::cost::{AddaTopology, CostModel};
 use neural::Dataset;
 use rram::NonIdealFactors;
+use runtime::ThreadPool;
 
 use crate::error::TrainRcsError;
 use crate::eval::{evaluate_mse, mse_scorer, robustness, Rcs};
@@ -50,7 +51,9 @@ pub struct DseConfig {
     pub initial_hidden: usize,
     /// Growth schedule of the hidden search.
     pub growth: HiddenGrowth,
-    /// Upper bound on the hidden size.
+    /// Upper bound on the hidden size of the line-1 search. The
+    /// equivalent single network of line 18 has `H·K` hidden nodes, as in
+    /// the paper, whatever this bound.
     pub max_hidden: usize,
     /// Change-rate threshold `η` stopping the hidden search (Eq 8; the paper
     /// suggests 5%).
@@ -70,9 +73,9 @@ pub struct DseConfig {
     pub prune: bool,
     /// Seed for every stochastic step.
     pub seed: u64,
-    /// Worker threads for SAAB learner scoring and sharded backprop inside
-    /// the exploration; `0` means "auto". Results are bit-identical for
-    /// any value.
+    /// Worker threads for robustness trials, SAAB learner scoring and
+    /// sharded backprop inside the exploration; `0` means "auto". Results
+    /// are bit-identical for any value.
     pub threads: usize,
 }
 
@@ -115,14 +118,6 @@ impl DseDesign {
         match self {
             DseDesign::Single(_) => 1,
             DseDesign::Ensemble(s) => s.len(),
-        }
-    }
-
-    /// A reference to the design as an evaluable [`Rcs`].
-    pub fn as_rcs_mut(&mut self) -> &mut dyn Rcs {
-        match self {
-            DseDesign::Single(r) => r,
-            DseDesign::Ensemble(s) => s,
         }
     }
 
@@ -174,6 +169,21 @@ impl fmt::Display for DseResult {
             100.0 * self.power_saving,
         )
     }
+}
+
+/// The robustness requirement's measure: the mean test MSE of `rcs` over
+/// the configured Monte-Carlo trials.
+fn noisy_mse<T: Rcs + Clone + Send + Sync>(rcs: &T, test: &Dataset, config: &DseConfig) -> f64 {
+    robustness(
+        &ThreadPool::new(config.threads),
+        rcs,
+        test,
+        &config.factors,
+        config.robustness_trials,
+        config.seed,
+        mse_scorer,
+    )
+    .mean
 }
 
 /// Run the Algorithm 2 exploration.
@@ -253,19 +263,7 @@ pub fn explore(
     log.push(format!("K_max = {k_max} (area/power budget of {adda})"));
 
     // ---- Lines 3–6: does a single RCS already satisfy both requirements?
-    let noisy = |r: &mut dyn Rcs| {
-        robustness(
-            r,
-            test,
-            &config.factors,
-            config.robustness_trials,
-            config.seed,
-            mse_scorer,
-        )
-        .mean
-    };
-    let mut rcs_for_noise = rcs.clone();
-    let mut noisy_error = noisy(&mut rcs_for_noise);
+    let mut noisy_error = noisy_mse(&rcs, test, config);
     log.push(format!("single RCS: MSE {mse:.6}, noisy {noisy_error:.6}"));
 
     let mut design = DseDesign::Single(rcs.clone());
@@ -298,20 +296,19 @@ pub fn explore(
             if trainer.learner_count() == 0 {
                 continue;
             }
-            let mut ensemble = trainer.ensemble();
+            let ensemble = trainer.ensemble();
             let ens_error = evaluate_mse(&ensemble, test);
-            let ens_noisy = noisy(&mut ensemble);
+            let ens_noisy = noisy_mse(&ensemble, test, config);
             log.push(format!(
                 "K={k}: SAAB({}) MSE {ens_error:.6}, noisy {ens_noisy:.6}",
                 trainer.learner_count()
             ));
 
             // Line 18: the equivalent single RCS with hidden H·K.
-            let wide_hidden = (hidden * k).min(config.max_hidden.max(hidden * k));
+            let wide_hidden = hidden * k;
             let wide = train_at(wide_hidden, config.seed.wrapping_add(k as u64))?;
             let wide_error = evaluate_mse(&wide, test);
-            let mut wide_for_noise = wide.clone();
-            let wide_noisy = noisy(&mut wide_for_noise);
+            let wide_noisy = noisy_mse(&wide, test, config);
             log.push(format!(
                 "K={k}: wide single (H={wide_hidden}) MSE {wide_error:.6}, noisy {wide_noisy:.6}"
             ));
@@ -536,7 +533,7 @@ mod tests {
         let train = expfit_data(300, 9);
         let test = expfit_data(100, 10);
         let adda = AddaTopology::new(1, 8, 1, 8);
-        let mut result = explore(
+        let result = explore(
             &train,
             &test,
             &adda,
@@ -548,6 +545,5 @@ mod tests {
         assert!(result.design.learner_count() >= 1);
         let y = result.design.as_rcs().infer(&[0.5]);
         assert_eq!(y.len(), 1);
-        let _ = result.design.as_rcs_mut();
     }
 }

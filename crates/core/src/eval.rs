@@ -74,9 +74,9 @@ pub struct RobustnessReport {
     pub mean: f64,
     /// Standard deviation across trials.
     pub std_dev: f64,
-    /// Best (lowest) trial score.
+    /// Lowest trial score (the best, for an error scorer).
     pub min: f64,
-    /// Worst (highest) trial score.
+    /// Highest trial score (the worst, for an error scorer).
     pub max: f64,
     /// Number of trials.
     pub trials: usize,
@@ -93,81 +93,24 @@ impl fmt::Display for RobustnessReport {
 }
 
 /// The paper's robustness protocol (§5.3): under a fixed non-ideal-factor
-/// level, re-sample the device variation each trial, score the whole test
-/// set with per-sample signal fluctuation, restore, and aggregate across
-/// `trials` repetitions.
+/// level, every trial disturbs its own clone of the system with freshly
+/// sampled process variation, scores the whole test set with per-sample
+/// signal fluctuation, and the report aggregates `trials` repetitions.
+///
+/// Trial `i` draws all its randomness from the stream
+/// `prng::substream(seed, i)`, so the report is **bit-identical for every
+/// thread count** (including 1) and across runs, per the workspace's
+/// deterministic-parallelism rule (DESIGN.md, "Parallel execution"). An
+/// ideal level draws nothing from its stream, and `rcs` itself is never
+/// disturbed.
 ///
 /// The scorer receives `(predictions, targets)` and returns the trial's
-/// error; with `NonIdealFactors::ideal()` every trial is identical.
+/// score; with `NonIdealFactors::ideal()` every trial is identical.
 ///
 /// # Panics
 ///
 /// Panics if `trials` is zero.
-pub fn robustness<F>(
-    rcs: &mut dyn Rcs,
-    data: &Dataset,
-    factors: &NonIdealFactors,
-    trials: usize,
-    seed: u64,
-    mut scorer: F,
-) -> RobustnessReport
-where
-    F: FnMut(&[Vec<f64>], &[Vec<f64>]) -> f64,
-{
-    assert!(trials > 0, "robustness needs at least one trial");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let variation = VariationModel::process_variation(factors.process_variation);
-    let fluctuation = SignalFluctuation::new(factors.signal_fluctuation);
-    let targets: Vec<Vec<f64>> = data.targets().to_vec();
-
-    let mut scores = Vec::with_capacity(trials);
-    for _ in 0..trials {
-        if !variation.is_ideal() {
-            rcs.disturb(&variation, &mut rng);
-        }
-        let predictions: Vec<Vec<f64>> = data
-            .iter()
-            .map(|(x, _)| rcs.predict_noisy(x, &fluctuation, &mut rng))
-            .collect();
-        scores.push(scorer(&predictions, &targets));
-        if !variation.is_ideal() {
-            rcs.restore();
-        }
-    }
-
-    report_from_scores(&scores)
-}
-
-/// Aggregate per-trial scores into a [`RobustnessReport`].
-fn report_from_scores(scores: &[f64]) -> RobustnessReport {
-    let trials = scores.len();
-    let mean = scores.iter().sum::<f64>() / trials as f64;
-    let var = scores.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / trials as f64;
-    RobustnessReport {
-        mean,
-        std_dev: var.sqrt(),
-        min: scores.iter().cloned().fold(f64::INFINITY, f64::min),
-        max: scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        trials,
-    }
-}
-
-/// The Monte-Carlo robustness protocol of [`robustness`], parallelized
-/// over trials on a [`ThreadPool`].
-///
-/// Unlike [`robustness`], which threads one generator through the trial
-/// loop, every trial here derives its own stream from
-/// `(seed, trial_index)` via [`prng::substream`] and disturbs its own
-/// clone of the system — so the report is **bit-identical for every
-/// thread count** (including 1) and across runs, per the workspace's
-/// deterministic-parallelism rule (DESIGN.md, "Parallel execution"). The
-/// two protocols draw different streams, so their reports differ
-/// numerically while agreeing statistically.
-///
-/// # Panics
-///
-/// Panics if `trials` is zero.
-pub fn robustness_par<T, S>(
+pub fn robustness<T, S>(
     pool: &ThreadPool,
     rcs: &T,
     data: &Dataset,
@@ -199,86 +142,20 @@ where
         scorer(&predictions, &targets)
     });
 
-    report_from_scores(&scores)
-}
-
-/// One point of a robustness sweep: the σ level and its Monte-Carlo report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// The swept non-ideal-factor level.
-    pub sigma: f64,
-    /// The Monte-Carlo statistics at that level.
-    pub report: RobustnessReport,
-}
-
-/// Sweep one non-ideal factor across `levels` (the Fig 5 protocol):
-/// `factor_of` maps each level to the σ-vector (e.g.
-/// [`NonIdealFactors::process_only`]), and every level is evaluated with
-/// [`robustness`] under the same seed so levels differ only by σ.
-///
-/// # Panics
-///
-/// Panics if `levels` is empty or `trials` is zero.
-pub fn sweep_robustness<F, S>(
-    rcs: &mut dyn Rcs,
-    data: &Dataset,
-    levels: &[f64],
-    factor_of: F,
-    trials: usize,
-    seed: u64,
-    mut scorer: S,
-) -> Vec<SweepPoint>
-where
-    F: Fn(f64) -> NonIdealFactors,
-    S: FnMut(&[Vec<f64>], &[Vec<f64>]) -> f64,
-{
-    assert!(!levels.is_empty(), "sweep needs at least one level");
-    levels
-        .iter()
-        .map(|&sigma| SweepPoint {
-            sigma,
-            report: robustness(rcs, data, &factor_of(sigma), trials, seed, &mut scorer),
-        })
-        .collect()
-}
-
-/// [`sweep_robustness`] on the parallel protocol: every level is
-/// evaluated with [`robustness_par`] under the same seed, so levels
-/// differ only by σ and the whole sweep is bit-identical for any thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if `levels` is empty or `trials` is zero.
-// One argument over clippy's limit, to stay parallel to sweep_robustness.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_robustness_par<T, F, S>(
-    pool: &ThreadPool,
-    rcs: &T,
-    data: &Dataset,
-    levels: &[f64],
-    factor_of: F,
-    trials: usize,
-    seed: u64,
-    scorer: S,
-) -> Vec<SweepPoint>
-where
-    T: Rcs + Clone + Send + Sync,
-    F: Fn(f64) -> NonIdealFactors,
-    S: Fn(&[Vec<f64>], &[Vec<f64>]) -> f64 + Sync,
-{
-    assert!(!levels.is_empty(), "sweep needs at least one level");
-    levels
-        .iter()
-        .map(|&sigma| SweepPoint {
-            sigma,
-            report: robustness_par(pool, rcs, data, &factor_of(sigma), trials, seed, &scorer),
-        })
-        .collect()
+    let mean = scores.iter().sum::<f64>() / trials as f64;
+    let var = scores.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / trials as f64;
+    RobustnessReport {
+        mean,
+        std_dev: var.sqrt(),
+        min: scores.iter().cloned().fold(f64::INFINITY, f64::min),
+        max: scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        trials,
+    }
 }
 
 /// Mean-squared-error scorer for [`robustness`] — the default when no
-/// application metric applies.
+/// application metric applies. It does the arithmetic of
+/// [`evaluate_mse`], sample by sample in the same order.
 #[must_use]
 pub fn mse_scorer(predictions: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
     let mut total = 0.0;
@@ -318,10 +195,11 @@ mod tests {
     #[test]
     fn digital_ann_is_noise_immune() {
         let data = expfit_data(200, 1);
-        let mut ann = DigitalAnn::train(&data, 6, &quick_train(), 0).unwrap();
+        let ann = DigitalAnn::train(&data, 6, &quick_train(), 0).unwrap();
         let clean = evaluate_mse(&ann, &data);
         let report = robustness(
-            &mut ann,
+            &ThreadPool::new(2),
+            &ann,
             &data,
             &NonIdealFactors::new(0.5, 0.5),
             5,
@@ -336,7 +214,7 @@ mod tests {
     #[test]
     fn noisy_trials_degrade_analog_rcs() {
         let data = expfit_data(200, 2);
-        let mut rcs = AddaRcs::train(
+        let rcs = AddaRcs::train(
             &data,
             &AddaConfig {
                 train: quick_train(),
@@ -346,7 +224,8 @@ mod tests {
         .unwrap();
         let clean = evaluate_mse(&rcs, &data);
         let noisy = robustness(
-            &mut rcs,
+            &ThreadPool::new(2),
+            &rcs,
             &data,
             &NonIdealFactors::new(0.3, 0.2),
             10,
@@ -360,17 +239,18 @@ mod tests {
         );
         assert!(noisy.std_dev > 0.0);
         assert!(noisy.min <= noisy.mean && noisy.mean <= noisy.max);
-        // Device state restored after the report.
-        assert!((evaluate_mse(&rcs, &data) - clean).abs() < 1e-12);
+        // The system itself is untouched: every trial disturbed a clone.
+        assert_eq!(evaluate_mse(&rcs, &data).to_bits(), clean.to_bits());
     }
 
     #[test]
     fn robustness_is_seeded() {
         let data = expfit_data(100, 3);
-        let mut rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
+        let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
         let sigma = NonIdealFactors::new(0.2, 0.1);
-        let a = robustness(&mut rcs, &data, &sigma, 4, 11, mse_scorer);
-        let b = robustness(&mut rcs, &data, &sigma, 4, 11, mse_scorer);
+        let pool = ThreadPool::new(2);
+        let a = robustness(&pool, &rcs, &data, &sigma, 4, 11, mse_scorer);
+        let b = robustness(&pool, &rcs, &data, &sigma, 4, 11, mse_scorer);
         assert_eq!(a, b);
     }
 
@@ -388,8 +268,9 @@ mod tests {
     #[test]
     fn ideal_factors_give_zero_variance() {
         let data = expfit_data(80, 5);
-        let mut rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
-        let report = robustness(&mut rcs, &data, &NonIdealFactors::ideal(), 3, 0, mse_scorer);
+        let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
+        let ideal = NonIdealFactors::ideal();
+        let report = robustness(&ThreadPool::new(2), &rcs, &data, &ideal, 3, 0, mse_scorer);
         assert_eq!(report.std_dev, 0.0);
         assert_eq!(report.min, report.max);
     }
@@ -398,52 +279,31 @@ mod tests {
     #[should_panic(expected = "at least one trial")]
     fn zero_trials_rejected() {
         let data = expfit_data(10, 6);
-        let mut ann = DigitalAnn::train(&data, 2, &quick_train(), 0).unwrap();
-        let _ = robustness(&mut ann, &data, &NonIdealFactors::ideal(), 0, 0, mse_scorer);
+        let ann = DigitalAnn::train(&data, 2, &quick_train(), 0).unwrap();
+        let ideal = NonIdealFactors::ideal();
+        let _ = robustness(&ThreadPool::new(2), &ann, &data, &ideal, 0, 0, mse_scorer);
     }
 
     #[test]
-    fn sweep_is_monotone_for_analog_rcs() {
+    fn robustness_grows_with_process_variation() {
         let data = expfit_data(120, 7);
-        let mut rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
-        let points = sweep_robustness(
-            &mut rcs,
-            &data,
-            &[0.0, 0.1, 0.4],
-            NonIdealFactors::process_only,
-            8,
-            3,
-            mse_scorer,
-        );
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].sigma, 0.0);
-        assert!(points[0].report.mean <= points[2].report.mean);
+        let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
+        let pool = ThreadPool::new(2);
+        let mean_at = |sigma| {
+            let factors = NonIdealFactors::process_only(sigma);
+            robustness(&pool, &rcs, &data, &factors, 8, 3, mse_scorer).mean
+        };
+        assert!(mean_at(0.0) <= mean_at(0.4));
     }
 
     #[test]
-    #[should_panic(expected = "at least one level")]
-    fn empty_sweep_rejected() {
-        let data = expfit_data(20, 8);
-        let mut ann = DigitalAnn::train(&data, 2, &quick_train(), 0).unwrap();
-        let _ = sweep_robustness(
-            &mut ann,
-            &data,
-            &[],
-            NonIdealFactors::process_only,
-            1,
-            0,
-            mse_scorer,
-        );
-    }
-
-    #[test]
-    fn parallel_robustness_is_thread_count_invariant() {
+    fn robustness_is_thread_count_invariant() {
         let data = expfit_data(80, 9);
         let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
         let sigma = NonIdealFactors::new(0.2, 0.1);
-        let serial = robustness_par(&ThreadPool::new(1), &rcs, &data, &sigma, 6, 17, mse_scorer);
+        let serial = robustness(&ThreadPool::new(1), &rcs, &data, &sigma, 6, 17, mse_scorer);
         for threads in [2, 4, 8] {
-            let parallel = robustness_par(
+            let parallel = robustness(
                 &ThreadPool::new(threads),
                 &rcs,
                 &data,
@@ -457,69 +317,6 @@ mod tests {
             assert_eq!(serial.min.to_bits(), parallel.min.to_bits());
             assert_eq!(serial.max.to_bits(), parallel.max.to_bits());
         }
-    }
-
-    #[test]
-    fn parallel_robustness_agrees_statistically_with_serial() {
-        let data = expfit_data(100, 10);
-        let mut rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
-        let sigma = NonIdealFactors::new(0.2, 0.1);
-        let a = robustness(&mut rcs, &data, &sigma, 12, 5, mse_scorer);
-        let b = robustness_par(&ThreadPool::new(4), &rcs, &data, &sigma, 12, 5, mse_scorer);
-        // Different streams, same distribution: means within a few σ.
-        let spread = (a.std_dev + b.std_dev).max(1e-6);
-        assert!(
-            (a.mean - b.mean).abs() < 6.0 * spread,
-            "serial {a} vs parallel {b}"
-        );
-        // And the device state is untouched (clones absorbed the disturbs).
-        let clean = evaluate_mse(&rcs, &data);
-        let again = evaluate_mse(&rcs, &data);
-        assert_eq!(clean.to_bits(), again.to_bits());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_pointwise_calls() {
-        let data = expfit_data(60, 11);
-        let rcs = MeiRcs::train(&data, &MeiConfig::quick_test()).unwrap();
-        let pool = ThreadPool::new(3);
-        let points = sweep_robustness_par(
-            &pool,
-            &rcs,
-            &data,
-            &[0.0, 0.2],
-            NonIdealFactors::process_only,
-            4,
-            7,
-            mse_scorer,
-        );
-        assert_eq!(points.len(), 2);
-        let lone = robustness_par(
-            &pool,
-            &rcs,
-            &data,
-            &NonIdealFactors::process_only(0.2),
-            4,
-            7,
-            mse_scorer,
-        );
-        assert_eq!(points[1].report, lone);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn parallel_zero_trials_rejected() {
-        let data = expfit_data(10, 12);
-        let ann = DigitalAnn::train(&data, 2, &quick_train(), 0).unwrap();
-        let _ = robustness_par(
-            &ThreadPool::new(2),
-            &ann,
-            &data,
-            &NonIdealFactors::ideal(),
-            0,
-            0,
-            mse_scorer,
-        );
     }
 
     #[test]

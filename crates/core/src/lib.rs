@@ -22,6 +22,12 @@
 //!   hidden-layer sizing by error change rate, the Eq (9) ensemble budget
 //!   `K_max`, SAAB-vs-wider-network selection, and LSB pruning.
 //!
+//! Every score under non-ideal factors comes from one Monte-Carlo
+//! protocol, [`robustness`] (§5.3): each trial disturbs its own clone of
+//! the system from its own substream, so the DSE's robustness
+//! requirement, the system report and the reproduction binaries all
+//! draw alike, bit-identically at every thread count.
+//!
 //! Each trained system ([`MeiRcs`], [`AddaRcs`], [`Saab`], [`CnnRcs`],
 //! [`DigitalAnn`]) states its whole inference in its own module: the
 //! inherent `infer*` methods, its [`runtime::Chip`] impl and its [`Rcs`]
@@ -80,10 +86,7 @@ pub use diagnostics::{analog_fidelity, comparator_margins, FidelityReport, Margi
 pub use digital::DigitalAnn;
 pub use dse::{DseConfig, DseDesign, DseResult, HiddenGrowth};
 pub use error::{InferError, TrainRcsError};
-pub use eval::{
-    evaluate_metric, evaluate_mse, mse_scorer, robustness, robustness_par, sweep_robustness,
-    sweep_robustness_par, Rcs, RobustnessReport, SweepPoint,
-};
+pub use eval::{evaluate_metric, evaluate_mse, mse_scorer, robustness, Rcs, RobustnessReport};
 pub use mei_arch::{MeiConfig, MeiRcs};
 pub use persist::ParseRcsError;
 pub use report::{system_report, ReportConfig};

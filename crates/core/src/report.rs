@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 
 use interface::cost::{AddaTopology, CostModel};
 use neural::Dataset;
+use runtime::ThreadPool;
 
 use crate::diagnostics::{analog_fidelity, comparator_margins};
 use crate::eval::{evaluate_mse, mse_scorer, robustness};
@@ -54,9 +55,10 @@ pub fn system_report(rcs: &MeiRcs, test: &Dataset, config: &ReportConfig) -> Str
     let cost = CostModel::dac2015();
     let topology = rcs.topology();
     let mse = evaluate_mse(rcs, test);
-    let mut noisy_rcs = rcs.clone();
+    // Any pool gives the same bits; the trials only spread over it.
     let noisy = robustness(
-        &mut noisy_rcs,
+        &ThreadPool::auto(),
+        rcs,
         test,
         &config.factors,
         config.trials,

@@ -15,8 +15,8 @@
 //! alone, each shard accumulates its gradients into its own reusable
 //! `Workspace` on a persistent `runtime` crew, and the per-shard
 //! gradients are folded **in shard-index order** before the momentum
-//! update — the `par_reduce` ordered-reduction treatment, so the
-//! non-associative f64 sums see the same grouping at every thread count.
+//! update, so the non-associative f64 sums see the same grouping at
+//! every thread count.
 //! The serial path runs the very same sharded code, making serial and
 //! parallel the same arithmetic by construction.
 //!
@@ -503,81 +503,6 @@ impl Trainer {
     }
 }
 
-impl Trainer {
-    /// Train with patience-based early stopping on a validation set: after
-    /// every epoch the validation loss is measured, and training stops once
-    /// it has failed to improve for `patience` consecutive epochs. The
-    /// network is left at its *last* state (not rolled back); the report's
-    /// history tracks the validation loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Trainer::train`], or if
-    /// `patience` is zero, or the validation set dimensions mismatch.
-    pub fn train_with_validation(
-        &self,
-        mlp: &mut Mlp,
-        train: &Dataset,
-        validation: &Dataset,
-        patience: usize,
-    ) -> TrainReport {
-        assert!(patience > 0, "patience must be positive");
-        assert_eq!(
-            validation.input_dim(),
-            mlp.input_dim(),
-            "validation input dim"
-        );
-        assert_eq!(
-            validation.output_dim(),
-            mlp.output_dim(),
-            "validation output dim"
-        );
-
-        let started = Instant::now();
-        let mut one_epoch = self.clone();
-        one_epoch.config.epochs = 1;
-        let mut lr = self.config.learning_rate;
-        let mut best = f64::INFINITY;
-        let mut stalled = 0usize;
-        let mut history = Vec::new();
-        let mut epochs_run = 0usize;
-
-        for epoch in 0..self.config.epochs {
-            one_epoch.config.learning_rate = lr;
-            one_epoch.config.seed = self.config.seed.wrapping_add(epoch as u64);
-            let _ = one_epoch.train(mlp, train);
-            lr *= self.config.lr_decay;
-            epochs_run += 1;
-
-            let val = crate::metrics::mlp_mse(mlp, validation);
-            history.push(val);
-            if val < best - 1e-12 {
-                best = val;
-                stalled = 0;
-            } else {
-                stalled += 1;
-                if stalled >= patience {
-                    break;
-                }
-            }
-            if val <= self.config.target_loss {
-                break;
-            }
-        }
-
-        let wall = started.elapsed().as_secs_f64();
-        let samples = (epochs_run * train.len()) as f64;
-        TrainReport {
-            epochs_run,
-            final_loss: *history.last().expect("at least one epoch"),
-            loss_history: history,
-            wall_time_secs: wall,
-            samples_per_sec: if wall > 0.0 { samples / wall } else { 0.0 },
-        }
-    }
-}
-
-/// Fisher–Yates shuffle of an index permutation.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,64 +676,6 @@ mod tests {
             momentum: 1.5,
             ..TrainConfig::default()
         });
-    }
-
-    #[test]
-    fn validation_early_stopping_halts_before_budget() {
-        // A validation set the network cannot keep improving on: training
-        // must stop once the patience runs out, well before 100k epochs.
-        let mut rng = StdRng::seed_from_u64(4);
-        let train = Dataset::generate(64, &mut rng, |r| {
-            let x: f64 = r.gen();
-            (vec![x], vec![x])
-        })
-        .unwrap();
-        let val = Dataset::generate(32, &mut rng, |r| {
-            let x: f64 = r.gen();
-            (vec![x], vec![x])
-        })
-        .unwrap();
-        let mut net = MlpBuilder::new(&[1, 4, 1]).seed(1).build();
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 100_000,
-            learning_rate: 0.5,
-            ..TrainConfig::default()
-        });
-        let report = trainer.train_with_validation(&mut net, &train, &val, 10);
-        assert!(
-            report.epochs_run < 100_000,
-            "ran {} epochs",
-            report.epochs_run
-        );
-        assert_eq!(report.loss_history.len(), report.epochs_run);
-    }
-
-    #[test]
-    fn validation_history_tracks_validation_not_training() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let train = Dataset::generate(64, &mut rng, |r| {
-            let x: f64 = r.gen();
-            (vec![x], vec![1.0 - x])
-        })
-        .unwrap();
-        let val = train.clone();
-        let mut net = MlpBuilder::new(&[1, 4, 1]).seed(2).build();
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 30,
-            ..TrainConfig::default()
-        });
-        let report = trainer.train_with_validation(&mut net, &train, &val, 30);
-        let direct = crate::metrics::mlp_mse(&net, &val);
-        assert!((report.final_loss - direct).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "patience must be positive")]
-    fn zero_patience_rejected() {
-        let mut net = MlpBuilder::new(&[2, 2, 1]).build();
-        let trainer = Trainer::new(TrainConfig::default());
-        let data = xor_dataset();
-        let _ = trainer.train_with_validation(&mut net, &data, &data, 0);
     }
 
     #[test]

@@ -278,8 +278,8 @@ mod tests {
 
     #[test]
     fn crew_results_are_bit_identical_across_thread_counts() {
-        // Per-index slots + an ordered fold on the caller: the crew
-        // version of the par_reduce determinism contract.
+        // Per-index slots + an ordered fold on the caller keep a
+        // non-associative f64 sum bit-identical at every thread count.
         let reduce = |threads: usize| -> f64 {
             let pool = ThreadPool::new(threads);
             let slots: Vec<Mutex<f64>> = (0..300).map(|_| Mutex::new(0.0)).collect();

@@ -7,9 +7,8 @@
 //! changes results**.
 //!
 //! * [`ThreadPool`] — a scoped thread pool on `std::thread` +
-//!   `std::sync` with [`par_map`](ThreadPool::par_map) /
-//!   [`par_reduce`](ThreadPool::par_reduce) primitives, each run as one
-//!   [`Crew`] round. Task closures may borrow from the caller; a
+//!   `std::sync` whose [`par_map`](ThreadPool::par_map) primitive runs
+//!   as one [`Crew`] round. Task closures may borrow from the caller; a
 //!   panicking task is caught at the task boundary, the rest of the batch
 //!   completes, and the lowest-indexed panic is re-raised in the caller.
 //! * [`Crew`] — the runtime's one scheduler, a persistent fork-join crew

@@ -121,24 +121,6 @@ impl ThreadPool {
             })
             .collect()
     }
-
-    /// Parallel map + ordered fold: `map` runs on the pool, then the
-    /// per-task results are folded **in task order** on the calling
-    /// thread, so non-associative accumulators (floating-point sums) stay
-    /// bit-identical across thread counts.
-    ///
-    /// # Panics
-    ///
-    /// Propagates task panics exactly like [`par_map`](Self::par_map).
-    pub fn par_reduce<T, R, A, M, F>(&self, items: &[T], map: M, init: A, fold: F) -> A
-    where
-        T: Sync,
-        R: Send,
-        M: Fn(usize, &T) -> R + Sync,
-        F: FnMut(A, R) -> A,
-    {
-        self.par_map(items, map).into_iter().fold(init, fold)
-    }
 }
 
 impl Default for ThreadPool {
@@ -199,27 +181,6 @@ mod tests {
         let caller = std::thread::current().id();
         let ran_on = ThreadPool::new(1).par_map(&[0u8; 8], |_, _| std::thread::current().id());
         assert!(ran_on.iter().all(|&id| id == caller), "{ran_on:?}");
-    }
-
-    #[test]
-    fn par_reduce_is_bit_identical_across_thread_counts() {
-        // Summing f64s is non-associative; the ordered fold must hide that.
-        let items: Vec<u64> = (0..1000).collect();
-        let expected: f64 = items
-            .iter()
-            .enumerate()
-            .map(|(i, _)| 1.0 / (1.0 + prng::substream(3, i as u64) as f64))
-            .sum();
-        for threads in [1, 2, 5, 32] {
-            let pool = ThreadPool::new(threads);
-            let total = pool.par_reduce(
-                &items,
-                |i, _| 1.0 / (1.0 + prng::substream(3, i as u64) as f64),
-                0.0f64,
-                |acc, x| acc + x,
-            );
-            assert_eq!(total.to_bits(), expected.to_bits(), "threads = {threads}");
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! contract.
 //!
 //! The load-bearing property is the determinism rule: for task closures
-//! that are pure functions of `(task_index, item)`, a parallel map or
-//! reduce is bit-identical to the serial one for *every* thread count —
-//! that is what lets the Monte-Carlo and SAAB hot paths parallelize
-//! without changing a single recorded result.
+//! that are pure functions of `(task_index, item)`, a parallel map is
+//! bit-identical to the serial one for *every* thread count — that is
+//! what lets the Monte-Carlo and SAAB hot paths parallelize without
+//! changing a single recorded result.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,29 +31,6 @@ fn par_map_matches_serial_for_any_shape() {
         let serial: Vec<u64> = items.iter().enumerate().map(|(i, x)| task(i, x)).collect();
         let parallel = ThreadPool::new(threads).par_map(&items, task);
         assert_eq!(parallel, serial);
-    });
-}
-
-/// Ordered parallel reduce over f64 sums is bit-identical to the serial
-/// fold, despite floating-point non-associativity.
-#[test]
-fn par_reduce_is_bit_identical_to_serial_fold() {
-    prop_check!(|g| {
-        let n = g.usize_in(1, 60);
-        let items = g.vec_f64(-10.0, 10.0, n);
-        let threads = g.usize_in(1, 9);
-        let serial = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| x * (1.0 + i as f64))
-            .fold(0.0f64, |a, b| a + b);
-        let parallel = ThreadPool::new(threads).par_reduce(
-            &items,
-            |i, x| x * (1.0 + i as f64),
-            0.0f64,
-            |a, b| a + b,
-        );
-        assert_eq!(parallel.to_bits(), serial.to_bits());
     });
 }
 

@@ -4,6 +4,7 @@
 use interface::BitCoding;
 use mei::{evaluate_mse, mse_scorer, robustness, MeiConfig, MeiRcs, NonIdealFactors};
 use neural::TrainConfig;
+use runtime::ThreadPool;
 use workloads::{kmeans::KMeans, Workload};
 
 fn config(coding: BitCoding) -> MeiConfig {
@@ -38,12 +39,13 @@ fn gray_coding_survives_noise_and_persistence() {
     let w = KMeans::new();
     let train = w.dataset(2_000, 3).unwrap();
     let test = w.dataset(400, 4).unwrap();
-    let mut gray = MeiRcs::train(&train, &config(BitCoding::Gray)).unwrap();
+    let gray = MeiRcs::train(&train, &config(BitCoding::Gray)).unwrap();
 
     // Robust under moderate noise.
     let clean = evaluate_mse(&gray, &test);
     let noisy = robustness(
-        &mut gray,
+        &ThreadPool::new(2),
+        &gray,
         &test,
         &NonIdealFactors::new(0.1, 0.05),
         10,

@@ -19,7 +19,7 @@
 
 use crossbar::{IrDropConfig, SignalFluctuation};
 use mei::{
-    mse_scorer, robustness_par, AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, Drive,
+    mse_scorer, robustness, AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, Drive,
     MeiConfig, MeiRcs, NonIdealFactors, Rcs, Saab, SaabConfig,
 };
 use neural::{Dataset, TrainConfig};
@@ -109,7 +109,7 @@ fn robustness_hash<T: Rcs + Clone + Send + Sync>(
     factors: &NonIdealFactors,
 ) -> u64 {
     let pool = ThreadPool::new(2);
-    let report = robustness_par(&pool, rcs, data, factors, 3, 31, mse_scorer);
+    let report = robustness(&pool, rcs, data, factors, 3, 31, mse_scorer);
     fnv1a(&[vec![report.mean, report.std_dev, report.min, report.max]])
 }
 

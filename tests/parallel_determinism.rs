@@ -9,8 +9,7 @@
 //! robustness and SAAB training paths.
 
 use mei::{
-    manufacture_chips, mse_scorer, robustness_par, MeiConfig, MeiRcs, NonIdealFactors, Saab,
-    SaabConfig,
+    manufacture_chips, mse_scorer, robustness, MeiConfig, MeiRcs, NonIdealFactors, Saab, SaabConfig,
 };
 use neural::{Dataset, MlpBuilder, TrainConfig, TrainReport, Trainer, WeightedMse};
 use prng::rngs::StdRng;
@@ -51,7 +50,7 @@ fn parallel_robustness_matches_serial_bitwise() {
 
     let report = |threads: usize| {
         let pool = ThreadPool::new(threads);
-        robustness_par(&pool, &rcs, &data, &factors, 24, 7, mse_scorer)
+        robustness(&pool, &rcs, &data, &factors, 24, 7, mse_scorer)
     };
     let serial = report(1);
     for threads in [2, 8] {

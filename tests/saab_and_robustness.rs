@@ -9,6 +9,7 @@ use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use rram::DeviceParams;
+use runtime::ThreadPool;
 
 fn budget() -> TrainConfig {
     TrainConfig {
@@ -82,7 +83,7 @@ fn mei_is_more_robust_to_signal_fluctuation_than_adda() {
     let train = expfit(2_500, 3);
     let test = expfit(400, 4);
 
-    let mut adda = AddaRcs::train(
+    let adda = AddaRcs::train(
         &train,
         &AddaConfig {
             hidden: 8,
@@ -92,7 +93,7 @@ fn mei_is_more_robust_to_signal_fluctuation_than_adda() {
         },
     )
     .unwrap();
-    let mut mei = MeiRcs::train(
+    let mei = MeiRcs::train(
         &train,
         &MeiConfig {
             hidden: 16,
@@ -107,8 +108,9 @@ fn mei_is_more_robust_to_signal_fluctuation_than_adda() {
     let clean_mei = evaluate_mse(&mei, &test);
 
     let sigma = NonIdealFactors::signal_only(0.08);
-    let noisy_adda = robustness(&mut adda, &test, &sigma, 25, 7, mse_scorer).mean;
-    let noisy_mei = robustness(&mut mei, &test, &sigma, 25, 7, mse_scorer).mean;
+    let pool = ThreadPool::new(2);
+    let noisy_adda = robustness(&pool, &adda, &test, &sigma, 25, 7, mse_scorer).mean;
+    let noisy_mei = robustness(&pool, &mei, &test, &sigma, 25, 7, mse_scorer).mean;
 
     let blowup_adda = noisy_adda / clean_adda;
     let blowup_mei = noisy_mei / clean_mei;
@@ -122,7 +124,7 @@ fn mei_is_more_robust_to_signal_fluctuation_than_adda() {
 fn process_variation_degrades_both_architectures_monotonically() {
     let train = expfit(1_500, 5);
     let test = expfit(300, 6);
-    let mut mei = MeiRcs::train(
+    let mei = MeiRcs::train(
         &train,
         &MeiConfig {
             hidden: 16,
@@ -133,19 +135,13 @@ fn process_variation_degrades_both_architectures_monotonically() {
     )
     .unwrap();
     let clean = evaluate_mse(&mei, &test);
-    let at = |sigma: f64, rcs: &mut MeiRcs| {
-        robustness(
-            rcs,
-            &test,
-            &NonIdealFactors::process_only(sigma),
-            12,
-            9,
-            mse_scorer,
-        )
-        .mean
+    let pool = ThreadPool::new(2);
+    let at = |sigma: f64| {
+        let factors = NonIdealFactors::process_only(sigma);
+        robustness(&pool, &mei, &test, &factors, 12, 9, mse_scorer).mean
     };
-    let low = at(0.05, &mut mei);
-    let high = at(0.4, &mut mei);
+    let low = at(0.05);
+    let high = at(0.4);
     assert!(clean <= low + 1e-9, "clean {clean} vs σ=0.05 {low}");
     assert!(low < high, "σ=0.05 {low} vs σ=0.4 {high}");
 }
@@ -165,8 +161,8 @@ fn saab_with_noisy_scoring_is_robust_under_noise() {
         train: budget(),
         ..MeiConfig::default()
     };
-    let mut single = MeiRcs::train(&train, &mei_cfg).unwrap();
-    let mut saab = Saab::train(
+    let single = MeiRcs::train(&train, &mei_cfg).unwrap();
+    let saab = Saab::train(
         &train,
         &mei_cfg,
         &SaabConfig {
@@ -177,8 +173,9 @@ fn saab_with_noisy_scoring_is_robust_under_noise() {
         },
     )
     .unwrap();
-    let noisy_single = robustness(&mut single, &test, &sigma, 12, 11, mse_scorer).mean;
-    let noisy_saab = robustness(&mut saab, &test, &sigma, 12, 11, mse_scorer).mean;
+    let pool = ThreadPool::new(2);
+    let noisy_single = robustness(&pool, &single, &test, &sigma, 12, 11, mse_scorer).mean;
+    let noisy_saab = robustness(&pool, &saab, &test, &sigma, 12, 11, mse_scorer).mean;
     assert!(
         noisy_saab <= noisy_single * 1.15 + 1e-6,
         "noisy SAAB {noisy_saab} vs noisy single {noisy_single}"
