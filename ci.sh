@@ -74,6 +74,16 @@ echo "==> wire protocol v2 smoke (negotiation, pipelining, worker-count bit iden
 cargo test -q --offline --test serving_engine > /dev/null
 cargo test -q --offline -p mei-bench --test json_validity > /dev/null
 
+echo "==> idle-cost bench smoke (event-loop CPU share by parked connections)"
+# The event loop polls its sockets, so idle connections cost CPU. The
+# binary parks 0/1/64/512 v2 connections, reports the process CPU share
+# per count as strict JSON, and fails if one idle connection costs half
+# a core or more (a spinning loop).
+MEI_BENCH_FAST=1 MEI_BENCH_SECONDS=0.5 \
+    MEI_BENCH_JSON=target/BENCH_idle_cost_smoke.json \
+    cargo run --release --offline -p mei-bench --bin idle_cost > /dev/null
+test -s target/BENCH_idle_cost_smoke.json
+
 echo "==> TCP front-end smoke (loopback round trip, in-band errors, shutdown)"
 cargo run --release --offline --example serve_tcp > /dev/null
 

@@ -98,6 +98,21 @@ impl ConnMachine {
         self.buf.len() - self.read
     }
 
+    /// Whether the undecoded bytes may still fall short of one whole
+    /// frame or line at the mode's cap (its 4-byte length or its `\n`
+    /// included), so that more input could be needed to complete it.
+    /// Once this is false, [`poll`](ConnMachine::poll) yields an event
+    /// for the bytes already buffered; a reader that stops feeding here
+    /// bounds the buffer at one whole frame or line plus its last read.
+    #[must_use]
+    pub(crate) fn wants_input(&self) -> bool {
+        let whole = match self.mode {
+            ConnMode::Negotiating | ConnMode::TextV1 => self.max_line.saturating_add(1),
+            ConnMode::BinaryV2 => self.max_frame.saturating_add(4),
+        };
+        self.buffered() < whole
+    }
+
     /// Mark `n` undecoded bytes as decoded, compacting once the decoded
     /// prefix is at least as long as what is left.
     fn consume(&mut self, n: usize) {
@@ -307,6 +322,31 @@ mod tests {
         m.feed(&[b'x'; 64]);
         assert_eq!(m.poll(), Some(ConnEvent::TooLong));
         assert_eq!(m.poll(), None);
+    }
+
+    #[test]
+    fn wants_input_until_one_whole_frame_or_line_is_buffered() {
+        let mut line = ConnMachine::new(4, 16);
+        line.feed(b"abcd");
+        assert!(line.wants_input(), "a line at the cap may still end");
+        line.feed(b"\n");
+        assert!(!line.wants_input());
+        assert_eq!(line.poll(), Some(ConnEvent::Line("abcd".into())));
+
+        let mut m = ConnMachine::new(4, 16);
+        m.feed(b"v2\n");
+        assert_eq!(m.poll(), Some(ConnEvent::NegotiatedV2));
+        assert!(m.wants_input());
+        // A frame at the cap: 4 length bytes, then 16 more.
+        let mut bytes = 16u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0xEE; 16]);
+        m.feed(&bytes[..19]);
+        assert!(m.wants_input(), "one byte short of a whole frame");
+        assert_eq!(m.poll(), None);
+        m.feed(&bytes[19..]);
+        assert!(!m.wants_input());
+        assert!(matches!(m.poll(), Some(ConnEvent::Corrupt(_))));
+        assert!(m.wants_input());
     }
 
     #[test]

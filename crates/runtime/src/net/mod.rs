@@ -104,6 +104,8 @@ pub mod server;
 
 pub use server::{Client, ClientV2, EventServer, EventServerConfig};
 
+use std::fmt::Write as _;
+
 use crate::chip::Chip;
 use crate::engine::{BatchItem, Engine, Offer};
 use crate::fleet::{Fleet, FleetConfig, FleetSession};
@@ -112,21 +114,35 @@ use crate::fleet::{Fleet, FleetConfig, FleetSession};
 /// a trailing `\r` counts as one of them.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Room reserved per CSV value and its comma: 17 significant digits, a
+/// sign, a point and a few leading zeros, the usual width of a served
+/// value, so a line is formatted into one allocation. A longer value
+/// only grows the buffer.
+const CSV_VALUE_BYTES: usize = 24;
+
+/// Room reserved for a response line's `ok <chip> <latency-us> ` prefix.
+const OK_PREFIX_BYTES: usize = 32;
+
 /// Render values as the protocol's CSV: shortest round-trip `Display`
 /// per element, comma-separated. Injective on bit patterns (NaN payloads
 /// aside), so equal CSV strings ⇔ equal `f64` bits.
 #[must_use]
 pub fn format_csv(values: &[f64]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(values.len() * CSV_VALUE_BYTES);
+    write_csv(&mut out, values);
+    out
+}
+
+/// Append `values` to `out` as the protocol's CSV (see [`format_csv`]).
+fn write_csv(out: &mut String, values: &[f64]) {
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         // `{}` on f64 prints the shortest string that parses back to the
         // same bits — the protocol's bit-exactness hinges on this.
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
-    out
 }
 
 /// Parse the protocol's CSV into values.
@@ -161,7 +177,8 @@ pub enum Response {
 }
 
 impl Response {
-    /// Render as a protocol line (no trailing newline).
+    /// Render as a protocol line (no trailing newline), in one buffer
+    /// with room left for the newline that goes on the wire.
     #[must_use]
     pub fn format(&self) -> String {
         match self {
@@ -169,8 +186,19 @@ impl Response {
                 chip,
                 latency_us,
                 output,
-            } => format!("ok {chip} {latency_us} {}", format_csv(output)),
-            Response::Error(message) => format!("err {message}"),
+            } => {
+                let mut line =
+                    String::with_capacity(OK_PREFIX_BYTES + output.len() * CSV_VALUE_BYTES + 1);
+                let _ = write!(line, "ok {chip} {latency_us} ");
+                write_csv(&mut line, output);
+                line
+            }
+            Response::Error(message) => {
+                let mut line = String::with_capacity("err ".len() + message.len() + 1);
+                line.push_str("err ");
+                line.push_str(message);
+                line
+            }
         }
     }
 

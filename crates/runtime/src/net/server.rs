@@ -26,13 +26,19 @@
 //! sockets in plain `std` — the workspace forbids `unsafe` (and thus
 //! `epoll(7)` FFI), so socket readiness is discovered by trying the
 //! socket. When a scan makes no progress the loop waits on the done
-//! queue for at most 500 µs: a worker finishing a job ends the wait at
-//! once, so a response goes out, and that connection's next job goes to
-//! a worker, at the backend's pace; only a new request or connection
-//! with no job in flight waits out the period. This loop is the seam
-//! where an epoll/kqueue backend would slot in: everything above it (the
-//! [`ConnMachine`], job serialization, the worker pool) is
-//! readiness-agnostic.
+//! queue, and a worker finishing a job ends the wait at once, so a
+//! response goes out, and that connection's next job goes to a worker,
+//! at the backend's pace. How long it waits depends on what the scan
+//! found. While every open connection has a job in flight, only a
+//! worker can make progress, so the loop waits up to 500 µs. While some
+//! connection is listening (open, with no job in flight), only polling
+//! its socket can find its next request, so the loop waits 9× the scan
+//! that found nothing, never more than 500 µs: polling then takes about
+//! a tenth of the event thread, whatever the connection count. Only a
+//! new connection that arrives while none is listening can wait out the
+//! whole 500 µs. This loop is the seam where an epoll/kqueue backend
+//! would slot in: everything above it (the [`ConnMachine`], job
+//! serialization, the worker pool) is readiness-agnostic.
 //!
 //! ## The workers
 //!
@@ -83,18 +89,59 @@ use crate::engine::{BatchItem, Round};
 use crate::pool::ThreadPool;
 
 /// Per-connection cap on decoded-but-unserved jobs; past this the loop
-/// stops reading that socket (TCP backpressure), which only *delays*
+/// stops reading and decoding that connection. The cap pushes back on
+/// the client (TCP backpressure) only together with the connection's
+/// other bounds (see [`EventServerConfig`]): reads stop at one whole
+/// frame or line of undecoded bytes, and no job is dispatched while a
+/// frame's worth of output is unflushed. Backpressure only *delays*
 /// arrival stamps — admission decisions remain a pure function of the
 /// stamped sequence.
 const EVENT_PENDING_CAP: usize = 1024;
 
 /// The longest the event loop waits on the done queue when one full
-/// scan makes no progress. A finished job ends the wait at once, so this
-/// bounds only how late the loop notices a new request or connection
-/// while no job is in flight.
+/// scan makes no progress, and its whole wait while every open
+/// connection has a job in flight. A finished job ends the wait at once,
+/// so this bounds only how late the loop notices a new connection while
+/// none is listening, and how long it waits between polls of a listening
+/// one (see [`idle_wait`]).
 const EVENT_IDLE_SLEEP: Duration = Duration::from_micros(500);
 
+/// While a connection is listening, the loop waits this many times the
+/// scan that found nothing before it scans again, so polling takes about
+/// a tenth of the event thread.
+const EVENT_WAIT_PER_SCAN: u32 = 9;
+
+/// How long the event loop waits on the done queue after a scan that
+/// made no progress and took `scan`: [`EVENT_WAIT_PER_SCAN`] scans, at
+/// most [`EVENT_IDLE_SLEEP`], while some connection is `listening` (open,
+/// with no job in flight, so only polling can find its next request);
+/// the whole period otherwise, when only a worker can make progress.
+fn idle_wait(scan: Duration, listening: bool) -> Duration {
+    if listening {
+        scan.saturating_mul(EVENT_WAIT_PER_SCAN)
+            .min(EVENT_IDLE_SLEEP)
+    } else {
+        EVENT_IDLE_SLEEP
+    }
+}
+
 /// Event server tuning knobs.
+///
+/// # Per-connection bounds
+///
+/// Every buffer a connection owns is bounded, so a client that sends
+/// without reading its answers stalls in the kernel's socket buffers
+/// instead of growing the server:
+///
+/// * **undecoded input:** the loop stops reading once the undecoded
+///   bytes hold one whole frame (`max_frame_bytes` plus its 4-byte
+///   length) or line (`max_line_bytes` plus its `\n`), so they stay
+///   below that plus one 8 KiB read;
+/// * **decoded jobs:** at most 1,024 wait behind the one in flight, each
+///   at most one frame or line — up to 1 GiB at the default frame cap;
+/// * **unflushed output:** the loop dispatches the connection's next job
+///   only while its unflushed response bytes are under
+///   `max_frame_bytes`, so they reach at most that plus one response.
 #[derive(Debug, Clone)]
 pub struct EventServerConfig {
     /// Worker threads serving decoded jobs. Each keeps an executor crew
@@ -171,6 +218,12 @@ struct EventConn {
 impl EventConn {
     fn job_in_flight(&self) -> bool {
         self.sessions.is_none()
+    }
+
+    /// Open for requests with none in flight: only polling its socket
+    /// can find its next request.
+    fn listening(&self) -> bool {
+        !(self.closing || self.eof || self.job_in_flight())
     }
 
     fn drained(&self) -> bool {
@@ -476,10 +529,10 @@ fn collect(slab: &mut [Option<EventConn>], done: Done) {
 }
 
 /// The readiness-scan loop: accept, collect, read, decode, dispatch,
-/// flush — then, if the whole scan made no progress, wait up to
-/// [`EVENT_IDLE_SLEEP`] for a worker to finish a job. A job that
-/// finishes during the wait is collected at once, and the next scan
-/// flushes its response and dispatches the connection's next job.
+/// flush — then, if the whole scan made no progress, wait for a worker
+/// to finish a job, for as long as [`idle_wait`] sizes from the scan. A
+/// job that finishes during the wait is collected at once, and the next
+/// scan flushes its response and dispatches the connection's next job.
 fn event_loop(
     listener: &TcpListener,
     workloads: &[NetWorkload],
@@ -495,9 +548,12 @@ fn event_loop(
     let mut slab: Vec<Option<EventConn>> = Vec::new();
     let mut next_generation: u64 = 0;
     let epoch = Instant::now();
+    let mut read_buf = [0u8; 8192];
 
     while !stop.load(Ordering::SeqCst) {
+        let scan = Instant::now();
         let mut progress = false;
+        let mut listening = false;
 
         // Accept every pending connection.
         loop {
@@ -537,16 +593,16 @@ fn event_loop(
             collect(&mut slab, done);
         }
 
-        // Read every connection that has room for more work, then decode
+        // Read every connection that has room for more work, until its
+        // undecoded bytes hold one whole frame or line, then decode
         // whatever is buffered. Decode is deliberately NOT tied to a
         // successful read: a burst may leave complete frames in the
         // machine after the pending cap interrupts decoding, and they
         // must still come out on later scans even if the socket stays
         // quiet.
-        let mut read_buf = [0u8; 8192];
         for conn in slab.iter_mut().flatten() {
             if !(conn.closing || conn.eof || conn.pending.len() >= EVENT_PENDING_CAP) {
-                loop {
+                while conn.machine.wants_input() {
                     match conn.stream.read(&mut read_buf) {
                         Ok(0) => {
                             conn.eof = true;
@@ -609,12 +665,16 @@ fn event_loop(
             }
         }
 
-        // Dispatch: one job in flight per connection, in order.
+        // Dispatch: one job in flight per connection, in order, while the
+        // connection's unflushed output is under one frame.
         for (slot, entry) in slab.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
-            if conn.sessions.is_some() && !conn.pending.is_empty() {
+            if conn.sessions.is_some()
+                && !conn.pending.is_empty()
+                && conn.out.len() < config.max_frame_bytes
+            {
                 let kind = conn.pending.pop_front().expect("non-empty");
                 let sessions = conn.sessions.take().expect("checked above");
                 let job = Job {
@@ -660,6 +720,7 @@ fn event_loop(
             // EOF only stops reads; responses already owed (pending or
             // in flight) still go out before the slot frees.
             let finished = (conn.closing || conn.eof) && conn.drained();
+            listening |= conn.listening();
             if finished {
                 let _ = conn.stream.shutdown(Shutdown::Both);
                 *entry = None;
@@ -668,12 +729,13 @@ fn event_loop(
         }
 
         if !progress {
-            match done_rx.recv_timeout(EVENT_IDLE_SLEEP) {
+            let wait = idle_wait(scan.elapsed(), listening);
+            match done_rx.recv_timeout(wait) {
                 Ok(done) => collect(&mut slab, done),
                 Err(RecvTimeoutError::Timeout) => {}
                 // Every worker has exited: nothing can end the wait early,
-                // so sleep the period out rather than spin.
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(EVENT_IDLE_SLEEP),
+                // so sleep it out rather than spin.
+                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
             }
         }
     }
@@ -940,5 +1002,46 @@ impl ClientV2 {
     ) -> io::Result<Vec<ItemResponse>> {
         self.send_batch(workload, inputs)?;
         self.recv_batch()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_wait_is_the_full_period_when_nothing_is_listening() {
+        for scan in [
+            Duration::ZERO,
+            Duration::from_micros(3),
+            Duration::from_secs(1),
+        ] {
+            assert_eq!(idle_wait(scan, false), EVENT_IDLE_SLEEP, "{scan:?}");
+        }
+    }
+
+    #[test]
+    fn idle_wait_is_nine_scans_when_something_is_listening() {
+        assert_eq!(idle_wait(Duration::ZERO, true), Duration::ZERO);
+        assert_eq!(
+            idle_wait(Duration::from_micros(3), true),
+            Duration::from_micros(27)
+        );
+        assert_eq!(
+            idle_wait(Duration::from_nanos(55_500), true),
+            Duration::from_nanos(499_500)
+        );
+    }
+
+    #[test]
+    fn idle_wait_never_exceeds_the_period() {
+        for scan in [
+            Duration::from_nanos(55_556),
+            Duration::from_micros(500),
+            Duration::from_secs(1),
+            Duration::MAX,
+        ] {
+            assert_eq!(idle_wait(scan, true), EVENT_IDLE_SLEEP, "{scan:?}");
+        }
     }
 }

@@ -12,12 +12,14 @@
 //! 4. over the wire, a request whose chip panics is answered in band and
 //!    costs the server neither a worker nor the connection — and so is a
 //!    request that panics anywhere else in its worker (a fleet with no
-//!    healthy pool).
+//!    healthy pool);
+//! 5. a client that sends without reading its answers stalls against the
+//!    server's bounded per-connection buffers instead of growing them.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use runtime::net::frame::{self, DecodeStep, Frame, ItemResponse, RequestFrame};
 use runtime::net::{EventServer, EventServerConfig, NetWorkload, Response};
@@ -235,6 +237,11 @@ fn frame_round_trip((reader, writer): &mut Conn, request: RequestFrame) -> Frame
     writer
         .write_all(&Frame::Request(request).encode())
         .expect("send");
+    read_frame(reader)
+}
+
+/// The next frame off the connection.
+fn read_frame(reader: &mut impl Read) -> Frame {
     let mut header = [0u8; 4];
     reader
         .read_exact(&mut header)
@@ -346,5 +353,87 @@ fn no_healthy_pool_answers_in_band_and_spares_every_worker() {
         }
     }
     drop((v1, v2));
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_instead_of_growing_the_server() {
+    const BATCH: usize = 16;
+    const LIMIT: usize = 64 * 1024 * 1024;
+    const STALL: Duration = Duration::from_millis(500);
+    let chips: Vec<Box<dyn Chip>> = vec![Box::new(GoodChip { offset: 1.0 })];
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        vec![NetWorkload::new(
+            "toy",
+            1,
+            Engine::new(ChipPool::from_chips(chips)),
+        )],
+        EventServerConfig::default(),
+    )
+    .expect("bind event server");
+    let (reader, mut writer) = connect_v2(server.addr());
+    // Frame k carries the inputs BATCH·k, …, BATCH·k + BATCH − 1.
+    let request = |k: usize| {
+        let inputs: Vec<Vec<f64>> = (0..BATCH).map(|j| vec![(k * BATCH + j) as f64]).collect();
+        Frame::Request(RequestFrame::from_inputs(0, &inputs)).encode()
+    };
+
+    // Send frames without ever reading an answer, until the writes make
+    // no progress for STALL: the server's bounded buffers and then the
+    // kernel's must push back long before LIMIT.
+    writer.set_nonblocking(true).expect("nonblocking");
+    let (mut frames, mut bytes, mut offset) = (0, request(0), 0);
+    let mut written = 0;
+    let mut last_progress = Instant::now();
+    while written < LIMIT && last_progress.elapsed() < STALL {
+        match writer.write(&bytes[offset..]) {
+            Ok(n) => {
+                written += n;
+                offset += n;
+                last_progress = Instant::now();
+                if offset == bytes.len() {
+                    frames += 1;
+                    (bytes, offset) = (request(frames), 0);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            Err(e) => panic!("flood write: {e}"),
+        }
+    }
+    assert!(
+        written < LIMIT,
+        "the server took {written} bytes from a client that never reads"
+    );
+
+    // Finish the frame in progress while another thread reads every
+    // answer: each frame is answered, in order, with its own outputs.
+    let sent = frames + 1;
+    writer.set_nonblocking(false).expect("blocking");
+    let answers = std::thread::spawn(move || {
+        let mut reader = reader;
+        for k in 0..sent {
+            let Frame::Response(response) = read_frame(&mut reader) else {
+                panic!("frame {k} not answered with a response");
+            };
+            assert_eq!(response.items.len(), BATCH, "frame {k}");
+            for (j, item) in response.items.iter().enumerate() {
+                let want = (k * BATCH + j) as f64 + 1.0;
+                match item {
+                    ItemResponse::Ok {
+                        chip: 0, output, ..
+                    } if output == &[want] => {}
+                    other => panic!("frame {k} item {j}: {other:?}, want {want}"),
+                }
+            }
+        }
+    });
+    writer
+        .write_all(&bytes[offset..])
+        .expect("finish the frame in progress");
+    answers.join().expect("every frame answered in order");
+    drop(writer);
     server.shutdown();
 }
