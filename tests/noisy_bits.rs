@@ -2,10 +2,13 @@
 //!
 //! `tests/determinism.rs` compares two runs of the same build; this suite
 //! compares every build against recorded constants, so a change to a
-//! forward pass cannot move a noisy or IR-drop output bit unnoticed. Each
-//! case folds the `to_bits()` of its outputs into one FNV-1a hash.
+//! forward pass cannot move an ideal, noisy or IR-drop output bit
+//! unnoticed. Each case folds the `to_bits()` of its outputs into one
+//! FNV-1a hash.
 //!
-//! The systems are the quick configurations of the serving tests. Each
+//! The systems are the quick configurations of the serving tests. The
+//! ideal cases run every system undisturbed through `Chip::infer` and the
+//! inherent inference entry points, and hash every cost-sheet field. Each
 //! noisy case disturbs its system with seeded σ = 0.05 process variation,
 //! then runs `Rcs::predict_noisy` on 16 inputs under σ = 0.05 signal
 //! fluctuation from one fixed generator. The IR-drop case runs the MEI
@@ -19,14 +22,14 @@
 
 use crossbar::{IrDropConfig, SignalFluctuation};
 use mei::{
-    mse_scorer, robustness, AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, Drive,
-    MeiConfig, MeiRcs, NonIdealFactors, Rcs, Saab, SaabConfig,
+    mse_scorer, robustness, AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, CnnWorkspace,
+    DigitalAnn, Drive, MeiConfig, MeiRcs, NonIdealFactors, Rcs, Saab, SaabConfig,
 };
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use rram::VariationModel;
-use runtime::ThreadPool;
+use runtime::{Chip, ThreadPool};
 
 const SIGMA: f64 = 0.05;
 
@@ -81,10 +84,38 @@ fn saab() -> Saab {
     Saab::train(&expfit(200, 1), &MeiConfig::quick_test(), &config).unwrap()
 }
 
+fn digital() -> DigitalAnn {
+    let config = TrainConfig {
+        epochs: 20,
+        learning_rate: 1.0,
+        ..TrainConfig::default()
+    };
+    DigitalAnn::train(&expfit(200, 1), 8, &config, 1).unwrap()
+}
+
 fn cnn() -> (CnnRcs, Dataset) {
     let images = workloads::cnn_dataset(8, 8, 12, 5);
     let cnn = CnnRcs::train(&images, &CnnConfig::quick_test()).unwrap();
     (cnn, images)
+}
+
+/// Hash the undisturbed `Chip::infer` outputs of `chip` on `inputs`.
+fn ideal_hash(chip: &impl Chip, inputs: &[Vec<f64>]) -> u64 {
+    let outputs: Vec<Vec<f64>> = inputs.iter().map(|x| chip.infer(x)).collect();
+    fnv1a(&outputs)
+}
+
+/// Hash every field of `chip`'s cost sheet.
+fn sheet_hash(chip: &impl Chip) -> u64 {
+    let sheet = chip
+        .cost_sheet()
+        .expect("every trained system bills a sheet");
+    fnv1a(&[vec![
+        sheet.area_um2,
+        sheet.leakage_uw,
+        sheet.dynamic_j_per_inference,
+        sheet.ops_per_inference,
+    ]])
 }
 
 /// Disturb `rcs` with seeded process variation, then hash its noisy
@@ -111,6 +142,64 @@ fn robustness_hash<T: Rcs + Clone + Send + Sync>(
     let pool = ThreadPool::new(2);
     let report = robustness(&pool, rcs, data, factors, 3, 31, mse_scorer);
     fnv1a(&[vec![report.mean, report.std_dev, report.min, report.max]])
+}
+
+#[test]
+fn ideal_chip_bits_are_pinned() {
+    let (cnn, images) = cnn();
+    assert_eq!(ideal_hash(&mei(), &points()), 8_131_931_387_564_284_801);
+    assert_eq!(ideal_hash(&adda(), &points()), 13_339_151_693_385_328_549);
+    assert_eq!(ideal_hash(&saab(), &points()), 17_503_232_607_283_707_311);
+    assert_eq!(
+        ideal_hash(&cnn, &images.inputs()[..16]),
+        4_111_028_510_894_361_573
+    );
+    assert_eq!(ideal_hash(&digital(), &points()), 2_347_520_522_178_882_341);
+}
+
+#[test]
+fn ideal_bit_domain_bits_are_pinned() {
+    let mei = mei();
+    let saab = saab();
+    let bits: Vec<Vec<f64>> = points()
+        .iter()
+        .map(|x| mei.input_spec().encode(x))
+        .collect();
+    let mut ws = AnalogWorkspace::new();
+    let mei_out: Vec<Vec<f64>> = bits
+        .iter()
+        .map(|b| mei.infer_bits_with(b, &mut ws).unwrap())
+        .collect();
+    let saab_out: Vec<Vec<f64>> = bits.iter().map(|b| saab.infer_bits(b).unwrap()).collect();
+    assert_eq!(fnv1a(&mei_out), 2_908_242_483_151_517_912);
+    assert_eq!(fnv1a(&saab_out), 5_559_923_257_325_003_365);
+}
+
+#[test]
+fn ideal_cnn_bits_are_pinned() {
+    let (cnn, images) = cnn();
+    let inputs = &images.inputs()[..16];
+    let mut ws = CnnWorkspace::new();
+    let analog: Vec<Vec<f64>> = inputs
+        .iter()
+        .map(|x| cnn.infer_with(x, &mut ws).unwrap())
+        .collect();
+    let digital: Vec<Vec<f64>> = inputs
+        .iter()
+        .map(|x| cnn.infer_digital(x).unwrap())
+        .collect();
+    assert_eq!(fnv1a(&analog), 4_111_028_510_894_361_573);
+    assert_eq!(fnv1a(&digital), 4_111_028_510_894_361_573);
+}
+
+#[test]
+fn cost_sheet_bits_are_pinned() {
+    let (cnn, _) = cnn();
+    assert_eq!(sheet_hash(&mei()), 14_939_552_213_241_793_037);
+    assert_eq!(sheet_hash(&adda()), 13_341_329_485_251_528_333);
+    assert_eq!(sheet_hash(&saab()), 3_468_273_117_263_571_373);
+    assert_eq!(sheet_hash(&cnn), 11_394_177_132_137_747_607);
+    assert_eq!(sheet_hash(&digital()), 901_300_984_310_592_933);
 }
 
 #[test]
