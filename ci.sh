@@ -50,12 +50,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 
-echo "==> paper reproduction smoke (Table 1, Fig 3, encoding ablation)"
+echo "==> paper reproduction goldens (Table 1, Fig 3, encoding ablation)"
 # These binaries consume the Monte-Carlo robustness protocol, so a panic
 # in it fails the gate. FAST mode shrinks every training budget; their
-# shape checks are judged on full-budget runs only (EXPERIMENTS.md).
+# shape checks are judged on full-budget runs only (EXPERIMENTS.md). Each
+# FAST stdout must equal its golden in results/fast/ byte for byte: the
+# goldens are host-independent (no thread count on stdout) and hold at
+# any MEI_THREADS. A golden changes only in a PR that names the numbers
+# and verdicts that moved, and why.
 for bin in table1 fig3_exp_fit ablation_encoding; do
-    MEI_BENCH_FAST=1 cargo run --release --offline -p mei-bench --bin "$bin" > /dev/null
+    if ! MEI_BENCH_FAST=1 cargo run --release --offline -p mei-bench --bin "$bin" \
+        | diff -u "results/fast/$bin.txt" -; then
+        echo "ERROR: $bin FAST stdout differs from results/fast/$bin.txt" >&2
+        exit 1
+    fi
 done
 
 echo "==> throughput bench smoke (closed sweep, in-process ramp-to-knee, policies)"

@@ -27,7 +27,7 @@ fn main() {
     println!("== Ablation: MEI interface bit-length on inversek2j ==\n");
 
     let mut rows = Vec::new();
-    let mut mses = Vec::new();
+    let mut points = Vec::new(); // (test MSE, area saved, power saved)
     for bits in [6usize, 8, 10, 12] {
         let rcs = MeiRcs::train(
             &train,
@@ -43,16 +43,21 @@ fn main() {
         )
         .expect("MEI training");
         let mse = evaluate_mse(&rcs, &test);
-        mses.push(mse);
         let topo = rcs.topology();
+        let area = cost.area_saving(&adda_topology, &topo);
+        let power = cost.power_saving(&adda_topology, &topo);
+        points.push((mse, area, power));
         rows.push(vec![
             format!("{bits}-bit"),
             topo.to_string(),
             format!("{mse:.5}"),
-            pct(cost.area_saving(&adda_topology, &topo)),
-            pct(cost.power_saving(&adda_topology, &topo)),
+            pct(area),
+            pct(power),
         ]);
     }
+    // 6 bits against 10: the error holds or falls, and both savings shrink.
+    let (six, ten) = (points[0], points[2]);
+    let trade_off = ten.0 <= six.0 && ten.1 < six.1 && ten.2 < six.2;
     println!(
         "{}",
         format_table(
@@ -63,10 +68,6 @@ fn main() {
     println!("shape check: accuracy improves (or holds) from 6 → 10 bits while the");
     println!(
         "cost saving shrinks — the accuracy/cost trade-off the paper's DSE navigates: {}",
-        if mses[1] <= mses[0] * 1.2 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        if trade_off { "PASS" } else { "FAIL" }
     );
 }

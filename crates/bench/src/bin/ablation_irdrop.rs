@@ -77,7 +77,9 @@ fn main() {
         let ir = IrDropConfig::with_wire_resistance(r_wire);
         let infer = |x: &[f64]| {
             let bits = rcs.input_spec().encode(x);
-            let out = rcs.infer_bits_driven(&bits, &mut Drive::IrDrop(&ir), &mut ws);
+            let out = rcs
+                .network()
+                .forward_bits(&bits, &mut Drive::IrDrop(&ir), &mut ws);
             rcs.output_spec().decode(&out.expect("validated input"))
         };
         let mse = dataset_mse(infer, &test);

@@ -60,12 +60,10 @@ fn main() {
     let pool = cfg.pool();
     let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
     let cost = CostModel::dac2015();
+    eprintln!("table1 on {} threads", pool.threads());
     println!(
-        "== Table 1: six benchmarks, {} train / {} test samples, {} write draws, {} threads ==\n",
-        cfg.train_samples,
-        cfg.test_samples,
-        cfg.write_draws,
-        pool.threads()
+        "== Table 1: six benchmarks, {} train / {} test samples, {} write draws ==\n",
+        cfg.train_samples, cfg.test_samples, cfg.write_draws
     );
 
     let mut rows = Vec::new();

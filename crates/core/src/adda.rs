@@ -1,22 +1,21 @@
 //! The traditional RCS: analog crossbar network behind B-bit AD/DAs.
 //!
-//! One inference body takes the pass's [`Drive`] as an argument:
-//! [`AddaRcs::infer`] and `Chip::infer` run it ideal, `Rcs::predict_noisy`
-//! under signal fluctuation.
+//! The system is a [`Network`] built once: DAC quantize, crossbar MLP,
+//! ADC quantize. [`AddaRcs::infer`] and `Chip::infer` run it ideal,
+//! `Rcs::predict_noisy` under signal fluctuation, which reaches the DAC
+//! outputs and every inter-layer signal.
 
 use std::fmt;
 
-use crossbar::{MappingConfig, SignalFluctuation};
+use crossbar::MappingConfig;
 use interface::cost::AddaTopology;
 use interface::{quantize_fraction, CostModel, Throughput};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::RngCore;
-use rram::{DeviceParams, VariationModel};
-use runtime::{Chip, ChipCostSheet};
+use rram::DeviceParams;
 
-use crate::analog::{AnalogMlp, AnalogWorkspace, Drive};
+use crate::analog::AnalogMlp;
 use crate::error::{InferError, TrainRcsError};
-use crate::eval::Rcs;
+use crate::network::{network_system, Layer, Network};
 
 /// Configuration of a traditional AD/DA-interfaced RCS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +56,7 @@ impl Default for AddaConfig {
 #[derive(Debug, Clone)]
 pub struct AddaRcs {
     mlp: Mlp,
-    analog: AnalogMlp,
+    network: Network,
     bits: usize,
     hidden: usize,
 }
@@ -103,9 +102,17 @@ impl AddaRcs {
                 .build();
         Trainer::new(config.train).train(&mut mlp, &quantized);
         let analog = AnalogMlp::from_mlp(&mlp, config.device, &config.mapping)?;
+        let network = Network::new(
+            mlp.input_dim(),
+            vec![
+                Layer::Quantize(config.bits),
+                Layer::Crossbar(analog),
+                Layer::Quantize(config.bits),
+            ],
+        );
         Ok(Self {
             mlp,
-            analog,
+            network,
             bits: config.bits,
             hidden: config.hidden,
         })
@@ -137,7 +144,10 @@ impl AddaRcs {
     /// The crossbar realization.
     #[must_use]
     pub fn analog(&self) -> &AnalogMlp {
-        &self.analog
+        let [_, Layer::Crossbar(analog), _] = self.network.layers() else {
+            unreachable!("an AD/DA network is quantize, crossbar, quantize");
+        };
+        analog
     }
 
     /// Full-system inference: DAC-quantize the input, run the analog
@@ -147,32 +157,7 @@ impl AddaRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_driven(x, &mut Drive::Ideal, &mut AnalogWorkspace::new())
-    }
-
-    /// The inference body: check `x`, DAC-quantize it, run the analog
-    /// network under `drive`, ADC-quantize the output. Under
-    /// [`Drive::Fluctuating`] every analog voltage fluctuates — the DAC
-    /// outputs and all inter-layer signals. Process variation is a device
-    /// state change: apply it with [`Rcs::disturb`] first.
-    fn infer_driven(
-        &self,
-        x: &[f64],
-        drive: &mut Drive<'_>,
-        ws: &mut AnalogWorkspace,
-    ) -> Result<Vec<f64>, InferError> {
-        if x.len() != self.mlp.input_dim() {
-            return Err(InferError::InputLength {
-                expected: self.mlp.input_dim(),
-                found: x.len(),
-            });
-        }
-        let dac: Vec<f64> = x.iter().map(|&v| quantize_fraction(v, self.bits)).collect();
-        let mut out = self.analog.forward_driven(&dac, drive, ws);
-        for v in &mut out {
-            *v = quantize_fraction(*v, self.bits);
-        }
-        Ok(out)
+        self.network.infer(x)
     }
 }
 
@@ -182,45 +167,20 @@ impl fmt::Display for AddaRcs {
     }
 }
 
-impl Chip for AddaRcs {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        AnalogWorkspace::with_thread(|ws| self.infer_driven(input, &mut Drive::Ideal, ws))
-            .expect("dataset-validated input")
-    }
-
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        let sheet =
-            CostModel::dac2015().sheet_adda(&self.topology(), &Throughput::default_mixed_signal());
-        Some(crate::serve::to_runtime_sheet([sheet]))
-    }
-}
-
-impl Rcs for AddaRcs {
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let mut drive = Drive::Fluctuating(fluctuation, rng);
-        AnalogWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
-            .expect("dataset-validated input")
-    }
-
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        self.analog.disturb(variation, rng);
-    }
-
-    fn restore(&mut self) {
-        self.analog.restore();
-    }
-}
+network_system!(AddaRcs, |rcs| {
+    let sheet =
+        CostModel::dac2015().sheet_adda(&rcs.topology(), &Throughput::default_mixed_signal());
+    Some(crate::serve::to_runtime_sheet([sheet]))
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Rcs;
+    use crossbar::SignalFluctuation;
     use prng::rngs::StdRng;
     use prng::{Rng, SeedableRng};
+    use rram::VariationModel;
 
     fn expfit_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -12,9 +12,9 @@
 //! wires — is its [`Drive`] argument, so serving, the §5.3 noise protocol
 //! and the IR-drop ablation cannot drift apart.
 
-use std::cell::RefCell;
 use std::fmt;
 
+use crossbar::conv::ConvWorkspace;
 use crossbar::{
     BitInput, DifferentialPair, IrDropConfig, MapWeightsError, MappingConfig, SignalFluctuation,
 };
@@ -22,16 +22,18 @@ use neural::{Activation, Mlp};
 use prng::{Rng, RngCore};
 use rram::{DeviceParams, VariationModel};
 
-/// Reusable scratch for [`AnalogMlp::forward_driven`]: the activation
-/// ping-pong buffers, the minus-array current scratch, and a packed-bit
-/// lane buffer for the interface-bit fast path. One workspace per serving
-/// thread removes every per-call allocation except the returned vector.
+/// Reusable scratch for a [`Network`](crate::Network) pass: the
+/// activation ping-pong buffers, the minus-array current scratch and a
+/// packed-bit lane buffer of [`AnalogMlp::forward_driven`], plus the conv
+/// tiles' scratch. One workspace per serving thread removes every
+/// per-call allocation except the layers' output vectors.
 #[derive(Debug, Clone, Default)]
 pub struct AnalogWorkspace {
     a: Vec<f64>,
     z: Vec<f64>,
     scratch: Vec<f64>,
     bits: BitInput,
+    pub(crate) conv: ConvWorkspace,
 }
 
 impl AnalogWorkspace {
@@ -40,24 +42,11 @@ impl AnalogWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Run `f` on this thread's workspace, the scratch `Chip::infer`
-    /// serves from (chips are shared `&self` across serving threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a nested call: borrow only at the outermost entry point.
-    pub(crate) fn with_thread<R>(f: impl FnOnce(&mut Self) -> R) -> R {
-        thread_local! {
-            static WORKSPACE: RefCell<AnalogWorkspace> = RefCell::new(AnalogWorkspace::new());
-        }
-        WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
-    }
 }
 
-/// The analog condition a forward pass runs under — the argument every
-/// inference body takes, so serving, the §5.3 noise protocol and the
-/// IR-drop ablation all run one loop per system.
+/// The analog condition a forward pass runs under — the argument of
+/// every [`Network`](crate::Network) pass, so serving, the §5.3 noise
+/// protocol and the IR-drop ablation all run one loop.
 pub enum Drive<'a> {
     /// Noiseless signals on ideal wires: the serving condition.
     Ideal,

@@ -13,10 +13,11 @@
 //!    bits and whose output is a [`InterfaceSpec`]-coded class vector
 //!    thresholded by comparators, exactly the [`MeiRcs`] pattern.
 //!
-//! One inference body runs the stack and takes the pass's [`Drive`] as an
-//! argument; the drive acts on the head, since the tile boundary is
-//! digital. The digital twin ([`BinConv`]) runs on the tiles' own
-//! [`ConvShape`] and [`crossbar::direct_conv`] oracle.
+//! The stack is a [`Network`] built once: conv (binarized), crossbar
+//! head, comparators, decode. The pass's [`Drive`] acts on the head,
+//! since the tile boundary is digital. The digital twin ([`BinConv`])
+//! runs on the tiles' own [`ConvShape`] and [`crossbar::direct_conv`]
+//! oracle.
 //!
 //! Training mirrors the split. The conv layer is learned with
 //! straight-through SGD ([`neural::conv::train_ste`]); each patch column
@@ -29,23 +30,21 @@
 //!
 //! [`MeiRcs`]: crate::MeiRcs
 
-use std::cell::RefCell;
 use std::fmt;
 
-use crossbar::conv::{tile_ranges, ConvShape, ConvWorkspace, TiledConv};
-use crossbar::{Comparator, MappingConfig, SignalFluctuation};
+use crossbar::conv::{tile_ranges, ConvShape, TiledConv};
+use crossbar::{Comparator, MappingConfig};
 use interface::cost::MeiTopology;
 use interface::{BitCoding, InterfaceSpec};
-use neural::conv::{binarize, train_ste, BinConv, SteConfig, SteReport};
+use neural::conv::{train_ste, BinConv, SteConfig, SteReport};
 use neural::{argmax, Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::RngCore;
-use rram::{DeviceParams, RetentionModel, VariationModel};
-use runtime::{Chip, ChipCostSheet};
+use rram::DeviceParams;
+use runtime::Chip;
 
 use crate::analog::{AnalogMlp, AnalogWorkspace, Drive};
 use crate::bitweights::msb_weighted_loss;
 use crate::error::{InferError, TrainRcsError};
-use crate::eval::Rcs;
+use crate::network::{check_len, network_system, Layer, Network};
 
 /// Configuration of a CNN RCS.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,47 +174,16 @@ pub fn tile_significance(patch_len: usize, tiles: usize) -> Vec<f64> {
     sig
 }
 
-/// Reusable scratch for [`CnnRcs::infer_with`]: conv tiling buffers plus
-/// the head's analog workspace.
-#[derive(Debug, Clone, Default)]
-pub struct CnnWorkspace {
-    conv: ConvWorkspace,
-    head: AnalogWorkspace,
-    features: Vec<f64>,
-}
-
-impl CnnWorkspace {
-    /// An empty workspace; buffers grow to the largest model they serve.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run `f` on this thread's workspace, the scratch `Chip::infer`
-    /// serves from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a nested call: borrow only at the outermost entry point.
-    fn with_thread<R>(f: impl FnOnce(&mut Self) -> R) -> R {
-        thread_local! {
-            static WORKSPACE: RefCell<CnnWorkspace> = RefCell::new(CnnWorkspace::new());
-        }
-        WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
-    }
-}
+/// The scratch of [`CnnRcs::infer_with`]: the one network workspace.
+pub type CnnWorkspace = AnalogWorkspace;
 
 /// A served CNN: tiled analog conv → binarize → merged-interface head.
 #[derive(Debug, Clone)]
 pub struct CnnRcs {
-    conv: TiledConv,
+    network: Network,
     twin: BinConv,
     head_mlp: Mlp,
-    head: AnalogMlp,
-    output_spec: InterfaceSpec,
-    comparator: Comparator,
     config: CnnConfig,
-    classes: usize,
     ste_report: SteReport,
 }
 
@@ -304,16 +272,21 @@ impl CnnRcs {
         };
         trainer.train(&mut head_mlp, &encoded);
         let head = AnalogMlp::from_mlp(&head_mlp, config.device, &config.mapping)?;
+        let network = Network::new(
+            shape.input_len(),
+            vec![
+                Layer::Conv(conv),
+                Layer::Crossbar(head),
+                Layer::Sense(Comparator::default()),
+                Layer::Decode(output_spec),
+            ],
+        );
 
         Ok(Self {
-            conv,
+            network,
             twin,
             head_mlp,
-            head,
-            output_spec,
-            comparator: Comparator::default(),
             config: config.clone(),
-            classes,
             ste_report,
         })
     }
@@ -321,7 +294,10 @@ impl CnnRcs {
     /// The analog conv stage.
     #[must_use]
     pub fn conv(&self) -> &TiledConv {
-        &self.conv
+        let [Layer::Conv(conv), ..] = self.network.layers() else {
+            unreachable!("a CNN network is conv, crossbar, sense, decode");
+        };
+        conv
     }
 
     /// The digital twin of the conv stage (shadow + ternary weights).
@@ -330,10 +306,20 @@ impl CnnRcs {
         &self.twin
     }
 
+    /// The network every inference runs: conv, crossbar head, sense,
+    /// decode. Its device walks count the conv tiles and the head.
+    #[must_use]
+    pub fn network(&self) -> &Network {
+        &self.network
+    }
+
     /// The analog head.
     #[must_use]
     pub fn head(&self) -> &AnalogMlp {
-        &self.head
+        let [_, Layer::Crossbar(head), ..] = self.network.layers() else {
+            unreachable!("a CNN network is conv, crossbar, sense, decode");
+        };
+        head
     }
 
     /// The digitally-trained head network.
@@ -345,13 +331,16 @@ impl CnnRcs {
     /// The class-score output interface.
     #[must_use]
     pub fn output_spec(&self) -> InterfaceSpec {
-        self.output_spec
+        let [.., Layer::Decode(spec)] = self.network.layers() else {
+            unreachable!("a CNN network is conv, crossbar, sense, decode");
+        };
+        *spec
     }
 
     /// Number of classes.
     #[must_use]
     pub fn classes(&self) -> usize {
-        self.classes
+        self.output_spec().groups()
     }
 
     /// The configuration this RCS was trained with.
@@ -369,20 +358,14 @@ impl CnnRcs {
     /// Expected input length (`in_channels × in_h × in_w`).
     #[must_use]
     pub fn input_len(&self) -> usize {
-        self.conv.shape().input_len()
-    }
-
-    /// Total RRAM devices (conv tiles + head).
-    #[must_use]
-    pub fn device_count(&self) -> usize {
-        self.conv.device_count() + self.head.device_count()
+        self.config.shape().input_len()
     }
 
     /// Total digital interface bits of the conv tile boundary (per-tile
     /// ADC width × filters, summed over tiles).
     #[must_use]
     pub fn tile_interface_bits(&self) -> usize {
-        self.conv.interface_bits()
+        self.conv().interface_bits()
     }
 
     /// The head's architecture descriptor for cost estimation: input
@@ -390,10 +373,10 @@ impl CnnRcs {
     #[must_use]
     pub fn head_topology(&self) -> MeiTopology {
         MeiTopology::new(
-            self.conv.shape().output_len(),
+            self.config.shape().output_len(),
             1,
             self.config.hidden,
-            self.classes,
+            self.classes(),
             self.config.out_bits,
         )
     }
@@ -403,32 +386,14 @@ impl CnnRcs {
     /// [`TiledConv::tile_bits`] bits each.
     #[must_use]
     pub fn tile_topologies(&self) -> Vec<MeiTopology> {
-        (0..self.conv.tile_count())
+        let conv = self.conv();
+        (0..conv.tile_count())
             .map(|t| {
-                let (_, len) = self.conv.tile_range(t);
-                MeiTopology::new(
-                    len,
-                    1,
-                    self.conv.shape().filters,
-                    self.conv.shape().filters,
-                    self.conv.tile_bits(t),
-                )
+                let (_, len) = conv.tile_range(t);
+                let filters = conv.shape().filters;
+                MeiTopology::new(len, 1, filters, filters, conv.tile_bits(t))
             })
             .collect()
-    }
-
-    fn check_input(&self, x: &[f64]) -> Result<(), InferError> {
-        if x.len() != self.input_len() {
-            return Err(InferError::InputLength {
-                expected: self.input_len(),
-                found: x.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn decode_head(&self, analog_out: &[f64]) -> Vec<f64> {
-        self.output_spec.decode(&self.comparator.bits(analog_out))
     }
 
     /// Analog inference: tiled conv, binarize, head, comparator, decode.
@@ -438,37 +403,16 @@ impl CnnRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_with(x, &mut CnnWorkspace::new())
+        self.network.infer(x)
     }
 
-    /// [`infer`](Self::infer) against a caller-owned workspace — the
-    /// allocation-light path [`Chip::infer`] runs on its thread's
-    /// workspace.
+    /// [`infer`](Self::infer) against a caller-owned workspace.
     ///
     /// # Errors
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_with(&self, x: &[f64], ws: &mut CnnWorkspace) -> Result<Vec<f64>, InferError> {
-        self.infer_driven(x, &mut Drive::Ideal, ws)
-    }
-
-    /// The inference body: tiled conv, binarize, the head under `drive`,
-    /// comparator, decode. The conv tile boundary is digital
-    /// (integer-sensed), so the drive acts on the head, where the signals
-    /// are continuous.
-    fn infer_driven(
-        &self,
-        x: &[f64],
-        drive: &mut Drive<'_>,
-        ws: &mut CnnWorkspace,
-    ) -> Result<Vec<f64>, InferError> {
-        self.check_input(x)?;
-        ws.features = self.conv.forward_with(x, &mut ws.conv);
-        for v in &mut ws.features {
-            *v = binarize(*v);
-        }
-        let out = self.head.forward_driven(&ws.features, drive, &mut ws.head);
-        Ok(self.decode_head(&out))
+        self.network.forward(x, &mut Drive::Ideal, ws)
     }
 
     /// The all-digital twin path: ternary conv + FP head, same comparator
@@ -481,10 +425,9 @@ impl CnnRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_digital(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.check_input(x)?;
-        let features = self.twin.features(x);
-        let out = self.head_mlp.forward(&features);
-        Ok(self.decode_head(&out))
+        check_len(x, self.input_len())?;
+        let out = self.head_mlp.forward(&self.twin.features(x));
+        Ok(self.output_spec().decode(&Comparator::default().bits(&out)))
     }
 
     /// Argmax class of [`infer`](Self::infer) (ties to the lowest index).
@@ -505,83 +448,32 @@ impl CnnRcs {
             .count();
         correct as f64 / data.len() as f64
     }
-
-    /// Total write pulses across conv tiles and head — the chip's
-    /// endurance wear.
-    #[must_use]
-    pub fn total_writes(&self) -> u64 {
-        self.conv.total_writes() + self.head.total_writes()
-    }
-
-    /// The worst-worn cell's write count across conv tiles and head.
-    #[must_use]
-    pub fn max_write_count(&self) -> u64 {
-        self.conv.max_write_count().max(self.head.max_write_count())
-    }
-
-    /// Age all devices by `seconds` under a retention model.
-    pub fn age(&mut self, retention: &RetentionModel, seconds: f64) {
-        self.conv.age(retention, seconds);
-        self.head.age(retention, seconds);
-    }
 }
 
 impl fmt::Display for CnnRcs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CNN RCS {} → head {}", self.conv, self.head_topology())
+        write!(f, "CNN RCS {} → head {}", self.conv(), self.head_topology())
     }
 }
 
-impl Chip for CnnRcs {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        CnnWorkspace::with_thread(|ws| self.infer_with(input, ws)).expect("dataset-validated input")
-    }
-
-    // The CNN chip is its conv tiles plus its head side by side: each
-    // tile is costed as a 1-bit-input stage with a `tile_bits`-wide sense
-    // interface (the Eq (6)/(7) machinery applied per tile), the head as
-    // a regular MEI stack. One inference evaluates all of them.
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        let mut stages = self.tile_topologies();
-        stages.push(self.head_topology());
-        Some(crate::serve::mei_sheet(stages))
-    }
-
-    fn wear(&self) -> Option<u64> {
-        Some(self.total_writes())
-    }
-}
-
-impl Rcs for CnnRcs {
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let mut drive = Drive::Fluctuating(fluctuation, rng);
-        CnnWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
-            .expect("dataset-validated input")
-    }
-
-    // Conv tiles first, then the head: a fixed draw order keeps this
-    // deterministic.
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        self.conv.disturb(variation, rng);
-        self.head.disturb(variation, rng);
-    }
-
-    fn restore(&mut self) {
-        self.conv.restore();
-        self.head.restore();
-    }
-}
+// The CNN chip is its conv tiles plus its head side by side: each tile
+// is costed as a 1-bit-input stage with a `tile_bits`-wide sense
+// interface (the Eq (6)/(7) machinery applied per tile), the head as a
+// regular MEI stack. One inference evaluates all of them.
+network_system!(CnnRcs, |rcs| {
+    let mut stages = rcs.tile_topologies();
+    stages.push(rcs.head_topology());
+    Some(crate::serve::mei_sheet(stages))
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Rcs;
+    use crossbar::SignalFluctuation;
     use prng::rngs::StdRng;
     use prng::SeedableRng;
+    use rram::VariationModel;
     use workloads::cnn_dataset;
 
     fn quick_data() -> Dataset {
@@ -654,13 +546,14 @@ mod tests {
     #[test]
     fn wear_accounting_rolls_up_conv_and_head() {
         let mut rcs = quick_rcs();
-        assert_eq!(rcs.total_writes(), rcs.device_count() as u64);
-        assert_eq!(rcs.max_write_count(), 1);
+        let devices = rcs.network().device_count() as u64;
+        assert_eq!(rcs.network().total_writes(), devices);
+        assert_eq!(rcs.network().max_write_count(), 1);
         let mut rng = StdRng::seed_from_u64(5);
         rcs.disturb(&VariationModel::process_variation(0.05), &mut rng);
-        assert_eq!(rcs.total_writes(), 2 * rcs.device_count() as u64);
+        assert_eq!(rcs.network().total_writes(), 2 * devices);
         rcs.restore();
-        assert_eq!(rcs.total_writes(), 2 * rcs.device_count() as u64);
+        assert_eq!(rcs.network().total_writes(), 2 * devices);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The "Digital ANN" baseline: the paper's ideal CPU implementation with
 //! 32-bit floating-point numbers (we use `f64`; the difference is far below
-//! every other error source in the comparison).
+//! every other error source in the comparison). Its [`Network`] is one
+//! digital MLP layer: it has no devices to disturb or wear, and it
+//! ignores signal fluctuation.
 
 use std::fmt;
 
-use crossbar::SignalFluctuation;
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, TrainReport, Trainer};
-use prng::RngCore;
-use rram::VariationModel;
-use runtime::{Chip, ChipCostSheet};
+use runtime::ChipCostSheet;
 
+use crate::analog::Drive;
 use crate::error::TrainRcsError;
-use crate::eval::Rcs;
+use crate::network::{network_system, Layer, Network};
 
 /// The floating-point ANN baseline of Table 1's "Digital" column.
 ///
@@ -26,9 +26,9 @@ use crate::eval::Rcs;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DigitalAnn {
-    mlp: Mlp,
+    network: Network,
     report: TrainReport,
 }
 
@@ -54,25 +54,33 @@ impl DigitalAnn {
             .seed(seed)
             .build();
         let report = Trainer::new(*config).train(&mut mlp, data);
-        Ok(Self { mlp, report })
+        Ok(Self::from_mlp(mlp, report))
     }
 
     /// Wrap an already-trained network.
     #[must_use]
     pub fn from_mlp(mlp: Mlp, report: TrainReport) -> Self {
-        Self { mlp, report }
+        let network = Network::new(mlp.input_dim(), vec![Layer::Digital(mlp)]);
+        Self { network, report }
     }
 
     /// Forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the network's input size.
     #[must_use]
     pub fn infer(&self, x: &[f64]) -> Vec<f64> {
-        self.mlp.forward(x)
+        self.network.serve(x, &mut Drive::Ideal)
     }
 
     /// The underlying network.
     #[must_use]
     pub fn mlp(&self) -> &Mlp {
-        &self.mlp
+        let [Layer::Digital(mlp)] = self.network.layers() else {
+            unreachable!("a digital network is one MLP");
+        };
+        mlp
     }
 
     /// The training report.
@@ -84,7 +92,7 @@ impl DigitalAnn {
 
 impl fmt::Display for DigitalAnn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "digital ANN: {}", self.mlp)
+        write!(f, "digital ANN: {}", self.mlp())
     }
 }
 
@@ -94,30 +102,9 @@ impl fmt::Display for DigitalAnn {
 // chip silently lands in `chips − known_chips`, which reads as an
 // accounting bug in fleet_cost-style reports. Zero cost states the truth
 // ("present, free in this model") and keeps `known_chips == chips`.
-impl Chip for DigitalAnn {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        DigitalAnn::infer(self, input)
-    }
-
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        Some(ChipCostSheet::new(0.0, 0.0, 0.0, 0.0))
-    }
-}
-
-impl Rcs for DigitalAnn {
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        _fluctuation: &SignalFluctuation,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        DigitalAnn::infer(self, x)
-    }
-
-    fn disturb(&mut self, _variation: &VariationModel, _rng: &mut dyn RngCore) {}
-
-    fn restore(&mut self) {}
-}
+network_system!(DigitalAnn, |_ann| Some(ChipCostSheet::new(
+    0.0, 0.0, 0.0, 0.0
+)));
 
 #[cfg(test)]
 mod tests {

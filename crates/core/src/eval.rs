@@ -1,9 +1,10 @@
 //! Uniform evaluation across architectures: the [`Rcs`] trait and the
 //! Monte-Carlo robustness protocol of paper §5.3.
 //!
-//! The protocol evaluates the *same* inference body that serves: every
-//! system takes the pass's analog condition as a [`Drive`](crate::Drive)
-//! argument, and `predict_noisy` is that body under signal fluctuation.
+//! The protocol evaluates the *same* network that serves: every system
+//! runs its [`Network`](crate::Network) under the pass's
+//! [`Drive`](crate::Drive), and `predict_noisy` is that network under
+//! signal fluctuation.
 
 use std::fmt;
 
@@ -18,15 +19,12 @@ use runtime::{Chip, ThreadPool};
 /// AD/DA architecture, MEI, SAAB ensembles and the CNN.
 ///
 /// An `Rcs` is first a serving [`Chip`]: its noise-free prediction *is*
-/// [`Chip::infer`], in the *analog* domain (`[0, 1]` application values),
-/// with each implementation handling its own interface conversion. This
-/// trait adds what the robustness protocol needs on top. Each
-/// architecture states its whole inference contract — inherent `infer*`
-/// methods, `Chip` and `Rcs` — in its own module (`mei_arch`, `adda`,
-/// `saab`, `cnn`, `digital`), and runs all of them through one body per
-/// domain that takes the pass's [`Drive`](crate::Drive): `Chip::infer`
-/// is that body under `Drive::Ideal`, [`predict_noisy`](Rcs::predict_noisy)
-/// under `Drive::Fluctuating`.
+/// [`Chip::infer`], in the *analog* domain (`[0, 1]` application values).
+/// This trait adds what the robustness protocol needs on top. Every
+/// system's `Chip` and `Rcs` impls delegate to its
+/// [`Network`](crate::Network): `Chip::infer` runs it under
+/// `Drive::Ideal`, [`predict_noisy`](Rcs::predict_noisy) under
+/// `Drive::Fluctuating`.
 ///
 /// Implementations panic on wrong input lengths: they are driven by
 /// datasets that were validated up front.

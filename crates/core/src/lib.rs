@@ -29,12 +29,11 @@
 //! draw alike, bit-identically at every thread count.
 //!
 //! Each trained system ([`MeiRcs`], [`AddaRcs`], [`Saab`], [`CnnRcs`],
-//! [`DigitalAnn`]) states its whole inference in its own module: the
-//! inherent `infer*` methods, its [`runtime::Chip`] impl and its [`Rcs`]
-//! impl, all run by one body per domain that takes the pass's analog
-//! condition as a [`Drive`] argument. `Rcs` extends `Chip`, so the
-//! noise-free prediction *is* `Chip::infer` — the body under
-//! [`Drive::Ideal`] — and `Rcs::predict_noisy` is the same body under
+//! [`DigitalAnn`]) builds one [`Network`] of layers, and its inherent
+//! `infer*` methods, its [`runtime::Chip`] impl, its [`Rcs`] impl and its
+//! device walks all run that network. `Rcs` extends `Chip`, so the
+//! noise-free prediction *is* `Chip::infer` — the network under
+//! [`Drive::Ideal`] — and `Rcs::predict_noisy` is the same network under
 //! [`Drive::Fluctuating`].
 //!
 //! ## Quickstart
@@ -72,6 +71,7 @@ pub mod dse;
 pub mod error;
 pub mod eval;
 pub mod mei_arch;
+pub mod network;
 pub mod persist;
 pub mod prune;
 pub mod report;
@@ -88,6 +88,7 @@ pub use dse::{DseConfig, DseDesign, DseResult, HiddenGrowth};
 pub use error::{InferError, TrainRcsError};
 pub use eval::{evaluate_metric, evaluate_mse, mse_scorer, robustness, Rcs, RobustnessReport};
 pub use mei_arch::{MeiConfig, MeiRcs};
+pub use network::Network;
 pub use persist::ParseRcsError;
 pub use report::{system_report, ReportConfig};
 pub use saab::{Saab, SaabConfig, SaabTrainer};

@@ -7,26 +7,24 @@
 //! binarized by comparators working as 1-bit ADCs; and the training loss
 //! weights each port by its bit significance (Eq (5)).
 //!
-//! Inference has one body per domain: [`MeiRcs::infer_bits_driven`] over
-//! the interface bits, and its encode/decode wrap over analog values. Both
-//! take the pass's [`Drive`] as an argument, so serving, the noise
-//! protocol, SAAB's learner scoring and the IR-drop ablation differ only
-//! in the drive they pass.
+//! The system is a [`Network`] built once: encode, crossbar MLP,
+//! comparators, decode. Serving, the noise protocol, SAAB's learner
+//! scoring and the IR-drop ablation run it and differ only in the
+//! [`Drive`] they pass; the bit-domain entry points run the layers
+//! between the encoder and the decoder.
 
 use std::fmt;
 
-use crossbar::{Comparator, MappingConfig, SignalFluctuation};
+use crossbar::{Comparator, MappingConfig};
 use interface::cost::MeiTopology;
 use interface::{BitCoding, InterfaceSpec};
 use neural::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
-use prng::RngCore;
-use rram::{DeviceParams, VariationModel};
-use runtime::{Chip, ChipCostSheet};
+use rram::DeviceParams;
 
 use crate::analog::{AnalogMlp, AnalogWorkspace, Drive};
 use crate::bitweights::msb_weighted_loss;
 use crate::error::{InferError, TrainRcsError};
-use crate::eval::Rcs;
+use crate::network::{network_system, Layer, Network};
 
 /// Configuration of a merged-interface RCS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,10 +96,7 @@ impl MeiConfig {
 #[derive(Debug, Clone)]
 pub struct MeiRcs {
     mlp: Mlp,
-    analog: AnalogMlp,
-    input_spec: InterfaceSpec,
-    output_spec: InterfaceSpec,
-    comparator: Comparator,
+    pub(crate) network: Network,
     config: MeiConfig,
 }
 
@@ -168,12 +163,18 @@ impl MeiRcs {
             });
         }
         let analog = AnalogMlp::from_mlp(&mlp, config.device, &config.mapping)?;
+        let network = Network::new(
+            in_groups,
+            vec![
+                Layer::Encode(input_spec),
+                Layer::Crossbar(analog),
+                Layer::Sense(Comparator::default()),
+                Layer::Decode(output_spec),
+            ],
+        );
         Ok(Self {
             mlp,
-            analog,
-            input_spec,
-            output_spec,
-            comparator: Comparator::default(),
+            network,
             config: *config,
         })
     }
@@ -181,13 +182,13 @@ impl MeiRcs {
     /// The input interface (`(I'·B_in)`).
     #[must_use]
     pub fn input_spec(&self) -> InterfaceSpec {
-        self.input_spec
+        self.network.interfaces().0
     }
 
     /// The output interface (`(O'·B_out)`).
     #[must_use]
     pub fn output_spec(&self) -> InterfaceSpec {
-        self.output_spec
+        self.network.interfaces().1
     }
 
     /// Hidden-layer size.
@@ -205,12 +206,13 @@ impl MeiRcs {
     /// The architecture descriptor for cost estimation.
     #[must_use]
     pub fn topology(&self) -> MeiTopology {
+        let (input, output) = self.network.interfaces();
         MeiTopology::new(
-            self.input_spec.groups(),
-            self.input_spec.bits(),
+            input.groups(),
+            input.bits(),
             self.config.hidden,
-            self.output_spec.groups(),
-            self.output_spec.bits(),
+            output.groups(),
+            output.bits(),
         )
     }
 
@@ -223,7 +225,16 @@ impl MeiRcs {
     /// The crossbar realization.
     #[must_use]
     pub fn analog(&self) -> &AnalogMlp {
-        &self.analog
+        let [_, Layer::Crossbar(analog), ..] = self.network.layers() else {
+            unreachable!("an MEI network is encode, crossbar, sense, decode");
+        };
+        analog
+    }
+
+    /// The network every inference runs: encode, crossbar, sense, decode.
+    #[must_use]
+    pub fn network(&self) -> &Network {
+        &self.network
     }
 
     /// Binary-domain inference: 0/1 input ports to 0/1 output ports
@@ -238,8 +249,9 @@ impl MeiRcs {
     }
 
     /// [`infer_bits`](Self::infer_bits) against a caller-owned workspace:
-    /// the allocation-free serving hot path (the 0/1 input rides the
-    /// bit-packed crossbar kernel; scratch lives in `ws`).
+    /// the allocation-light bit-domain path ([`Network::forward_bits`]
+    /// under [`Drive::Ideal`]; the 0/1 input rides the bit-packed crossbar
+    /// kernel).
     ///
     /// # Errors
     ///
@@ -250,29 +262,7 @@ impl MeiRcs {
         bits: &[f64],
         ws: &mut AnalogWorkspace,
     ) -> Result<Vec<f64>, InferError> {
-        self.infer_bits_driven(bits, &mut Drive::Ideal, ws)
-    }
-
-    /// The binary-domain body: the crossbars run under `drive`, then the
-    /// comparators threshold every output port. Serving, the noise
-    /// protocol, SAAB's learner scoring and the IR-drop ablation all run
-    /// it; under [`Drive::Fluctuating`] the 0/1 drive levels fluctuate too
-    /// (they are physical signals).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::InputLength`] if `bits.len()` differs from the
-    /// input port count.
-    pub fn infer_bits_driven(
-        &self,
-        bits: &[f64],
-        drive: &mut Drive<'_>,
-        ws: &mut AnalogWorkspace,
-    ) -> Result<Vec<f64>, InferError> {
-        self.check_bits(bits)?;
-        Ok(self
-            .comparator
-            .bits(&self.analog.forward_driven(bits, drive, ws)))
+        self.network.forward_bits(bits, &mut Drive::Ideal, ws)
     }
 
     /// Analog-domain convenience: encode the input, infer, decode the output.
@@ -281,26 +271,13 @@ impl MeiRcs {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_driven(x, &mut Drive::Ideal, &mut AnalogWorkspace::new())
-    }
-
-    /// The analog-domain body: [`infer_bits_driven`](Self::infer_bits_driven)
-    /// between the input encoder and the output decoder.
-    fn infer_driven(
-        &self,
-        x: &[f64],
-        drive: &mut Drive<'_>,
-        ws: &mut AnalogWorkspace,
-    ) -> Result<Vec<f64>, InferError> {
-        through_interface(self.input_spec, self.output_spec, x, |bits| {
-            self.infer_bits_driven(bits, drive, ws)
-        })
+        self.network.infer(x)
     }
 
     /// Age all devices by `seconds` under a retention model (drift; see
     /// `rram::retention`). `restore` refreshes the arrays.
     pub fn age(&mut self, retention: &rram::RetentionModel, seconds: f64) {
-        self.analog.age(retention, seconds);
+        self.network.age(retention, seconds);
     }
 
     /// A physically-smaller RCS with `in_prune` LSB ports removed from every
@@ -319,25 +296,26 @@ impl MeiRcs {
     /// Returns [`TrainRcsError::InvalidConfig`] if pruning would remove all
     /// bits of a group, or [`TrainRcsError::Mapping`] if remapping fails.
     pub fn pruned(&self, in_prune: usize, out_prune: usize) -> Result<MeiRcs, TrainRcsError> {
-        if in_prune >= self.input_spec.bits() || out_prune >= self.output_spec.bits() {
+        let (input, output) = self.network.interfaces();
+        if in_prune >= input.bits() || out_prune >= output.bits() {
             return Err(TrainRcsError::InvalidConfig(format!(
                 "cannot prune {in_prune}/{out_prune} bits from a {}/{}-bit interface",
-                self.input_spec.bits(),
-                self.output_spec.bits()
+                input.bits(),
+                output.bits()
             )));
         }
         if in_prune == 0 && out_prune == 0 {
             return Ok(self.clone());
         }
-        let new_in = self.input_spec.prune_lsbs(in_prune);
-        let new_out = self.output_spec.prune_lsbs(out_prune);
+        let new_in = input.prune_lsbs(in_prune);
+        let new_out = output.prune_lsbs(out_prune);
 
         // Rebuild the first layer without the pruned input columns and the
         // last layer without the pruned output rows.
         let layers = self.mlp.layers();
-        let keep_in: Vec<usize> = (0..self.input_spec.groups())
+        let keep_in: Vec<usize> = (0..input.groups())
             .flat_map(|g| {
-                let base = g * self.input_spec.bits();
+                let base = g * input.bits();
                 (0..new_in.bits()).map(move |b| base + b)
             })
             .collect();
@@ -352,9 +330,9 @@ impl MeiRcs {
         new_first.weights = neural::Matrix::from_rows(&first_rows);
         new_first.biases = first.biases.clone();
 
-        let keep_out: Vec<usize> = (0..self.output_spec.groups())
+        let keep_out: Vec<usize> = (0..output.groups())
             .flat_map(|g| {
-                let base = g * self.output_spec.bits();
+                let base = g * output.bits();
                 (0..new_out.bits()).map(move |b| base + b)
             })
             .collect();
@@ -376,16 +354,6 @@ impl MeiRcs {
         let mlp = Mlp::from_layers(vec![new_first, new_last]);
         MeiRcs::from_trained(mlp, &config, new_in.groups(), new_out.groups())
     }
-
-    fn check_bits(&self, bits: &[f64]) -> Result<(), InferError> {
-        if bits.len() != self.input_spec.ports() {
-            return Err(InferError::InputLength {
-                expected: self.input_spec.ports(),
-                found: bits.len(),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for MeiRcs {
@@ -394,41 +362,9 @@ impl fmt::Display for MeiRcs {
     }
 }
 
-impl Chip for MeiRcs {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        AnalogWorkspace::with_thread(|ws| self.infer_driven(input, &mut Drive::Ideal, ws))
-            .expect("dataset-validated input")
-    }
-
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        Some(crate::serve::mei_sheet([self.topology()]))
-    }
-
-    fn wear(&self) -> Option<u64> {
-        Some(self.analog.total_writes())
-    }
-}
-
-impl Rcs for MeiRcs {
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let mut drive = Drive::Fluctuating(fluctuation, rng);
-        AnalogWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
-            .expect("dataset-validated input")
-    }
-
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        self.analog.disturb(variation, rng);
-    }
-
-    fn restore(&mut self) {
-        self.analog.restore();
-    }
-}
+network_system!(MeiRcs, |rcs| Some(crate::serve::mei_sheet(
+    [rcs.topology()]
+)));
 
 /// The check every constructor shares ([`MeiRcs::train`] runs it before
 /// training): bit widths in `1..=MAX_BITS` and nonzero sizes.
@@ -448,30 +384,12 @@ fn check_config(
     Ok(())
 }
 
-/// The analog-domain wrap of every merged-interface entry point: check
-/// `x` against the input groups, encode it, run the binary-domain
-/// `infer_bits`, and decode the output bits.
-pub(crate) fn through_interface(
-    input_spec: InterfaceSpec,
-    output_spec: InterfaceSpec,
-    x: &[f64],
-    infer_bits: impl FnOnce(&[f64]) -> Result<Vec<f64>, InferError>,
-) -> Result<Vec<f64>, InferError> {
-    if x.len() != input_spec.groups() {
-        return Err(InferError::InputLength {
-            expected: input_spec.groups(),
-            found: x.len(),
-        });
-    }
-    let bits = infer_bits(&input_spec.encode(x))?;
-    Ok(output_spec.decode(&bits))
-}
-
 // Index loops in the tests mirror the bit-position subscripts.
 #[allow(clippy::needless_range_loop)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbar::SignalFluctuation;
     use prng::rngs::StdRng;
     use prng::{Rng, SeedableRng};
 
@@ -621,7 +539,8 @@ mod tests {
         for _ in 0..trials {
             let mut drive = Drive::Fluctuating(&sf, &mut rng);
             let noisy = rcs
-                .infer_bits_driven(&bits_in, &mut drive, &mut ws)
+                .network()
+                .forward_bits(&bits_in, &mut drive, &mut ws)
                 .unwrap();
             if noisy == clean {
                 matches += 1;

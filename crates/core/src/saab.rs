@@ -11,12 +11,11 @@
 //! * the ensemble answers by `α`-weighted voting over the learners' output
 //!   bit patterns (line 10).
 //!
-//! The ensemble has one inference body per domain (bits and analog), each
-//! taking the pass's [`Drive`] as an argument and handing it to every
-//! learner's [`MeiRcs::infer_bits_driven`] in learner order. The line-6
-//! scoring runs that same learner body under the injected factors.
+//! The ensemble is a [`Network`] built once: the encoder, a vote layer
+//! over the learners' bit-domain networks and the decoder. The pass's [`Drive`] reaches every learner in learner order.
+//! The line-6 scoring runs a learner's same bit-domain network
+//! ([`Network::forward_bits`]) under the injected factors.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crossbar::SignalFluctuation;
@@ -25,12 +24,13 @@ use neural::Dataset;
 use prng::rngs::StdRng;
 use prng::{RngCore, SeedableRng};
 use rram::{NonIdealFactors, VariationModel};
-use runtime::{Chip, ChipCostSheet, ThreadPool};
+use runtime::ThreadPool;
 
 use crate::analog::{AnalogWorkspace, Drive};
 use crate::error::{InferError, TrainRcsError};
 use crate::eval::Rcs;
-use crate::mei_arch::{through_interface, MeiConfig, MeiRcs};
+use crate::mei_arch::{MeiConfig, MeiRcs};
+use crate::network::{network_system, with_workspace, Layer, Network};
 
 /// Error floor preventing `α → ∞` when a learner is perfect on the
 /// weighted sample.
@@ -245,9 +245,7 @@ impl SaabTrainer {
     #[must_use]
     pub fn ensemble(&self) -> Saab {
         assert!(!self.learners.is_empty(), "no accepted learners yet");
-        Saab {
-            learners: self.learners.clone(),
-        }
+        Saab::from_learners(self.learners.clone())
     }
 
     /// Per-sample correctness of a learner on the top `B_C` bits of every
@@ -280,10 +278,8 @@ impl SaabTrainer {
             let mut rng: StdRng = prng::substream_rng(eval_seed, i as u64);
             let bits_in = in_spec.encode(x);
             let mut drive = Drive::Fluctuating(&fluctuation, &mut rng);
-            let out = AnalogWorkspace::with_thread(|ws| {
-                scored.infer_bits_driven(&bits_in, &mut drive, ws)
-            })
-            .expect("validated input");
+            let out = with_workspace(|ws| scored.network().forward_bits(&bits_in, &mut drive, ws))
+                .expect("validated input");
             let wrong_groups = (0..groups)
                 .filter(|g| {
                     let base = g * out_bits;
@@ -303,10 +299,31 @@ impl SaabTrainer {
 /// `α_k` (Algorithm 1, line 10).
 #[derive(Debug, Clone)]
 pub struct Saab {
-    learners: Vec<(MeiRcs, f64)>,
+    network: Network,
 }
 
 impl Saab {
+    /// Encode, vote, decode (every learner shares both interfaces).
+    fn from_learners(learners: Vec<(MeiRcs, f64)>) -> Saab {
+        let (input, output) = learners[0].0.network().interfaces();
+        let layers = vec![
+            Layer::Encode(input),
+            Layer::Vote(learners),
+            Layer::Decode(output),
+        ];
+        Saab {
+            network: Network::new(input.groups(), layers),
+        }
+    }
+
+    /// The learners and their vote weights, in learner order.
+    fn votes(&self) -> &[(MeiRcs, f64)] {
+        let [_, Layer::Vote(learners), _] = self.network.layers() else {
+            unreachable!("a SAAB network is encode, vote, decode");
+        };
+        learners
+    }
+
     /// Train a complete ensemble by running `config.rounds` boosting rounds.
     ///
     /// Discarded rounds (learners at chance level) do not add learners; the
@@ -336,45 +353,37 @@ impl Saab {
     /// Number of learners.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.learners.len()
+        self.votes().len()
     }
 
     /// Whether the ensemble is empty (never true for a trained ensemble).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.learners.is_empty()
+        self.votes().is_empty()
     }
 
     /// The vote weights `α_k`.
     #[must_use]
     pub fn alphas(&self) -> Vec<f64> {
-        self.learners.iter().map(|(_, a)| *a).collect()
+        self.votes().iter().map(|(_, a)| *a).collect()
     }
 
     /// The individual learners.
     #[must_use]
     pub fn learners(&self) -> Vec<&MeiRcs> {
-        self.learners.iter().map(|(l, _)| l).collect()
+        self.votes().iter().map(|(l, _)| l).collect()
     }
 
     /// The shared input interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ensemble is empty.
     #[must_use]
     pub fn input_spec(&self) -> InterfaceSpec {
-        self.learners[0].0.input_spec()
+        self.network.interfaces().0
     }
 
     /// The shared output interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ensemble is empty.
     #[must_use]
     pub fn output_spec(&self) -> InterfaceSpec {
-        self.learners[0].0.output_spec()
+        self.network.interfaces().1
     }
 
     /// Binary-domain ensemble inference: every learner predicts in parallel
@@ -385,23 +394,8 @@ impl Saab {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer_bits(&self, bits: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_bits_driven(bits, &mut Drive::Ideal, &mut AnalogWorkspace::new())
-    }
-
-    /// The binary-domain body: every learner runs under `drive` on `ws`,
-    /// in learner order (so a fluctuating drive's draws come in a fixed
-    /// order), then the vote.
-    fn infer_bits_driven(
-        &self,
-        bits: &[f64],
-        drive: &mut Drive<'_>,
-        ws: &mut AnalogWorkspace,
-    ) -> Result<Vec<f64>, InferError> {
-        let mut outputs = Vec::with_capacity(self.learners.len());
-        for (learner, alpha) in &self.learners {
-            outputs.push((learner.infer_bits_driven(bits, drive, ws)?, *alpha));
-        }
-        Ok(self.tally(outputs))
+        self.network
+            .forward_bits(bits, &mut Drive::Ideal, &mut AnalogWorkspace::new())
     }
 
     /// Analog-domain convenience: encode, vote, decode.
@@ -410,20 +404,7 @@ impl Saab {
     ///
     /// Returns [`InferError::InputLength`] on a wrong-sized input.
     pub fn infer(&self, x: &[f64]) -> Result<Vec<f64>, InferError> {
-        self.infer_driven(x, &mut Drive::Ideal, &mut AnalogWorkspace::new())
-    }
-
-    /// The analog-domain body: [`infer_bits_driven`](Self::infer_bits_driven)
-    /// between the input encoder and the output decoder.
-    fn infer_driven(
-        &self,
-        x: &[f64],
-        drive: &mut Drive<'_>,
-        ws: &mut AnalogWorkspace,
-    ) -> Result<Vec<f64>, InferError> {
-        through_interface(self.input_spec(), self.output_spec(), x, |bits| {
-            self.infer_bits_driven(bits, drive, ws)
-        })
+        self.network.infer(x)
     }
 
     /// A uniformly-pruned ensemble: every learner loses the same LSB ports
@@ -434,53 +415,12 @@ impl Saab {
     /// Propagates the per-learner pruning errors.
     pub fn pruned(&self, in_prune: usize, out_prune: usize) -> Result<Saab, TrainRcsError> {
         let learners = self
-            .learners
+            .votes()
             .iter()
             .map(|(l, a)| Ok((l.pruned(in_prune, out_prune)?, *a)))
             .collect::<Result<Vec<_>, TrainRcsError>>()?;
-        Ok(Saab { learners })
+        Ok(Saab::from_learners(learners))
     }
-
-    /// `argmax_y Σ_k α_k·[R_k(x) = y]` with deterministic tie-breaking,
-    /// applied to every output *group* independently — each output number is
-    /// its own digital word, so the voting hardware tallies each word
-    /// separately (for single-group outputs this is exactly the paper's
-    /// line 10).
-    fn tally(&self, outputs: Vec<(Vec<f64>, f64)>) -> Vec<f64> {
-        let bits = self.output_spec().bits();
-        let ports = self.output_spec().ports();
-        let mut result = Vec::with_capacity(ports);
-        for base in (0..ports).step_by(bits) {
-            let group: Vec<(&[f64], f64)> = outputs
-                .iter()
-                .map(|(out, alpha)| (&out[base..base + bits], *alpha))
-                .collect();
-            result.extend(tally_group(&group));
-        }
-        result
-    }
-}
-
-/// Weighted vote over one output word: `argmax_y Σ_k α_k·[R_k(x) = y]`,
-/// ties broken deterministically by the larger bit pattern.
-fn tally_group(patterns: &[(&[f64], f64)]) -> Vec<f64> {
-    let mut votes: HashMap<Vec<u8>, f64> = HashMap::new();
-    for (bits, alpha) in patterns {
-        let key: Vec<u8> = bits.iter().map(|&b| u8::from(b >= 0.5)).collect();
-        *votes.entry(key).or_insert(0.0) += alpha;
-    }
-    votes
-        .into_iter()
-        .max_by(|(ka, wa), (kb, wb)| {
-            wa.partial_cmp(wb)
-                .expect("finite weights")
-                .then_with(|| ka.cmp(kb))
-        })
-        .expect("at least one learner")
-        .0
-        .into_iter()
-        .map(f64::from)
-        .collect()
 }
 
 impl fmt::Display for Saab {
@@ -489,45 +429,11 @@ impl fmt::Display for Saab {
     }
 }
 
-impl Chip for Saab {
-    fn infer(&self, input: &[f64]) -> Vec<f64> {
-        AnalogWorkspace::with_thread(|ws| self.infer_driven(input, &mut Drive::Ideal, ws))
-            .expect("dataset-validated input")
-    }
-
-    // A SAAB chip is its learners side by side: one inference evaluates
-    // every (non-pruned) learner, so the sheets sum in learner order.
-    fn cost_sheet(&self) -> Option<ChipCostSheet> {
-        Some(crate::serve::mei_sheet(
-            self.learners.iter().map(|(learner, _)| learner.topology()),
-        ))
-    }
-}
-
-impl Rcs for Saab {
-    fn predict_noisy(
-        &self,
-        x: &[f64],
-        fluctuation: &SignalFluctuation,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let mut drive = Drive::Fluctuating(fluctuation, rng);
-        AnalogWorkspace::with_thread(|ws| self.infer_driven(x, &mut drive, ws))
-            .expect("dataset-validated input")
-    }
-
-    fn disturb(&mut self, variation: &VariationModel, rng: &mut dyn RngCore) {
-        for (learner, _) in &mut self.learners {
-            learner.disturb(variation, rng);
-        }
-    }
-
-    fn restore(&mut self) {
-        for (learner, _) in &mut self.learners {
-            learner.restore();
-        }
-    }
-}
+// A SAAB chip is its learners side by side: one inference evaluates
+// every (non-pruned) learner, so the sheets sum in learner order.
+network_system!(Saab, |saab| Some(crate::serve::mei_sheet(
+    saab.votes().iter().map(|(learner, _)| learner.topology())
+)));
 
 #[cfg(test)]
 mod tests {
@@ -636,28 +542,6 @@ mod tests {
             ensemble_mse <= worst * 1.5 + 1e-6,
             "ensemble {ensemble_mse} much worse than worst learner {worst}"
         );
-    }
-
-    #[test]
-    fn voting_follows_alpha_weights() {
-        // Two-learner scenario: outputs differ, and the tally must pick the
-        // heavier learner's bits.
-        let a: (&[f64], f64) = (&[1.0, 0.0], 2.0);
-        let b: (&[f64], f64) = (&[0.0, 1.0], 0.5);
-        assert_eq!(tally_group(&[a, b]), vec![1.0, 0.0]);
-        // Two light learners agreeing outvote one heavy learner.
-        let c: (&[f64], f64) = (&[0.0, 1.0], 1.6);
-        assert_eq!(tally_group(&[a, b, c]), vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn tally_tie_break_is_deterministic() {
-        let a: (&[f64], f64) = (&[1.0, 0.0], 1.0);
-        let b: (&[f64], f64) = (&[0.0, 1.0], 1.0);
-        let first = tally_group(&[a, b]);
-        for _ in 0..5 {
-            assert_eq!(tally_group(&[a, b]), first);
-        }
     }
 
     #[test]

@@ -270,15 +270,63 @@ mod tests {
         // Wear rolls up through the Chip trait, manufacture included:
         // write noise is programming (`program_clamped`), so every
         // manufactured chip has more pulses than the pristine master.
-        assert_eq!(chip.wear(), Some(rcs.total_writes()));
+        assert_eq!(chip.wear(), Some(rcs.network().total_writes()));
         let pool = manufacture_chips(&rcs, 2, 0.05, 9);
         for made in pool.chips() {
-            assert!(Chip::wear(made).unwrap() >= rcs.total_writes());
+            assert!(Chip::wear(made).unwrap() >= rcs.network().total_writes());
         }
         let outcome = Engine::new(pool)
             .with_policy(RoundRobin)
             .serve(&data.iter().map(|(x, _)| x.to_vec()).collect::<Vec<_>>());
         assert_eq!(outcome.outputs.len(), data.len());
+    }
+
+    #[test]
+    fn adda_and_saab_chips_report_their_wear() {
+        let data = expfit_data(200, 3);
+        let short = TrainConfig {
+            epochs: 5,
+            ..TrainConfig::default()
+        };
+        let adda = AddaRcs::train(
+            &data,
+            &AddaConfig {
+                train: short,
+                ..AddaConfig::default()
+            },
+        )
+        .unwrap();
+        let saab = Saab::train(
+            &data,
+            &MeiConfig::quick_test(),
+            &SaabConfig {
+                rounds: 2,
+                compare_bits: 4,
+                ..SaabConfig::default()
+            },
+        )
+        .unwrap();
+        // Programming writes every device once; SAAB sums its learners.
+        let adda_devices = adda.analog().device_count() as u64;
+        let saab_devices: usize = saab
+            .learners()
+            .iter()
+            .map(|l| l.analog().device_count())
+            .sum();
+        assert_eq!(Chip::wear(&adda), Some(adda_devices));
+        assert_eq!(Chip::wear(&saab), Some(saab_devices as u64));
+        // Write noise is programming, so manufactured chips are worn.
+        let adda_pool = manufacture_chips(&adda, 2, 0.05, 4);
+        let saab_pool = manufacture_chips(&saab, 2, 0.05, 4);
+        for made in adda_pool.chips() {
+            assert!(Chip::wear(made).unwrap() > adda_devices);
+        }
+        for made in saab_pool.chips() {
+            assert!(Chip::wear(made).unwrap() > saab_devices as u64);
+        }
+        // The digital baseline has no endurance counters.
+        let ann = DigitalAnn::train(&data, 4, &short, 0).unwrap();
+        assert_eq!(Chip::wear(&ann), None);
     }
 
     #[test]

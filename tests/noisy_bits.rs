@@ -275,7 +275,10 @@ fn mei_ir_drop_bits_are_pinned() {
         .map(|x| {
             let bits = mei.input_spec().encode(x);
             let mut drive = Drive::IrDrop(&wires);
-            let out = mei.infer_bits_driven(&bits, &mut drive, &mut ws).unwrap();
+            let out = mei
+                .network()
+                .forward_bits(&bits, &mut drive, &mut ws)
+                .unwrap();
             mei.output_spec().decode(&out)
         })
         .collect();

@@ -208,7 +208,10 @@ fn binary_interface_survives_moderate_fluctuation_per_bit() {
         let clean = mei.infer_bits(&bits).unwrap();
         for _ in 0..5 {
             let mut drive = Drive::Fluctuating(&sf, &mut rng);
-            let noisy = mei.infer_bits_driven(&bits, &mut drive, &mut ws).unwrap();
+            let noisy = mei
+                .network()
+                .forward_bits(&bits, &mut drive, &mut ws)
+                .unwrap();
             stable += clean.iter().zip(&noisy).filter(|(a, b)| a == b).count();
             total += clean.len();
         }
