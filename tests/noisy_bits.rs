@@ -12,7 +12,10 @@
 //! noisy case disturbs its system with seeded σ = 0.05 process variation,
 //! then runs `Rcs::predict_noisy` on 16 inputs under σ = 0.05 signal
 //! fluctuation from one fixed generator. The IR-drop case runs the MEI
-//! system through 2.5 Ω wires. The Monte-Carlo cases hash the `mean`,
+//! system through 2.5 Ω wires. The raw cases hash crossbar outputs before
+//! the comparators, which can absorb a small perturbation: the MEI
+//! network's under fluctuation and IR drop, and the disturbed CNN head's
+//! under fluctuation. The Monte-Carlo cases hash the `mean`,
 //! `std_dev`, `min` and `max` of a robustness report: three trials on a
 //! two-thread pool, each trial on its own substream of one seed.
 //!
@@ -25,6 +28,7 @@ use mei::{
     mse_scorer, robustness, AddaConfig, AddaRcs, AnalogWorkspace, CnnConfig, CnnRcs, CnnWorkspace,
     DigitalAnn, Drive, MeiConfig, MeiRcs, NonIdealFactors, Rcs, Saab, SaabConfig,
 };
+use neural::conv::binarize;
 use neural::{Dataset, TrainConfig};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
@@ -224,6 +228,40 @@ fn cnn_noisy_bits_are_pinned() {
         noisy_hash(cnn, &images.inputs()[..16]),
         4_111_028_510_894_361_573
     );
+}
+
+/// Hash the raw head outputs of `cnn` on `inputs` under σ = 0.05 signal
+/// fluctuation: the binarized conv features through
+/// `AnalogMlp::forward_driven`, before the comparator.
+fn raw_cnn_head_hash(cnn: &CnnRcs, inputs: &[Vec<f64>]) -> u64 {
+    let fluctuation = SignalFluctuation::new(SIGMA);
+    let mut rng = StdRng::seed_from_u64(22);
+    let mut ws = AnalogWorkspace::new();
+    let outputs: Vec<Vec<f64>> = inputs
+        .iter()
+        .map(|x| {
+            let features: Vec<f64> = cnn.conv().forward(x).into_iter().map(binarize).collect();
+            let mut drive = Drive::Fluctuating(&fluctuation, &mut rng);
+            cnn.head().forward_driven(&features, &mut drive, &mut ws)
+        })
+        .collect();
+    fnv1a(&outputs)
+}
+
+#[test]
+fn raw_cnn_head_bits_are_pinned() {
+    // The comparator absorbs σ = 0.05 on the quick CNN (its noisy bits
+    // equal its ideal ones); the head outputs before it do not.
+    let (mut cnn, images) = cnn();
+    let inputs = &images.inputs()[..16];
+    let undisturbed = raw_cnn_head_hash(&cnn, inputs);
+    cnn.disturb(
+        &VariationModel::process_variation(SIGMA),
+        &mut StdRng::seed_from_u64(21),
+    );
+    let disturbed = raw_cnn_head_hash(&cnn, inputs);
+    assert_eq!(disturbed, 11_014_936_627_257_723_259);
+    assert_ne!(undisturbed, disturbed, "the disturb must reach the head");
 }
 
 #[test]
