@@ -22,13 +22,18 @@ for root in crates/*/src/lib.rs src/lib.rs; do
     fi
 done
 
-echo "==> one-scheduler check (runtime threads start only in crew.rs and net/server.rs)"
+echo "==> one-scheduler check (runtime threads start only in crew.rs and the server's event thread)"
 # The serving executor runs on the Crew; only the scheduler itself and the
-# event server's event and worker threads may start threads, so the
-# executor cannot grow a private fan-out again.
+# event server's one event thread may start threads, so the executor
+# cannot grow a private fan-out again, nor the server a worker pool.
 if grep -rnE 'thread::(scope|spawn)\(' crates/runtime/src \
     | grep -vE '^crates/runtime/src/(crew|net/server)\.rs:'; then
     echo "ERROR: crates/runtime/src starts threads outside crew.rs and net/server.rs" >&2
+    exit 1
+fi
+spawns=$(grep -cE 'thread::(scope|spawn)\(' crates/runtime/src/net/server.rs || true)
+if [ "$spawns" -ne 1 ]; then
+    echo "ERROR: net/server.rs starts threads in $spawns places, not only its event thread" >&2
     exit 1
 fi
 
@@ -50,7 +55,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 
-echo "==> paper reproduction goldens (Table 1, Fig 3, encoding ablation)"
+echo "==> paper reproduction goldens (Table 1, Figs 2 and 3, the quick ablations)"
 # These binaries consume the Monte-Carlo robustness protocol, so a panic
 # in it fails the gate. FAST mode shrinks every training budget; their
 # shape checks are judged on full-budget runs only (EXPERIMENTS.md). Each
@@ -58,7 +63,8 @@ echo "==> paper reproduction goldens (Table 1, Fig 3, encoding ablation)"
 # goldens are host-independent (no thread count on stdout) and hold at
 # any MEI_THREADS. A golden changes only in a PR that names the numbers
 # and verdicts that moved, and why.
-for bin in table1 fig3_exp_fit ablation_encoding; do
+for bin in table1 fig2_breakdown fig3_exp_fit ablation_bc ablation_bitlength \
+    ablation_encoding ablation_irdrop ablation_loss ablation_mapping ablation_retention; do
     if ! MEI_BENCH_FAST=1 cargo run --release --offline -p mei-bench --bin "$bin" \
         | diff -u "results/fast/$bin.txt" -; then
         echo "ERROR: $bin FAST stdout differs from results/fast/$bin.txt" >&2
@@ -75,9 +81,10 @@ MEI_BENCH_FAST=1 MEI_BENCH_SECONDS=0.5 \
     cargo run --release --offline -p mei-bench --bin throughput > /dev/null
 test -s target/BENCH_throughput_smoke.json
 
-echo "==> wire protocol v2 smoke (negotiation, pipelining, worker-count bit identity)"
-# The serving_engine suite pins v1 ≡ v2 bits, 1 ≡ 4 event workers, idle-
-# connection capacity, and in-band corrupt-frame recovery; json_validity
+echo "==> wire protocol v2 smoke (negotiation, pipelining, fresh-server bit identity)"
+# The serving_engine suite pins v1 ≡ v2 bits, two fresh servers ≡ the in-
+# process fold, idle-connection capacity, and in-band corrupt-frame
+# recovery; json_validity
 # re-validates every committed results/BENCH_*.json plus the emitters.
 cargo test -q --offline --test serving_engine > /dev/null
 cargo test -q --offline -p mei-bench --test json_validity > /dev/null

@@ -76,11 +76,10 @@ fn cpu_share(window: Duration) -> Option<f64> {
 
 fn main() {
     let window = measure_window(if fast_mode() { 0.5 } else { 3.0 });
-    let config = EventServerConfig::default();
-    let workers = config.workers;
     let chips: Vec<Box<dyn Chip>> = vec![Box::new(Echo)];
     let workload = NetWorkload::new("echo", 1, Engine::new(ChipPool::from_chips(chips)));
-    let server = EventServer::bind("127.0.0.1:0", vec![workload], config).expect("bind server");
+    let server = EventServer::bind("127.0.0.1:0", vec![workload], EventServerConfig::default())
+        .expect("bind server");
 
     let mut parked: Vec<ClientV2> = Vec::new();
     let mut shares = Vec::new();
@@ -102,13 +101,13 @@ fn main() {
         rows.push(format!("{{\"connections\":{count},\"cpu_share\":{json}}}"));
     }
     eprintln!(
-        "== idle_cost: EventServer, {workers} workers, {:.2}s windows ==",
+        "== idle_cost: EventServer, {:.2}s windows ==",
         window.as_secs_f64()
     );
     eprintln!("{}", format_table(&["connections", "cpu share"], &table));
 
     let report = format!(
-        "{{\"meta\":{},\"window_s\":{},\"workers\":{workers},\
+        "{{\"meta\":{},\"window_s\":{},\
          \"max_one_idle_share\":{MAX_ONE_IDLE_SHARE},\"rows\":[{}]}}",
         json::meta("idle_cost", 0),
         json_num(window.as_secs_f64(), 3),

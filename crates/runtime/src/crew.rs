@@ -9,8 +9,8 @@
 //! dispatch any number of rounds over the same task closure without
 //! touching the OS again; between rounds the workers sleep on a condvar,
 //! and a round wakes only as many as it has tasks for. The trainer runs
-//! its mini-batches this way, and every event-server worker runs the
-//! frames it serves on a crew that lives as long as the worker.
+//! its mini-batches this way, and the event server's event thread runs
+//! the frames it serves on a crew that lives as long as the thread.
 //!
 //! The design stays inside safe Rust (the crate forbids `unsafe`): the one
 //! task closure is created *before* the workers are spawned, so they can

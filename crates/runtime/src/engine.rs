@@ -23,11 +23,11 @@
 //!   chip drains its FIFO queue on a thread of its own, the caller among
 //!   them, *coalescing* contiguous runs of already-arrived requests into
 //!   back-to-back batches; release times come only from open-loop arrival
-//!   offsets. An event-server worker runs every frame it serves on its
-//!   own crew, which lives as long as the worker; the in-process entry
-//!   points run theirs on a crew that lives for the call. A panicking
-//!   `infer` is contained at the chip boundary and its siblings still
-//!   complete.
+//!   offsets. The event server's event thread runs every frame it serves
+//!   on its own crew, which lives as long as the thread; the in-process
+//!   entry points run theirs on a crew that lives for the call. A
+//!   panicking `infer` is contained at the chip boundary and its siblings
+//!   still complete.
 //!
 //! Coalescing and threading never change outputs: placement is decided
 //! before execution and each chip is deterministic, so execution only
@@ -647,10 +647,10 @@ type ChipRun = (usize, usize, usize, Duration);
 /// `0..tasks` (one busy chip each, all at once), then folds the result
 /// ([`items`](Round::items)). A crew has one task closure that cannot
 /// borrow a frame (see [`crate::crew`]), so the round owns everything a
-/// task reads, in buffers kept from round to round: an event-server
-/// worker loads every frame it serves into one `Round` that its
+/// task reads, in buffers kept from round to round: the event server's
+/// event thread loads every frame it serves into one `Round` that its
 /// long-lived crew drains (its buffers grow to the largest frame the
-/// worker has served, which the server's frame and line caps bound), and
+/// thread has served, which the server's frame and line caps bound), and
 /// the in-process entry points build one per call and drain it on a crew
 /// that lives for the call ([`run_here`](Round::run_here)).
 ///
@@ -671,7 +671,7 @@ struct RoundState {
     spans: Vec<(usize, usize)>,
     /// Open-loop release offsets, one per request; empty = all at once.
     releases: Vec<Duration>,
-    /// One lane per chip id (a server worker's round keeps the lanes of
+    /// One lane per chip id (the event thread's round keeps the lanes of
     /// the largest fleet it has served; the rest stay empty).
     lanes: Vec<Mutex<Lane>>,
     /// Ids of the chips with queued requests, in id order: task `i`

@@ -14,9 +14,8 @@
 //! * [`Crew`] — the runtime's one scheduler, a persistent fork-join crew
 //!   ([`ThreadPool::crew`]): workers spawn once and then execute any
 //!   number of dispatched rounds of the same borrowed task closure, so a
-//!   hot loop (the trainer's per-mini-batch shards, an event-server
-//!   worker's frames) pays a condvar wake per round instead of a thread
-//!   spawn.
+//!   hot loop (the trainer's per-mini-batch shards, the event server's
+//!   frames) pays a condvar wake per round instead of a thread spawn.
 //! * [`ChipPool`] — N independently manufactured [`Chip`] instances, each
 //!   with its own `(root_seed, chip_index)`-derived write-noise draw.
 //! * [`Engine`] — the serving stack over one pool: a [`PlacementPolicy`]
@@ -27,9 +26,9 @@
 //!   admission fold over a [`Session`] — followed by one executor round
 //!   per frame (a [`Crew`] round, a thread per busy chip) that owns the
 //!   per-chip queues, coalescing, arrival waits and the `catch_unwind`
-//!   around `Chip::infer`. An event-server worker runs every frame on
-//!   one crew that lives as long as the worker; in-process calls use a
-//!   crew per call.
+//!   around `Chip::infer`. The event server's event thread runs every
+//!   frame on one crew that lives as long as the thread; in-process calls
+//!   use a crew per call.
 //! * [`net`] — a hermetic `std::net` TCP front-end: the event-driven
 //!   [`net::EventServer`] speaks pipelined binary frames (v2, via
 //!   [`net::ClientV2`]) and falls back to text lines (v1, via

@@ -68,9 +68,10 @@
 //! workload), and the matching response frame answers every request in
 //! order. A pipelining client keeps several frames in flight and a
 //! single connection saturates the whole fleet: the server runs each
-//! batch as one executor round over every pool's chips, on the serving
-//! worker's long-lived crew (in process, [`Fleet::serve_session_batch`]
-//! runs the same round on a crew that lives for the call).
+//! batch as one executor round over every pool's chips, synchronously on
+//! its event thread's long-lived crew (in process,
+//! [`Fleet::serve_session_batch`] runs the same round on a crew that
+//! lives for the call).
 //! Malformed frame *bodies* get an in-band error frame and the
 //! connection keeps serving; an oversized frame length gets an error
 //! frame and a close (the stream can no longer be framed) — sibling
@@ -92,8 +93,8 @@
 //!
 //! Each connection gets its own routing [`FleetSession`] per workload,
 //! so the chip sequence a client observes is a pure function of *its
-//! own* request sequence — independent of worker count, protocol version
-//! and of any other connection. That is what makes loopback serving
+//! own* request sequence — independent of protocol version and of any
+//! other connection. That is what makes loopback serving
 //! byte-identical (modulo the latency field) to feeding the same
 //! sequence through [`Fleet::serve_one`] (or [`Engine::serve_one`]) in
 //! process, asserted in `tests/serving_engine.rs`.
@@ -335,8 +336,8 @@ impl NetWorkload {
     /// Serve a batch through the session, results in request order: the
     /// in-process twin of what the server does for both wire protocols (a
     /// v1 line is a one-request batch), with the same items. The server
-    /// runs the round on its worker's crew; this call builds one for the
-    /// call.
+    /// runs the round on its event thread's crew; this call builds one
+    /// for the call.
     ///
     /// # Panics
     ///
@@ -401,13 +402,12 @@ mod tests {
         Engine::new(pool.boxed()).with_policy(RoundRobin)
     }
 
-    fn toy_server(workers: usize) -> EventServer {
+    fn toy_server() -> EventServer {
         let workloads = vec![NetWorkload::new("toy", 2, toy_engine(3))];
         EventServer::bind(
             "127.0.0.1:0",
             workloads,
             EventServerConfig {
-                workers,
                 max_line_bytes: 256,
                 ..EventServerConfig::default()
             },
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn loopback_round_trip_matches_in_process_bits() {
-        let server = toy_server(1);
+        let server = toy_server();
         let local = toy_engine(3);
         let mut session = local.session();
         let mut client = Client::connect(server.addr()).expect("connect");
@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn protocol_errors_are_in_band_and_do_not_kill_the_connection() {
-        let server = toy_server(2);
+        let server = toy_server();
         let mut client = Client::connect(server.addr()).expect("connect");
         client.send_raw("garbage-without-space").expect("send");
         assert!(matches!(client.recv().expect("recv"), Response::Error(_)));
@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn oversized_line_closes_cleanly_and_siblings_survive() {
-        let server = toy_server(2);
+        let server = toy_server();
         let mut sibling = Client::connect(server.addr()).expect("connect sibling");
         assert!(matches!(
             sibling.request("toy", &[1.0, 1.0]).expect("warm up"),
@@ -513,7 +513,7 @@ mod tests {
 
     #[test]
     fn mid_stream_disconnect_leaves_engine_serving() {
-        let server = toy_server(1);
+        let server = toy_server();
         {
             let mut doomed = Client::connect(server.addr()).expect("connect");
             doomed.send("toy", &[1.0, 2.0]).expect("send");
@@ -537,7 +537,6 @@ mod tests {
             "127.0.0.1:0",
             workloads,
             EventServerConfig {
-                workers: 1,
                 max_line_bytes: 256,
                 ..EventServerConfig::default()
             },
@@ -596,7 +595,7 @@ mod tests {
 
     #[test]
     fn fresh_connections_get_fresh_sessions() {
-        let server = toy_server(1);
+        let server = toy_server();
         let probe = |client: &mut Client| -> usize {
             match client.request("toy", &[1.0, 1.0]).expect("round trip") {
                 Response::Ok { chip, .. } => chip,

@@ -1,8 +1,8 @@
 //! The server and its clients.
 //!
 //! * [`EventServer`] — the event-driven connection layer: nonblocking
-//!   sockets driven by one readiness-scan thread plus a fixed worker
-//!   pool, so thousands of idle connections cost one thread, not one
+//!   sockets driven by one thread that scans them and serves their jobs
+//!   itself, so thousands of idle connections cost one thread, not one
 //!   each. Speaks v2 binary frames with transparent v1 text fallback per
 //!   connection.
 //! * [`Client`] — a blocking v1 text client; [`ClientV2`] — a blocking
@@ -14,60 +14,58 @@
 //!            ┌────────────────────────────── event thread ───┐
 //!            │ accept → slab of connections                  │
 //! sockets ──▶│ read (nonblocking) → ConnMachine → events     │
-//!            │ stamp arrivals at decode, queue jobs          │──▶ work queue
-//!            │ collect results → per-conn write buffers      │◀── done queue
+//!            │ stamp arrivals at decode, queue jobs          │
+//!            │ serve one job per connection → write buffers  │──▶ Fleet plan ──▶ Round ──▶ Crew::run
 //!            │ flush (nonblocking)                           │
 //!            └───────────────────────────────────────────────┘
-//!             worker (fixed pool) ──▶ Fleet plan ──▶ Round ──▶ Crew::run
-//!               └─ its crew: max-chips − 1 helpers, asleep between frames
+//!              its crew: max-chips − 1 helpers, asleep between frames
 //! ```
 //!
 //! The scan is a level-triggered readiness loop over nonblocking
 //! sockets in plain `std` — the workspace forbids `unsafe` (and thus
 //! `epoll(7)` FFI), so socket readiness is discovered by trying the
-//! socket. When a scan makes no progress the loop waits on the done
-//! queue, and a worker finishing a job ends the wait at once, so a
-//! response goes out, and that connection's next job goes to a worker,
-//! at the backend's pace. How long it waits depends on what the scan
-//! found. While every open connection has a job in flight, only a
-//! worker can make progress, so the loop waits up to 500 µs. While some
-//! connection is listening (open, with no job in flight), only polling
-//! its socket can find its next request, so the loop waits 9× the scan
-//! that found nothing, never more than 500 µs: polling then takes about
-//! a tenth of the event thread, whatever the connection count. Only a
-//! new connection that arrives while none is listening can wait out the
-//! whole 500 µs. This loop is the seam where an epoll/kqueue backend
-//! would slot in: everything above it (the [`ConnMachine`], job
-//! serialization, the worker pool) is readiness-agnostic.
+//! socket. A scan that serves a job has made progress, so the next scan
+//! starts at once. When a scan makes no progress the loop sleeps, for
+//! how long depends on what the scan found. While some connection is
+//! listening (open, with no EOF), only polling its socket can find its
+//! next request, so the loop sleeps 9× the scan that found nothing,
+//! never more than 500 µs: polling then takes about a tenth of the event
+//! thread, whatever the connection count. While none is listening, the
+//! loop sleeps the whole 500 µs, which bounds how late it notices a new
+//! connection. This loop is the seam where an epoll/kqueue backend
+//! would slot in: everything above it (the [`ConnMachine`], the jobs and
+//! how they are served) is readiness-agnostic.
 //!
-//! ## The workers
+//! ## Serving
 //!
-//! Each worker runs its job loop inside one [`Crew`] that lives as long
-//! as the worker, sized to the largest registered fleet's chip count. A
-//! job's requests are planned by the workload's fleet (routing,
-//! placement, admission) and loaded into the worker's executor round — the
-//! busy chips' queues and the inputs, a v2 frame's flat payload copied in
-//! — and the frame runs as one [`Crew::run`] over its busy chips, each on
-//! a thread of its own, the worker among them. No thread starts per
-//! frame, and a one-chip round (every v1 line) runs on the worker without
-//! waking a helper. The server therefore runs at most
-//! `1 + workers × max chips` threads (see [`EventServerConfig::workers`]).
+//! The event thread runs its loop inside one [`Crew`] that lives as long
+//! as the thread, sized to the largest registered fleet's chip count,
+//! and each scan serves at most one pending job per connection, inline,
+//! before it flushes. A job's requests are planned by the workload's
+//! fleet (routing, placement, admission) and loaded into the executor
+//! round — the busy chips' queues and the inputs, a v2 frame's flat
+//! payload copied in — and the frame runs as one [`Crew::run`] over its
+//! busy chips, each on a thread of its own, the event thread among them.
+//! No thread starts per frame, and a one-chip round (every v1 line) runs
+//! on the event thread without waking a helper. The server therefore
+//! runs at most `max chips` threads. While a job runs, the event thread
+//! neither reads, decodes nor flushes: another connection waits for up
+//! to one job per busy connection before its turn.
 //!
 //! ## Determinism
 //!
-//! Each connection's requests are serialized: one job (a v1 line or a
-//! whole v2 batch) is in flight at a time, carrying the connection's
-//! routing sessions out to a worker and back. Responses therefore come
-//! back in request order and the chip sequence is a pure function of the
-//! connection's own request sequence — independent of the worker count,
-//! asserted in `tests/serving_engine.rs`. Both protocols serve through
-//! the same round (a v1 line is a one-request batch), with the same items
-//! as the in-process [`NetWorkload::serve_batch`], so a chip panic is
-//! contained and answered in band on either. A fleet with no healthy pool
-//! is answered in band without unwinding (`err` line or error frame, the
-//! planner's message); any other panic while a worker runs a job is
-//! caught around the whole job and answered the same way, and the
-//! sessions go back to the connection.
+//! Each connection owns its routing sessions, and its jobs (a v1 line or
+//! a whole v2 batch each) run one at a time in decode order. Responses
+//! therefore come back in request order and the chip sequence is a pure
+//! function of the connection's own request sequence — independent of
+//! any other connection, asserted in `tests/serving_engine.rs`. Both
+//! protocols serve through the same round (a v1 line is a one-request
+//! batch), with the same items as the in-process
+//! [`NetWorkload::serve_batch`], so a chip panic is contained and
+//! answered in band on either. A fleet with no healthy pool is answered
+//! in band without unwinding (`err` line or error frame, the planner's
+//! message); any other panic while a job runs is caught around the whole
+//! job and answered the same way, and the connection keeps serving.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -75,8 +73,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,22 +85,21 @@ use crate::crew::Crew;
 use crate::engine::{BatchItem, Round};
 use crate::pool::ThreadPool;
 
-/// Per-connection cap on decoded-but-unserved jobs; past this the loop
-/// stops reading and decoding that connection. The cap pushes back on
-/// the client (TCP backpressure) only together with the connection's
-/// other bounds (see [`EventServerConfig`]): reads stop at one whole
-/// frame or line of undecoded bytes, and no job is dispatched while a
-/// frame's worth of output is unflushed. Backpressure only *delays*
-/// arrival stamps — admission decisions remain a pure function of the
-/// stamped sequence.
+/// Per-connection cap on decoded-but-unserved jobs; past this, or once
+/// they hold `max_frame_bytes` of request bytes, the loop stops reading
+/// and decoding that connection. The caps push back on the client (TCP
+/// backpressure) only together with the connection's other bounds (see
+/// [`EventServerConfig`]): reads stop at one whole frame or line of
+/// undecoded bytes, and no job is served while a frame's worth of output
+/// is unflushed. Backpressure only *delays* arrival stamps — admission
+/// decisions remain a pure function of the stamped sequence.
 const EVENT_PENDING_CAP: usize = 1024;
 
-/// The longest the event loop waits on the done queue when one full
-/// scan makes no progress, and its whole wait while every open
-/// connection has a job in flight. A finished job ends the wait at once,
-/// so this bounds only how late the loop notices a new connection while
-/// none is listening, and how long it waits between polls of a listening
-/// one (see [`idle_wait`]).
+/// The longest the event loop sleeps when one full scan makes no
+/// progress, and its whole sleep while no connection is listening. This
+/// bounds how late the loop notices a new connection while none is
+/// listening, and how long it sleeps between polls of a listening one
+/// (see [`idle_wait`]).
 const EVENT_IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// While a connection is listening, the loop waits this many times the
@@ -111,11 +107,11 @@ const EVENT_IDLE_SLEEP: Duration = Duration::from_micros(500);
 /// a tenth of the event thread.
 const EVENT_WAIT_PER_SCAN: u32 = 9;
 
-/// How long the event loop waits on the done queue after a scan that
-/// made no progress and took `scan`: [`EVENT_WAIT_PER_SCAN`] scans, at
-/// most [`EVENT_IDLE_SLEEP`], while some connection is `listening` (open,
-/// with no job in flight, so only polling can find its next request);
-/// the whole period otherwise, when only a worker can make progress.
+/// How long the event loop sleeps after a scan that made no progress and
+/// took `scan`: [`EVENT_WAIT_PER_SCAN`] scans, at most
+/// [`EVENT_IDLE_SLEEP`], while some connection is `listening` (open, with
+/// no EOF, so only polling can find its next request); the whole period
+/// otherwise.
 fn idle_wait(scan: Duration, listening: bool) -> Duration {
     if listening {
         scan.saturating_mul(EVENT_WAIT_PER_SCAN)
@@ -127,6 +123,12 @@ fn idle_wait(scan: Duration, listening: bool) -> Duration {
 
 /// Event server tuning knobs.
 ///
+/// The server runs one event thread, which serves every job on an
+/// executor crew sized to the largest registered fleet's chip count
+/// ([`Fleet::total_chips`](crate::Fleet::total_chips)), so it runs at
+/// most `max chips` threads. The connection count is unbounded by
+/// threads — idle connections cost a slab slot, not a thread.
+///
 /// # Per-connection bounds
 ///
 /// Every buffer a connection owns is bounded, so a client that sends
@@ -137,21 +139,14 @@ fn idle_wait(scan: Duration, listening: bool) -> Duration {
 ///   bytes hold one whole frame (`max_frame_bytes` plus its 4-byte
 ///   length) or line (`max_line_bytes` plus its `\n`), so they stay
 ///   below that plus one 8 KiB read;
-/// * **decoded jobs:** at most 1,024 wait behind the one in flight, each
-///   at most one frame or line — up to 1 GiB at the default frame cap;
-/// * **unflushed output:** the loop dispatches the connection's next job
+/// * **decoded jobs:** the loop stops decoding once 1,024 jobs wait or
+///   they hold `max_frame_bytes` of request bytes, so they hold less
+///   than that plus one frame or line;
+/// * **unflushed output:** the loop serves the connection's next job
 ///   only while its unflushed response bytes are under
 ///   `max_frame_bytes`, so they reach at most that plus one response.
 #[derive(Debug, Clone)]
 pub struct EventServerConfig {
-    /// Worker threads serving decoded jobs. Each keeps an executor crew
-    /// sized to the largest registered fleet's chip count
-    /// ([`Fleet::total_chips`](crate::Fleet::total_chips)) for its whole
-    /// life, so the server runs at most `1 + workers × max chips` threads:
-    /// the event thread plus every worker's crew. The connection count is
-    /// unbounded by threads — idle connections cost a slab slot, not a
-    /// thread.
-    pub workers: usize,
     /// Hard cap on one v2 frame; longer frames get an error frame and a
     /// close (the stream can no longer be framed).
     pub max_frame_bytes: usize,
@@ -163,7 +158,6 @@ pub struct EventServerConfig {
 impl Default for EventServerConfig {
     fn default() -> Self {
         Self {
-            workers: 2,
             max_frame_bytes: frame::DEFAULT_MAX_FRAME_BYTES,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         }
@@ -182,32 +176,26 @@ enum JobKind {
     V2Batch { frame: RequestFrame, arrival: f64 },
 }
 
-/// A job travelling to a worker: the connection's sessions ride along
-/// (the connection is blocked on this job anyway), which is what
-/// serializes each connection and keeps its placement deterministic.
-struct Job {
-    slot: usize,
-    generation: u64,
-    sessions: Vec<WorkloadSession>,
-    kind: JobKind,
-}
-
-/// A finished job travelling back to the event loop.
-struct Done {
-    slot: usize,
-    generation: u64,
-    sessions: Vec<WorkloadSession>,
-    bytes: Vec<u8>,
+impl JobKind {
+    /// The bytes the job holds while it waits: its reply, its line or
+    /// its frame's payload.
+    fn bytes(&self) -> usize {
+        match self {
+            JobKind::Reply(bytes) => bytes.len(),
+            JobKind::V1Line { line, .. } => line.len(),
+            JobKind::V2Batch { frame, .. } => std::mem::size_of_val(&frame.values[..]),
+        }
+    }
 }
 
 /// One connection's state in the event loop's slab.
 struct EventConn {
     stream: TcpStream,
-    generation: u64,
     machine: ConnMachine,
-    /// `None` while a job is in flight (the worker holds them).
-    sessions: Option<Vec<WorkloadSession>>,
+    sessions: Vec<WorkloadSession>,
     pending: VecDeque<JobKind>,
+    /// The bytes the pending jobs hold (see [`JobKind::bytes`]).
+    pending_bytes: usize,
     out: Vec<u8>,
     /// Close once the out buffer flushes and nothing is pending.
     closing: bool,
@@ -216,30 +204,41 @@ struct EventConn {
 }
 
 impl EventConn {
-    fn job_in_flight(&self) -> bool {
-        self.sessions.is_none()
+    /// Open for requests: only polling its socket can find its next one.
+    fn listening(&self) -> bool {
+        !(self.closing || self.eof)
     }
 
-    /// Open for requests with none in flight: only polling its socket
-    /// can find its next request.
-    fn listening(&self) -> bool {
-        !(self.closing || self.eof || self.job_in_flight())
+    /// Its pending jobs reach a bound (see [`EVENT_PENDING_CAP`]), so the
+    /// loop neither reads nor decodes it.
+    fn backlogged(&self, max_frame_bytes: usize) -> bool {
+        self.pending.len() >= EVENT_PENDING_CAP || self.pending_bytes >= max_frame_bytes
+    }
+
+    fn push(&mut self, job: JobKind) {
+        self.pending_bytes += job.bytes();
+        self.pending.push_back(job);
+    }
+
+    fn pop(&mut self) -> Option<JobKind> {
+        let job = self.pending.pop_front()?;
+        self.pending_bytes -= job.bytes();
+        Some(job)
     }
 
     fn drained(&self) -> bool {
-        self.out.is_empty() && self.pending.is_empty() && !self.job_in_flight()
+        self.out.is_empty() && self.pending.is_empty()
     }
 }
 
-/// The event-driven server: one readiness-scan thread over nonblocking
-/// sockets plus a fixed worker pool. Speaks wire protocol v2 with
-/// transparent per-connection v1 fallback. Dropping the handle leaks
-/// the threads — call [`EventServer::shutdown`].
+/// The event-driven server: one thread that scans nonblocking sockets
+/// and serves their jobs on its executor crew. Speaks wire protocol v2
+/// with transparent per-connection v1 fallback. Dropping the handle
+/// leaks the thread — call [`EventServer::shutdown`].
 pub struct EventServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    event_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    event_thread: JoinHandle<()>,
 }
 
 impl EventServer {
@@ -252,17 +251,15 @@ impl EventServer {
     ///
     /// # Panics
     ///
-    /// Panics if `workloads` is empty, `config.workers` is zero, more
-    /// than `u16::MAX` workloads are registered (v2 ids are u16), or a
-    /// workload name contains a comma (the negotiation line is
-    /// comma-separated).
+    /// Panics if `workloads` is empty, more than `u16::MAX` workloads are
+    /// registered (v2 ids are u16), or a workload name contains a comma
+    /// (the negotiation line is comma-separated).
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         workloads: Vec<NetWorkload>,
         config: EventServerConfig,
     ) -> io::Result<Self> {
         assert!(!workloads.is_empty(), "a server needs a workload");
-        assert!(config.workers > 0, "a server needs a worker thread");
         assert!(
             workloads.len() <= usize::from(u16::MAX),
             "v2 workload ids are u16"
@@ -275,39 +272,13 @@ impl EventServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let workloads = Arc::new(workloads);
-
-        let (work_tx, work_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let workers = (0..config.workers)
-            .map(|_| {
-                let work_rx = Arc::clone(&work_rx);
-                let done_tx = done_tx.clone();
-                let workloads = Arc::clone(&workloads);
-                std::thread::spawn(move || worker(&workloads, &work_rx, &done_tx))
-            })
-            .collect();
-        drop(done_tx);
-
         let event_stop = Arc::clone(&stop);
-        let event_workloads = Arc::clone(&workloads);
-        let event_thread = std::thread::spawn(move || {
-            event_loop(
-                &listener,
-                &event_workloads,
-                &config,
-                &event_stop,
-                &work_tx,
-                &done_rx,
-            );
-        });
-
+        let event_thread =
+            std::thread::spawn(move || event_thread(&listener, &workloads, &config, &event_stop));
         Ok(Self {
             addr,
             stop,
-            event_thread: Some(event_thread),
-            workers,
+            event_thread,
         })
     }
 
@@ -317,72 +288,44 @@ impl EventServer {
         self.addr
     }
 
-    /// Graceful shutdown: stop the event loop (closing the listener and
-    /// every connection), let the work queue drain, and join all
-    /// threads.
-    pub fn shutdown(mut self) {
+    /// Graceful shutdown: let the job in progress finish, stop the event
+    /// loop (closing the listener and every connection), and join the
+    /// event thread and its crew.
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.event_thread.take() {
-            let _ = handle.join();
-        }
-        // The event thread owned the work sender; workers see the
-        // channel close and exit.
-        for handle in self.workers {
-            let _ = handle.join();
-        }
+        let _ = self.event_thread.join();
     }
 }
 
-/// A worker thread's life: one executor crew, sized to the largest
-/// registered fleet, standing by for the whole job loop. Each served
+/// The event thread's life: one executor crew, sized to the largest
+/// registered fleet, standing by for the whole event loop. Each served
 /// batch is one [`Crew::run`] over its busy chips, reading the frame the
-/// worker loaded into its [`Round`]; the round's `arg` is the workload
+/// loop loaded into its [`Round`]; the round's `arg` is the workload
 /// index, so the task finds each chip by workload and global chip id.
-fn worker(
+fn event_thread(
+    listener: &TcpListener,
     workloads: &[NetWorkload],
-    work_rx: &Mutex<mpsc::Receiver<Job>>,
-    done_tx: &mpsc::Sender<Done>,
+    config: &EventServerConfig,
+    stop: &AtomicBool,
 ) {
     // `bind` registers at least one workload, and every pool has a chip.
     let max_chips = workloads.iter().map(|w| w.fleet.total_chips()).max();
     let round = Round::default();
     ThreadPool::new(max_chips.unwrap_or(1)).crew(
         |workload, task| round.drain(task, |chip| workloads[workload].fleet.chip(chip)),
-        |crew| loop {
-            let job = {
-                let guard = work_rx.lock().expect("work queue");
-                guard.recv()
-            };
-            let Ok(mut job) = job else {
-                return; // sender dropped: server shut down
-            };
+        |crew| {
             let executor = Executor {
                 workloads,
                 round: &round,
                 crew,
             };
-            let bytes = catch_unwind(AssertUnwindSafe(|| {
-                run_job(&job.kind, &mut job.sessions, &executor)
-            }))
-            .unwrap_or_else(|payload| {
-                let v2 = matches!(job.kind, JobKind::V2Batch { .. });
-                error_reply(v2, panic_message(&*payload))
-            });
-            let done = Done {
-                slot: job.slot,
-                generation: job.generation,
-                sessions: job.sessions,
-                bytes,
-            };
-            if done_tx.send(done).is_err() {
-                return; // event loop gone
-            }
+            event_loop(listener, &executor, config, stop);
         },
     );
 }
 
-/// A worker's executor: the registered workloads, the round it loads
-/// frames into, and the crew that drains them.
+/// The event thread's executor: the registered workloads, the round it
+/// loads frames into, and the crew that drains them.
 struct Executor<'a, 'c> {
     workloads: &'a [NetWorkload],
     round: &'a Round,
@@ -428,19 +371,15 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Execute one job against the connection's sessions.
-fn run_job(
-    kind: &JobKind,
-    sessions: &mut [WorkloadSession],
-    executor: &Executor<'_, '_>,
-) -> Vec<u8> {
-    match kind {
-        JobKind::Reply(bytes) => bytes.clone(),
+fn run_job(job: JobKind, sessions: &mut [WorkloadSession], executor: &Executor<'_, '_>) -> Vec<u8> {
+    match job {
+        JobKind::Reply(bytes) => bytes,
         JobKind::V1Line { line, arrival } => {
-            let response = match parse_request(line, executor.workloads) {
+            let response = match parse_request(&line, executor.workloads) {
                 Ok((index, input)) => {
                     let session = &mut sessions[index];
                     let input = std::iter::once(input.as_slice());
-                    match executor.serve(index, session, input, *arrival) {
+                    match executor.serve(index, session, input, arrival) {
                         Ok(mut items) => match items.pop().expect("one request, one item") {
                             BatchItem::Served(served) => Response::Ok {
                                 chip: served.chip,
@@ -461,7 +400,7 @@ fn run_job(
             response.line_bytes()
         }
         JobKind::V2Batch { frame, arrival } => {
-            serve_frame(frame, *arrival, sessions, executor).encode()
+            serve_frame(&frame, arrival, sessions, executor).encode()
         }
     }
 }
@@ -515,38 +454,21 @@ fn serve_frame(
     })
 }
 
-/// Hand a finished job back to its connection: restore the sessions and
-/// queue the response bytes.
-fn collect(slab: &mut [Option<EventConn>], done: Done) {
-    if let Some(conn) = slab.get_mut(done.slot).and_then(Option::as_mut) {
-        if conn.generation == done.generation {
-            conn.sessions = Some(done.sessions);
-            conn.out.extend_from_slice(&done.bytes);
-        }
-        // A stale generation means the slot was reused; the old
-        // connection (and its sessions) are gone.
-    }
-}
-
-/// The readiness-scan loop: accept, collect, read, decode, dispatch,
-/// flush — then, if the whole scan made no progress, wait for a worker
-/// to finish a job, for as long as [`idle_wait`] sizes from the scan. A
-/// job that finishes during the wait is collected at once, and the next
-/// scan flushes its response and dispatches the connection's next job.
+/// The readiness-scan loop: accept, read, decode, serve, flush — then,
+/// if the whole scan made no progress, sleep for as long as
+/// [`idle_wait`] sizes from the scan.
 fn event_loop(
     listener: &TcpListener,
-    workloads: &[NetWorkload],
+    executor: &Executor<'_, '_>,
     config: &EventServerConfig,
     stop: &AtomicBool,
-    work_tx: &mpsc::Sender<Job>,
-    done_rx: &mpsc::Receiver<Done>,
 ) {
+    let workloads = executor.workloads;
     let negotiation_reply = {
         let names: Vec<&str> = workloads.iter().map(NetWorkload::name).collect();
         format!("ok v2 {}\n", names.join(",")).into_bytes()
     };
     let mut slab: Vec<Option<EventConn>> = Vec::new();
-    let mut next_generation: u64 = 0;
     let epoch = Instant::now();
     let mut read_buf = [0u8; 8192];
 
@@ -563,13 +485,12 @@ fn event_loop(
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    next_generation += 1;
                     let conn = EventConn {
                         stream,
-                        generation: next_generation,
                         machine: ConnMachine::new(config.max_line_bytes, config.max_frame_bytes),
-                        sessions: Some(workloads.iter().map(NetWorkload::open_session).collect()),
+                        sessions: workloads.iter().map(NetWorkload::open_session).collect(),
                         pending: VecDeque::new(),
+                        pending_bytes: 0,
                         out: Vec::new(),
                         closing: false,
                         eof: false,
@@ -586,22 +507,15 @@ fn event_loop(
             }
         }
 
-        // Collect finished jobs: restore sessions, queue the response
-        // bytes, dispatch the next pending job.
-        while let Ok(done) = done_rx.try_recv() {
-            progress = true;
-            collect(&mut slab, done);
-        }
-
         // Read every connection that has room for more work, until its
         // undecoded bytes hold one whole frame or line, then decode
         // whatever is buffered. Decode is deliberately NOT tied to a
         // successful read: a burst may leave complete frames in the
-        // machine after the pending cap interrupts decoding, and they
+        // machine after a pending bound interrupts decoding, and they
         // must still come out on later scans even if the socket stays
         // quiet.
         for conn in slab.iter_mut().flatten() {
-            if !(conn.closing || conn.eof || conn.pending.len() >= EVENT_PENDING_CAP) {
+            if !(conn.closing || conn.eof || conn.backlogged(config.max_frame_bytes)) {
                 while conn.machine.wants_input() {
                     match conn.stream.read(&mut read_buf) {
                         Ok(0) => {
@@ -623,7 +537,7 @@ fn event_loop(
                     }
                 }
             }
-            while !conn.closing && conn.pending.len() < EVENT_PENDING_CAP {
+            while !(conn.closing || conn.backlogged(config.max_frame_bytes)) {
                 // Arrival is stamped here — at decode, when the frame
                 // (or line) is framed off the connection's buffer.
                 let arrival = epoch.elapsed().as_secs_f64();
@@ -631,63 +545,46 @@ fn event_loop(
                     break;
                 };
                 progress = true;
-                match event {
-                    ConnEvent::NegotiatedV2 => conn
-                        .pending
-                        .push_back(JobKind::Reply(negotiation_reply.clone())),
-                    ConnEvent::Line(line) => {
-                        conn.pending.push_back(JobKind::V1Line { line, arrival });
-                    }
-                    ConnEvent::Request(request) => {
-                        conn.pending.push_back(JobKind::V2Batch {
-                            frame: request,
-                            arrival,
-                        });
-                    }
+                let job = match event {
+                    ConnEvent::NegotiatedV2 => JobKind::Reply(negotiation_reply.clone()),
+                    ConnEvent::Line(line) => JobKind::V1Line { line, arrival },
+                    ConnEvent::Request(frame) => JobKind::V2Batch { frame, arrival },
                     ConnEvent::Corrupt(message) => {
                         let v2 = conn.machine.mode() == ConnMode::BinaryV2;
-                        conn.pending
-                            .push_back(JobKind::Reply(error_reply(v2, message)));
+                        JobKind::Reply(error_reply(v2, message))
                     }
                     ConnEvent::TooLong => {
                         let message =
                             format!("request line exceeds {} bytes", config.max_line_bytes);
-                        let reply = Response::Error(message).line_bytes();
-                        conn.pending.push_back(JobKind::Reply(reply));
                         conn.closing = true;
+                        JobKind::Reply(Response::Error(message).line_bytes())
                     }
                     ConnEvent::Fatal(message) => {
-                        conn.pending
-                            .push_back(JobKind::Reply(Frame::Error(message).encode()));
                         conn.closing = true;
+                        JobKind::Reply(Frame::Error(message).encode())
                     }
-                }
+                };
+                conn.push(job);
             }
         }
 
-        // Dispatch: one job in flight per connection, in order, while the
-        // connection's unflushed output is under one frame.
-        for (slot, entry) in slab.iter_mut().enumerate() {
-            let Some(conn) = entry.as_mut() else {
+        // Serve: one job per connection, in order, while the
+        // connection's unflushed output is under one frame. A panic
+        // anywhere in the job is answered in band.
+        for conn in slab.iter_mut().flatten() {
+            if conn.out.len() >= config.max_frame_bytes {
+                continue;
+            }
+            let Some(job) = conn.pop() else {
                 continue;
             };
-            if conn.sessions.is_some()
-                && !conn.pending.is_empty()
-                && conn.out.len() < config.max_frame_bytes
-            {
-                let kind = conn.pending.pop_front().expect("non-empty");
-                let sessions = conn.sessions.take().expect("checked above");
-                let job = Job {
-                    slot,
-                    generation: conn.generation,
-                    sessions,
-                    kind,
-                };
-                if work_tx.send(job).is_err() {
-                    return; // workers gone: shutting down
-                }
-                progress = true;
-            }
+            let v2 = matches!(job, JobKind::V2Batch { .. });
+            let bytes = catch_unwind(AssertUnwindSafe(|| {
+                run_job(job, &mut conn.sessions, executor)
+            }))
+            .unwrap_or_else(|payload| error_reply(v2, panic_message(&*payload)));
+            conn.out.extend_from_slice(&bytes);
+            progress = true;
         }
 
         // Flush write buffers; drop connections that are finished.
@@ -717,8 +614,8 @@ fn event_loop(
                     }
                 }
             }
-            // EOF only stops reads; responses already owed (pending or
-            // in flight) still go out before the slot frees.
+            // EOF only stops reads; responses already owed (pending)
+            // still go out before the slot frees.
             let finished = (conn.closing || conn.eof) && conn.drained();
             listening |= conn.listening();
             if finished {
@@ -729,14 +626,7 @@ fn event_loop(
         }
 
         if !progress {
-            let wait = idle_wait(scan.elapsed(), listening);
-            match done_rx.recv_timeout(wait) {
-                Ok(done) => collect(&mut slab, done),
-                Err(RecvTimeoutError::Timeout) => {}
-                // Every worker has exited: nothing can end the wait early,
-                // so sleep it out rather than spin.
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
-            }
+            std::thread::sleep(idle_wait(scan.elapsed(), listening));
         }
     }
 

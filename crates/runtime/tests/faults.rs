@@ -10,9 +10,9 @@
 //!    subsequent placement routes around it — deterministically, so two
 //!    identically-built engines degrade identically;
 //! 4. over the wire, a request whose chip panics is answered in band and
-//!    costs the server neither a worker nor the connection — and so is a
-//!    request that panics anywhere else in its worker (a fleet with no
-//!    healthy pool);
+//!    costs the server neither its event thread nor the connection — and
+//!    so is a request that panics anywhere else in its job (a fleet with
+//!    no healthy pool);
 //! 5. a client that sends without reading its answers stalls against the
 //!    server's bounded per-connection buffers instead of growing them.
 
@@ -197,6 +197,9 @@ impl Chip for PanicsOnNegative {
     }
 }
 
+/// Panicking requests sent in a row on one connection.
+const PANICS: usize = 3;
+
 /// A raw connection: its buffered read half and its write half.
 type Conn = (BufReader<TcpStream>, TcpStream);
 
@@ -256,8 +259,7 @@ fn read_frame(reader: &mut impl Read) -> Frame {
 }
 
 #[test]
-fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
-    const WORKERS: usize = 2;
+fn chip_panics_on_v1_lines_answer_in_band_and_spare_the_event_thread() {
     let chips: Vec<Box<dyn Chip>> = vec![Box::new(PanicsOnNegative)];
     let server = EventServer::bind(
         "127.0.0.1:0",
@@ -266,16 +268,13 @@ fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
             1,
             Engine::new(ChipPool::from_chips(chips)),
         )],
-        EventServerConfig {
-            workers: WORKERS,
-            ..EventServerConfig::default()
-        },
+        EventServerConfig::default(),
     )
     .expect("bind event server");
 
     let mut conn = connect(server.addr());
-    // More panicking lines than there are workers: each is answered.
-    for i in 0..=WORKERS {
+    // Several panicking lines in a row: each is answered.
+    for i in 0..PANICS {
         assert_eq!(
             round_trip(&mut conn, "fragile -1"),
             Response::Error("chip 0 failed".to_string()),
@@ -294,8 +293,7 @@ fn chip_panics_on_v1_lines_answer_in_band_and_spare_every_worker() {
 }
 
 #[test]
-fn no_healthy_pool_answers_in_band_and_spares_every_worker() {
-    const WORKERS: usize = 2;
+fn no_healthy_pool_answers_in_band_and_spares_the_event_thread() {
     let engine = || {
         let chips: Vec<Box<dyn Chip>> = vec![Box::new(GoodChip { offset: 1.0 })];
         Engine::new(ChipPool::from_chips(chips))
@@ -310,18 +308,15 @@ fn no_healthy_pool_answers_in_band_and_spares_every_worker() {
             NetWorkload::fleet("ejected", 1, ejected),
             NetWorkload::new("healthy", 1, engine()),
         ],
-        EventServerConfig {
-            workers: WORKERS,
-            ..EventServerConfig::default()
-        },
+        EventServerConfig::default(),
     )
     .expect("bind event server");
     let no_pool = "no healthy pool to serve workload 'ejected'".to_string();
 
-    // More panicking requests than there are workers: each is answered
-    // in band, as an `err` line on v1 and an error frame on v2.
+    // Several panicking requests in a row: each is answered in band, as
+    // an `err` line on v1 and an error frame on v2.
     let mut v1 = connect(server.addr());
-    for i in 0..=WORKERS {
+    for i in 0..PANICS {
         assert_eq!(
             round_trip(&mut v1, "ejected 0.5"),
             Response::Error(no_pool.clone()),
@@ -358,8 +353,22 @@ fn no_healthy_pool_answers_in_band_and_spares_every_worker() {
 
 #[test]
 fn a_client_that_never_reads_stalls_instead_of_growing_the_server() {
-    const BATCH: usize = 16;
-    const LIMIT: usize = 64 * 1024 * 1024;
+    flood_stalls_before(16, 64 * 1024 * 1024);
+}
+
+#[test]
+fn a_client_that_never_reads_big_frames_stalls_within_a_few_frames() {
+    // 64 KiB frames: 1,024 pending would hold 64 MiB, but the pending
+    // jobs stop decoding at one frame cap (1 MiB) of request bytes.
+    flood_stalls_before(8 * 1024, 32 * 1024 * 1024);
+}
+
+/// Send frames of `batch` requests to a one-chip server without ever
+/// reading an answer, until the writes make no progress for half a
+/// second, and assert that the server's bounded buffers and then the
+/// kernel's pushed back before `limit` bytes. Then read every answer:
+/// each frame is answered, in order, with its own outputs.
+fn flood_stalls_before(batch: usize, limit: usize) {
     const STALL: Duration = Duration::from_millis(500);
     let chips: Vec<Box<dyn Chip>> = vec![Box::new(GoodChip { offset: 1.0 })];
     let server = EventServer::bind(
@@ -373,20 +382,17 @@ fn a_client_that_never_reads_stalls_instead_of_growing_the_server() {
     )
     .expect("bind event server");
     let (reader, mut writer) = connect_v2(server.addr());
-    // Frame k carries the inputs BATCH·k, …, BATCH·k + BATCH − 1.
+    // Frame k carries the inputs batch·k, …, batch·k + batch − 1.
     let request = |k: usize| {
-        let inputs: Vec<Vec<f64>> = (0..BATCH).map(|j| vec![(k * BATCH + j) as f64]).collect();
+        let inputs: Vec<Vec<f64>> = (0..batch).map(|j| vec![(k * batch + j) as f64]).collect();
         Frame::Request(RequestFrame::from_inputs(0, &inputs)).encode()
     };
 
-    // Send frames without ever reading an answer, until the writes make
-    // no progress for STALL: the server's bounded buffers and then the
-    // kernel's must push back long before LIMIT.
     writer.set_nonblocking(true).expect("nonblocking");
     let (mut frames, mut bytes, mut offset) = (0, request(0), 0);
     let mut written = 0;
     let mut last_progress = Instant::now();
-    while written < LIMIT && last_progress.elapsed() < STALL {
+    while written < limit && last_progress.elapsed() < STALL {
         match writer.write(&bytes[offset..]) {
             Ok(n) => {
                 written += n;
@@ -404,12 +410,12 @@ fn a_client_that_never_reads_stalls_instead_of_growing_the_server() {
         }
     }
     assert!(
-        written < LIMIT,
+        written < limit,
         "the server took {written} bytes from a client that never reads"
     );
 
     // Finish the frame in progress while another thread reads every
-    // answer: each frame is answered, in order, with its own outputs.
+    // answer.
     let sent = frames + 1;
     writer.set_nonblocking(false).expect("blocking");
     let answers = std::thread::spawn(move || {
@@ -418,9 +424,9 @@ fn a_client_that_never_reads_stalls_instead_of_growing_the_server() {
             let Frame::Response(response) = read_frame(&mut reader) else {
                 panic!("frame {k} not answered with a response");
             };
-            assert_eq!(response.items.len(), BATCH, "frame {k}");
+            assert_eq!(response.items.len(), batch, "frame {k}");
             for (j, item) in response.items.iter().enumerate() {
-                let want = (k * BATCH + j) as f64 + 1.0;
+                let want = (k * batch + j) as f64 + 1.0;
                 match item {
                     ItemResponse::Ok {
                         chip: 0, output, ..

@@ -6,8 +6,8 @@
 //! recalibration re-admits the pool with its original routing restored.
 //!
 //! The second half pins the network face: a fleet-backed
-//! [`NetWorkload`] behind the event server serves the same bits at
-//! every worker count, because each connection owns its
+//! [`NetWorkload`] behind the event server serves the same bits on
+//! every fresh server, because each connection owns its
 //! [`runtime::FleetSession`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -200,12 +200,12 @@ fn ejection_preserves_survivor_rotation_order() {
     );
 }
 
-/// A fleet-backed workload behind the event server: worker count cannot
-/// change response bits, and the global chip ids on the wire partition
-/// by pool exactly as `Fleet::chip_offset` predicts.
+/// A fleet-backed workload behind the event server: two fresh servers
+/// answer with the same bits, and the global chip ids on the wire
+/// partition by pool exactly as `Fleet::chip_offset` predicts.
 #[test]
-fn event_server_worker_count_cannot_change_fleet_bits() {
-    let serve = |workers: usize| -> Vec<(u32, Vec<u64>)> {
+fn fresh_event_servers_serve_identical_fleet_bits() {
+    let serve = || -> Vec<(u32, Vec<u64>)> {
         let (fleet, _switches) = breakable_fleet(5);
         let engines: Vec<Engine<Box<dyn Chip>>> = fleet
             .into_engines()
@@ -216,10 +216,7 @@ fn event_server_worker_count_cannot_change_fleet_bits() {
         let server = EventServer::bind(
             "127.0.0.1:0",
             vec![NetWorkload::fleet(WORKLOAD, 2, boxed)],
-            EventServerConfig {
-                workers,
-                ..EventServerConfig::default()
-            },
+            EventServerConfig::default(),
         )
         .expect("bind event server");
         let mut client = ClientV2::connect(server.addr()).expect("negotiate v2");
@@ -240,15 +237,15 @@ fn event_server_worker_count_cannot_change_fleet_bits() {
         server.shutdown();
         served
     };
-    let single = serve(1);
-    let multi = serve(4);
+    let first = serve();
+    let second = serve();
     assert_eq!(
-        single, multi,
-        "per-connection fleet sessions make bits independent of worker count"
+        first, second,
+        "per-connection fleet sessions make bits a function of the requests"
     );
     // Replication 2 over 3 pools: the wire must show exactly two pools'
     // global chip ranges.
-    let pools: std::collections::BTreeSet<usize> = single
+    let pools: std::collections::BTreeSet<usize> = first
         .iter()
         .map(|(chip, _)| *chip as usize / CHIPS_PER_POOL)
         .collect();

@@ -1,6 +1,6 @@
 //! An all-ejected fleet on the server path is an in-band error, not a
-//! panic: the planner reports "no healthy pool" as a value, so the worker
-//! answers without unwinding. Its own binary, because the counting panic
+//! panic: the planner reports "no healthy pool" as a value, so the event
+//! thread answers without unwinding. Its own binary, because the counting panic
 //! hook it installs is process-wide.
 
 use std::io::{BufRead, BufReader, Read, Write};

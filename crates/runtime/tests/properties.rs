@@ -267,7 +267,6 @@ fn wire_protocol_abuse_yields_err_without_corrupting_sessions() {
             ),
         )],
         EventServerConfig {
-            workers: 1,
             max_line_bytes: MAX_LINE,
             ..EventServerConfig::default()
         },
@@ -360,7 +359,6 @@ fn oversized_lines_always_err_and_close_only_their_own_connection() {
             ),
         )],
         EventServerConfig {
-            workers: 2,
             max_line_bytes: MAX_LINE,
             ..EventServerConfig::default()
         },

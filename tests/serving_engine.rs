@@ -6,8 +6,8 @@
 //!
 //! * the in-process `Engine` vs the loopback TCP front-end, over v1 text
 //!   lines and v2 binary frames;
-//! * a 1-worker server vs an N-worker server (placement sessions are
-//!   per-connection, so server parallelism cannot move a request to a
+//! * two fresh servers (placement sessions are per-connection, so nothing
+//!   a server shares across its connections can move a request to a
 //!   different chip).
 //!
 //! Latency fields are explicitly *outside* the determinism contract —
@@ -50,17 +50,13 @@ fn request_sequence() -> Vec<Vec<f64>> {
 }
 
 /// Serve the fixed sequence as v1 text lines over one TCP connection
-/// against an event server with the given worker count; return
-/// `(chip, output)` pairs.
-fn serve_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
+/// against a fresh event server; return `(chip, output)` pairs.
+fn serve_over_tcp(mei: &MeiRcs) -> Vec<(usize, Vec<f64>)> {
     let engine = Engine::new(manufacture_chips(mei, CHIPS, WRITE_SIGMA, ROOT_SEED).boxed());
     let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        EventServerConfig {
-            workers,
-            ..EventServerConfig::default()
-        },
+        EventServerConfig::default(),
     )
     .expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -91,7 +87,7 @@ fn tcp_front_end_serves_the_same_bits_as_the_in_process_engine() {
         })
         .collect();
 
-    let over_tcp = serve_over_tcp(&mei, 1);
+    let over_tcp = serve_over_tcp(&mei);
     assert_eq!(
         reference.len(),
         over_tcp.len(),
@@ -111,11 +107,11 @@ fn tcp_front_end_serves_the_same_bits_as_the_in_process_engine() {
 #[test]
 fn server_thread_count_cannot_change_response_bits() {
     let mei = trained_mei();
-    let single = serve_over_tcp(&mei, 1);
-    let multi = serve_over_tcp(&mei, 4);
+    let first = serve_over_tcp(&mei);
+    let second = serve_over_tcp(&mei);
     assert_eq!(
-        single, multi,
-        "per-connection sessions make bits independent of server threads"
+        first, second,
+        "per-connection sessions make bits independent of the server"
     );
 }
 
@@ -164,15 +160,12 @@ fn generous_admission() -> AdmissionConfig {
 
 /// Serve the fixed sequence over one connection against a *gated*
 /// server whose engine drifted two windows; panic on any shed.
-fn serve_drifted_gated_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
+fn serve_drifted_gated_over_tcp(mei: &MeiRcs) -> Vec<(usize, Vec<f64>)> {
     let engine = drifted_boxed_engine(mei, 2, Some(generous_admission()));
     let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        EventServerConfig {
-            workers,
-            ..EventServerConfig::default()
-        },
+        EventServerConfig::default(),
     )
     .expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -204,10 +197,10 @@ fn drifted_gated_server_threads_cannot_change_bits() {
         })
         .collect();
 
-    let single = serve_drifted_gated_over_tcp(&mei, 1);
-    let multi = serve_drifted_gated_over_tcp(&mei, 4);
-    assert_eq!(single, multi, "server threads must not move drifted bits");
-    assert_eq!(single, in_proc, "the gate must be bit-transparent");
+    let first = serve_drifted_gated_over_tcp(&mei);
+    let second = serve_drifted_gated_over_tcp(&mei);
+    assert_eq!(first, second, "the server must not move drifted bits");
+    assert_eq!(first, in_proc, "the gate must be bit-transparent");
     // Sanity: the pool really is drifted — window 0 serves other bits.
     let fresh = drifted_boxed_engine(&mei, 0, None);
     let mut fresh_session = fresh.session();
@@ -218,7 +211,7 @@ fn drifted_gated_server_threads_cannot_change_bits() {
             (served.chip, served.output)
         })
         .collect();
-    assert_ne!(single, fresh_bits, "two windows of drift must show");
+    assert_ne!(first, fresh_bits, "two windows of drift must show");
 }
 
 #[test]
@@ -277,30 +270,27 @@ fn generous_admission_is_bit_transparent_end_to_end() {
 }
 
 /// Bind an event-driven server over the standard manufactured pool.
-fn bind_event_server(mei: &MeiRcs, workers: usize) -> EventServer {
+fn bind_event_server(mei: &MeiRcs) -> EventServer {
     let engine = Engine::new(manufacture_chips(mei, CHIPS, WRITE_SIGMA, ROOT_SEED).boxed());
     EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        EventServerConfig {
-            workers,
-            ..EventServerConfig::default()
-        },
+        EventServerConfig::default(),
     )
     .expect("bind event server")
 }
 
-/// Serve the fixed sequence over protocol v2 against an event server
-/// with the given worker count, split into deliberately uneven pipelined
-/// frames; return `(chip, output)` pairs in request order.
-fn serve_over_v2(mei: &MeiRcs, workers: usize, splits: &[usize]) -> Vec<(usize, Vec<f64>)> {
+/// Serve the fixed sequence over protocol v2 against a fresh event
+/// server, split into deliberately uneven pipelined frames; return
+/// `(chip, output)` pairs in request order.
+fn serve_over_v2(mei: &MeiRcs, splits: &[usize]) -> Vec<(usize, Vec<f64>)> {
     let inputs = request_sequence();
     assert_eq!(
         splits.iter().sum::<usize>(),
         inputs.len(),
         "splits cover all"
     );
-    let server = bind_event_server(mei, workers);
+    let server = bind_event_server(mei);
     let mut client = ClientV2::connect(server.addr()).expect("negotiate v2");
     assert_eq!(client.workloads(), ["expfit".to_string()]);
     // Pipeline: all frames go out before any response is read.
@@ -331,10 +321,10 @@ fn serve_over_v2(mei: &MeiRcs, workers: usize, splits: &[usize]) -> Vec<(usize, 
 fn v2_frames_serve_the_same_bits_as_v1_lines() {
     let mei = trained_mei();
     // v1 reference: strict text round trips over the v1 fallback.
-    let v1 = serve_over_tcp(&mei, 1);
+    let v1 = serve_over_tcp(&mei);
     // v2: one pipelined connection, uneven frame boundaries — framing
     // must not leak into placement or payload bits.
-    let v2 = serve_over_v2(&mei, 2, &[5, 1, 8, 3]);
+    let v2 = serve_over_v2(&mei, &[5, 1, 8, 3]);
     assert_eq!(v1.len(), v2.len(), "every request must be answered");
     for (i, (a, b)) in v1.iter().zip(&v2).enumerate() {
         assert_eq!(a.0, b.0, "request {i} placed on a different chip");
@@ -348,13 +338,13 @@ fn v2_frames_serve_the_same_bits_as_v1_lines() {
 }
 
 #[test]
-fn event_server_worker_count_cannot_change_v2_bits() {
+fn fresh_event_servers_serve_identical_v2_bits() {
     let mei = trained_mei();
-    let single = serve_over_v2(&mei, 1, &[4, 4, 4, 5]);
-    let multi = serve_over_v2(&mei, 4, &[4, 4, 4, 5]);
+    let first = serve_over_v2(&mei, &[4, 4, 4, 5]);
+    let second = serve_over_v2(&mei, &[4, 4, 4, 5]);
     assert_eq!(
-        single, multi,
-        "per-connection sessions make v2 bits independent of worker count"
+        first, second,
+        "per-connection sessions make v2 bits independent of the server"
     );
 }
 
@@ -366,7 +356,7 @@ fn event_server_worker_count_cannot_change_v2_bits() {
 #[test]
 fn v2_unknown_workload_is_rejected_client_side() {
     let mei = trained_mei();
-    let server = bind_event_server(&mei, 1);
+    let server = bind_event_server(&mei);
     let mut client = ClientV2::connect(server.addr()).expect("negotiate v2");
     let err = client
         .send_batch("nosuch", &[vec![0.5]])
@@ -387,7 +377,7 @@ fn v2_unknown_workload_is_rejected_client_side() {
 #[test]
 fn corrupt_v2_frame_answers_in_band_and_spares_siblings() {
     let mei = trained_mei();
-    let server = bind_event_server(&mei, 2);
+    let server = bind_event_server(&mei);
     let mut sibling = ClientV2::connect(server.addr()).expect("sibling connects");
     let mut client = ClientV2::connect(server.addr()).expect("negotiate v2");
     // An unknown frame kind: framed but undecodable → in-band error.
@@ -437,7 +427,7 @@ fn event_server_holds_hundreds_of_idle_connections() {
 
     const IDLE: usize = 512;
     let mei = trained_mei();
-    let server = bind_event_server(&mei, 2);
+    let server = bind_event_server(&mei);
     let addr = server.addr();
 
     // Open all idle connections first and negotiate v2 in bulk — writes
@@ -469,7 +459,7 @@ fn event_server_holds_hundreds_of_idle_connections() {
 
     // With the whole fleet parked, one pipelined client still gets the
     // full deterministic service.
-    let reference = serve_over_v2(&mei, 2, &[5, 1, 8, 3]);
+    let reference = serve_over_v2(&mei, &[5, 1, 8, 3]);
     let mut active = ClientV2::connect(addr).expect("active client");
     let inputs = request_sequence();
     active.send_batch("expfit", &inputs).expect("send batch");
@@ -576,7 +566,7 @@ impl Chip for CensusChip {
 }
 
 #[test]
-fn event_workers_reuse_one_executor_crew() {
+fn event_thread_reuses_one_executor_crew() {
     const FRAMES: usize = 50;
     let census = Arc::new(Census::default());
     let pool = || {
@@ -592,12 +582,10 @@ fn event_workers_reuse_one_executor_crew() {
         FleetConfig::new(42).with_replication(2),
     );
     let total_chips = fleet.total_chips();
-    let config = EventServerConfig::default();
-    let workers = config.workers;
     let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::fleet("w", 1, fleet)],
-        config,
+        EventServerConfig::default(),
     )
     .expect("bind event server");
     let mut client = ClientV2::connect(server.addr()).expect("negotiate v2");
@@ -616,11 +604,11 @@ fn event_workers_reuse_one_executor_crew() {
     server.shutdown();
     let (threads, calls) = &*census.state.lock().expect("census");
     assert_eq!(*calls, FRAMES * inputs.len());
-    // Each worker's crew serves every frame it takes: no thread is
-    // started per frame.
+    // The event thread's crew serves every frame: no thread is started
+    // per frame.
     assert!(
-        threads.len() <= workers * total_chips,
-        "{} threads ran infer, more than {workers} workers × {total_chips} chips",
+        threads.len() <= total_chips,
+        "{} threads ran infer, more than {total_chips} chips",
         threads.len()
     );
 }
