@@ -14,7 +14,7 @@
 //!
 //! Each connection gets its own placement session, so the chip sequence
 //! (and therefore the response bits) is a pure function of that
-//! connection's request order, whatever the server's worker count — and
+//! connection's request order, whatever else the server serves — and
 //! identical across v1 and v2.
 //!
 //! This example trains a small MEI system, serves it from one
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A 4-chip pool behind the default least-loaded policy, published as
     // the workload "expfit" (1 input element per request). One readiness
-    // thread holds every connection; a small worker pool runs inference.
+    // thread holds every connection and runs inference on its crew.
     let engine = Engine::new(manufacture_chips(&mei, 4, 0.02, 42).boxed());
     let server = EventServer::bind(
         "127.0.0.1:0",
