@@ -37,6 +37,16 @@ if [ "$spawns" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> sans-IO core check (net/core.rs names no socket, clock or thread)"
+# The server core holds every connection rule and is driven by method
+# calls alone, so its tests need no socket and no timer; only the event
+# loop's shell in net/server.rs touches sockets, clocks and threads.
+if grep -nE 'std::net|TcpStream|TcpListener|Instant|SystemTime|thread::' \
+    crates/runtime/src/net/core.rs; then
+    echo "ERROR: net/core.rs names a socket, clock or thread API" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

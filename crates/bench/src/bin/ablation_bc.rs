@@ -10,23 +10,15 @@
 
 use mei::{evaluate_mse, MeiConfig, Saab, SaabConfig};
 use mei_bench::{format_table, ExperimentConfig};
-use neural::Dataset;
-use prng::rngs::StdRng;
-use prng::{Rng, SeedableRng};
-
-fn expfit(n: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Dataset::generate(n, &mut rng, |r| {
-        let x: f64 = r.gen();
-        (vec![x], vec![(-x * x).exp()])
-    })
-    .expect("valid dataset")
-}
+use workloads::expfit::ExpFit;
+use workloads::Workload;
 
 fn main() {
     let cfg = ExperimentConfig::from_env();
-    let train = expfit(cfg.train_samples.min(4000), 1);
-    let test = expfit(cfg.test_samples, 2);
+    let train = ExpFit::new()
+        .dataset(cfg.train_samples.min(4000), 1)
+        .expect("data");
+    let test = ExpFit::new().dataset(cfg.test_samples, 2).expect("data");
     println!("== Ablation: SAAB compare-bits B_C (8-bit output, K = 3) ==\n");
 
     let mei_cfg = MeiConfig {

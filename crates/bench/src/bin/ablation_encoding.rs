@@ -14,18 +14,8 @@ use interface::BitCoding;
 use mei::{evaluate_mse, mse_scorer, robustness, MeiConfig, MeiRcs, NonIdealFactors};
 use mei_bench::{format_table, ExperimentConfig};
 use neural::Dataset;
-use prng::rngs::StdRng;
-use prng::{Rng, SeedableRng};
+use workloads::expfit::ExpFit;
 use workloads::{kmeans::KMeans, Workload};
-
-fn expfit(n: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Dataset::generate(n, &mut rng, |r| {
-        let x: f64 = r.gen();
-        (vec![x], vec![(-x * x).exp()])
-    })
-    .expect("valid dataset")
-}
 
 fn main() {
     let cfg = ExperimentConfig::from_env();
@@ -38,8 +28,10 @@ fn main() {
     let tasks: Vec<(&str, Dataset, Dataset, usize)> = vec![
         (
             "expfit",
-            expfit(cfg.train_samples.min(4000), 1),
-            expfit(cfg.test_samples, 2),
+            ExpFit::new()
+                .dataset(cfg.train_samples.min(4000), 1)
+                .expect("data"),
+            ExpFit::new().dataset(cfg.test_samples, 2).expect("data"),
             16,
         ),
         (

@@ -10,26 +10,18 @@
 
 use mei::{mse_scorer, robustness, AddaConfig, AddaRcs, MeiConfig, MeiRcs, NonIdealFactors};
 use mei_bench::{format_table, ExperimentConfig, EXPERIMENT_WRITE_SIGMA};
-use neural::Dataset;
-use prng::rngs::StdRng;
-use prng::{Rng, SeedableRng};
-
-fn expfit(n: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Dataset::generate(n, &mut rng, |r| {
-        let x: f64 = r.gen();
-        (vec![x], vec![(-x * x).exp()])
-    })
-    .expect("valid dataset")
-}
+use workloads::expfit::ExpFit;
+use workloads::Workload;
 
 fn main() {
     let cfg = ExperimentConfig::from_env();
     let pool = cfg.pool();
     let noise = NonIdealFactors::process_only(EXPERIMENT_WRITE_SIGMA);
     // Paper: 10 000 training samples in (0, 1), 1 000 test samples.
-    let train = expfit(cfg.train_samples.max(4000), 1);
-    let test = expfit(cfg.test_samples, 2);
+    let train = ExpFit::new()
+        .dataset(cfg.train_samples.max(4000), 1)
+        .expect("data");
+    let test = ExpFit::new().dataset(cfg.test_samples, 2).expect("data");
     println!(
         "== Fig 3: fitting exp(-x²) with a 1×N×1 RCS ({} train / {} test samples) ==\n",
         train.len(),

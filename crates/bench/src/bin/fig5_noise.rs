@@ -83,7 +83,6 @@ fn main() {
                 rounds: 3,
                 compare_bits: setup.mei_out_bits.clamp(1, 5),
                 factors: NonIdealFactors::new(0.1, 0.05),
-                threads: cfg.threads,
                 ..SaabConfig::default()
             },
         );

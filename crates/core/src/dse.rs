@@ -279,13 +279,13 @@ pub fn explore(
             samples_per_round: None,
             group_error_tolerance: 0.0,
             seed: config.seed,
-            threads: config.threads,
         };
         let mut trainer = SaabTrainer::new(
             train,
             &{
                 let mut cfg = *mei_base;
                 cfg.hidden = hidden;
+                cfg.train.threads = config.threads;
                 cfg
             },
             &saab_cfg,

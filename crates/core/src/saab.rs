@@ -36,7 +36,9 @@ use crate::network::{network_system, with_workspace, Layer, Network};
 /// weighted sample.
 const EPSILON_FLOOR: f64 = 1e-6;
 
-/// Configuration of a SAAB run.
+/// Configuration of a SAAB run. Its learners train and are scored on
+/// as many threads as their [`MeiConfig`]'s `train.threads` asks for;
+/// the ensemble is bit-identical for every count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaabConfig {
     /// Number of boosting rounds `K` (learners trained).
@@ -56,14 +58,6 @@ pub struct SaabConfig {
     pub group_error_tolerance: f64,
     /// RNG seed for resampling and noisy evaluation.
     pub seed: u64,
-    /// Worker threads for per-sample learner scoring (line 6's noisy
-    /// evaluation over the whole dataset) and for each learner's sharded
-    /// backprop ([`neural::TrainConfig::threads`]); `0` means "auto"
-    /// ([`std::thread::available_parallelism`], the default). Per the
-    /// deterministic-parallelism rule every sample derives its stream from
-    /// `(round_seed, sample_index)`, so the trained ensemble is
-    /// bit-identical for every thread count.
-    pub threads: usize,
 }
 
 impl Default for SaabConfig {
@@ -75,7 +69,6 @@ impl Default for SaabConfig {
             samples_per_round: None,
             group_error_tolerance: 0.0,
             seed: 0,
-            threads: 0,
         }
     }
 }
@@ -199,7 +192,6 @@ impl SaabTrainer {
             .seed
             .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(self.rounds_attempted as u64));
         cfg.train.seed = cfg.seed;
-        cfg.train.threads = self.config.threads;
         let mut learner = MeiRcs::train(&round_data, &cfg)?;
 
         // Line 6: weighted error under the non-ideal factors, comparing the
@@ -251,8 +243,9 @@ impl SaabTrainer {
     /// Per-sample correctness of a learner on the top `B_C` bits of every
     /// output group, evaluated under the configured non-ideal factors.
     ///
-    /// Scoring is embarrassingly parallel over samples and runs on
-    /// [`SaabConfig::threads`] workers: the trainer's stream contributes
+    /// Scoring is embarrassingly parallel over samples and runs on as many
+    /// workers as the learners train with (the [`MeiConfig`]'s
+    /// [`neural::TrainConfig::threads`]): the trainer's stream contributes
     /// one draw (the round's evaluation seed), and sample `i` derives its
     /// own generator from `(eval_seed, i)` — so the correctness vector,
     /// and with it the whole boosted ensemble, is bit-identical for every
@@ -270,7 +263,7 @@ impl SaabTrainer {
         let bc = self.config.compare_bits.min(out_bits);
         let allowed_wrong = (self.config.group_error_tolerance * groups as f64).floor() as usize;
         let in_spec = learner.input_spec();
-        let pool = ThreadPool::new(self.config.threads);
+        let pool = ThreadPool::new(self.mei_config.train.threads);
         let encoded_targets = &self.encoded_targets;
         let scored: &MeiRcs = learner;
         let correct: Vec<bool> = pool.par_map(self.data.inputs(), |i, x| {
@@ -600,11 +593,12 @@ mod tests {
     fn training_is_bit_identical_for_every_thread_count() {
         let data = expfit_data(250, 30);
         let train_at = |threads: usize| {
+            let mut mei_config = MeiConfig::quick_test();
+            mei_config.train.threads = threads;
             let saab = Saab::train(
                 &data,
-                &MeiConfig::quick_test(),
+                &mei_config,
                 &SaabConfig {
-                    threads,
                     factors: NonIdealFactors::new(0.2, 0.1),
                     ..quick_saab(2)
                 },

@@ -85,6 +85,11 @@ impl ConnMachine {
         self.mode
     }
 
+    /// Whether the stream can no longer be framed (see [`poll`](Self::poll)).
+    pub(crate) fn is_dead(&self) -> bool {
+        self.dead
+    }
+
     /// Append bytes read off the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
         if !self.dead {

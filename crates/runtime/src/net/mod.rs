@@ -11,9 +11,13 @@
 //! * [`conn`] — the sans-IO per-connection state machine: version
 //!   negotiation, v1 line framing and v2 frame decoding over a byte
 //!   buffer, with no sockets (unit-testable in memory).
-//! * [`server`] — the event-driven [`EventServer`] (v2 with v1 text
-//!   fallback per connection) and its blocking clients, [`Client`] (v1)
-//!   and [`ClientV2`].
+//! * `core` — the sans-IO server core: every connection's machine,
+//!   sessions, pending jobs and output, and every rule over them (the
+//!   bounds, one job per connection per scan, in-band answers, the idle
+//!   wait), driven by method calls, with no socket and no clock.
+//! * [`server`] — the [`EventServer`], a socket shell around the core
+//!   (v2 with v1 text fallback per connection), and its blocking
+//!   clients, [`Client`] (v1) and [`ClientV2`].
 //!
 //! ## Wire protocol v1 (text)
 //!
@@ -50,28 +54,15 @@
 //! names; a workload's id is its index in that list) and the connection
 //! switches to length-prefixed binary frames. Any other first line is
 //! served as a v1 request and the connection stays v1 — old clients
-//! never notice. All integers are little-endian; see [`frame`] for the
-//! full grammar:
-//!
-//! ```text
-//! frame    = len:u32 kind:u8 body          ; len = 1 + len(body)
-//! request  = workload:u16 count:u32 count*dim × f64   ; kind 0x01
-//! response = workload:u16 count:u32 count × record    ; kind 0x02
-//! record   = 0x00 chip:u32 latency-us:u32 out-len:u32 out-len × f64
-//!          | 0x01                          ; shed by admission control
-//!          | 0x02 msg-len:u32 msg-len × utf8
-//! error    = utf8 message                  ; kind 0x03, whole-frame error
-//! ```
+//! never notice. See [`frame`] for the grammar.
 //!
 //! One request frame carries a whole *batch* for one workload; the
 //! payload is the concatenated input vectors (`dim` implied by the
 //! workload), and the matching response frame answers every request in
 //! order. A pipelining client keeps several frames in flight and a
 //! single connection saturates the whole fleet: the server runs each
-//! batch as one executor round over every pool's chips, synchronously on
-//! its event thread's long-lived crew (in process,
-//! [`Fleet::serve_session_batch`] runs the same round on a crew that
-//! lives for the call).
+//! batch as one executor round over every pool's chips, on its event
+//! thread's long-lived crew ([`Fleet::serve_session_batch`] in process).
 //! Malformed frame *bodies* get an in-band error frame and the
 //! connection keeps serving; an oversized frame length gets an error
 //! frame and a close (the stream can no longer be framed) — sibling
@@ -100,6 +91,7 @@
 //! process, asserted in `tests/serving_engine.rs`.
 
 pub mod conn;
+mod core;
 pub mod frame;
 pub mod server;
 

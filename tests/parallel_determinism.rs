@@ -73,14 +73,15 @@ fn parallel_robustness_matches_serial_bitwise() {
 fn saab_training_is_bit_identical_across_thread_counts() {
     let data = expfit(300, 42);
     let train = |threads: usize| {
+        let mut mei_config = MeiConfig::quick_test();
+        mei_config.train.threads = threads;
         let saab = Saab::train(
             &data,
-            &MeiConfig::quick_test(),
+            &mei_config,
             &SaabConfig {
                 rounds: 2,
                 compare_bits: 4,
                 factors: NonIdealFactors::new(0.1, 0.05),
-                threads,
                 ..SaabConfig::default()
             },
         )
