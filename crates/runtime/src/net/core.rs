@@ -32,7 +32,7 @@ use super::{EventServerConfig, Response};
 /// Per-connection cap on decoded events waiting for their answer.
 /// Backpressure only *delays* arrival stamps — admission decisions
 /// remain a pure function of the stamped sequence.
-pub(crate) const EVENT_PENDING_CAP: usize = 1024;
+const EVENT_PENDING_CAP: usize = 1024;
 
 /// The longest the event loop sleeps after a scan that changed nothing,
 /// and its whole sleep while no connection is listening.
@@ -276,8 +276,8 @@ impl<'r, R: Runner> ServerCore<'r, R> {
     /// connection's slot is freed; the shell closes its socket.
     pub(crate) fn reap(&mut self, id: usize) -> bool {
         let conn = self.slab[id].as_ref().expect(LIVE);
-        let owed = !(conn.drained && conn.pending.is_empty() && conn.out.is_empty());
-        let finished = !(conn.listening() || owed);
+        let owed = !conn.drained || !conn.pending.is_empty() || !conn.out.is_empty();
+        let finished = !conn.listening() && !owed;
         if finished {
             self.slab[id] = None;
             self.progress = true;
