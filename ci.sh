@@ -65,16 +65,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 
-echo "==> paper reproduction goldens (Table 1, Figs 2 and 3, the quick ablations)"
+echo "==> paper reproduction goldens (Table 1, Figs 2 to 5, the ablations)"
 # These binaries consume the Monte-Carlo robustness protocol, so a panic
 # in it fails the gate. FAST mode shrinks every training budget; their
 # shape checks are judged on full-budget runs only (EXPERIMENTS.md). Each
 # FAST stdout must equal its golden in results/fast/ byte for byte: the
 # goldens are host-independent (no thread count on stdout) and hold at
 # any MEI_THREADS. A golden changes only in a PR that names the numbers
-# and verdicts that moved, and why.
-for bin in table1 fig2_breakdown fig3_exp_fit ablation_bc ablation_bitlength \
-    ablation_encoding ablation_irdrop ablation_loss ablation_mapping ablation_retention; do
+# and verdicts that moved, and why. fig4_methods and fig5_noise take
+# about 2 and 1 minutes: their Monte-Carlo trials and SAAB scoring send
+# every noisy forward pass through the crossbar kernels.
+for bin in table1 fig2_breakdown fig3_exp_fit fig4_methods fig5_noise ablation_bc \
+    ablation_bitlength ablation_encoding ablation_irdrop ablation_loss ablation_mapping \
+    ablation_retention; do
     if ! MEI_BENCH_FAST=1 cargo run --release --offline -p mei-bench --bin "$bin" \
         | diff -u "results/fast/$bin.txt" -; then
         echo "ERROR: $bin FAST stdout differs from results/fast/$bin.txt" >&2

@@ -41,10 +41,10 @@ fn mc_mean<T: Rcs + Clone + Send + Sync>(
 fn main() {
     let cfg = ExperimentConfig::from_env();
     let pool = cfg.pool();
+    eprintln!("fig5_noise on {} threads", pool.threads());
     println!(
-        "== Fig 5: error under noisy conditions ({} MC trials per point, {} threads) ==\n",
-        cfg.noise_trials,
-        pool.threads()
+        "== Fig 5: error under noisy conditions ({} MC trials per point) ==\n",
+        cfg.noise_trials
     );
 
     for setup in table1_setups() {
