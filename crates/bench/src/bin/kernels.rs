@@ -1,6 +1,8 @@
-//! Kernel-layer micro-benchmarks: the bit-packed / cache-blocked matvec
-//! paths against the scalar and uncached references, and the red-black
-//! Gauss–Seidel IR-drop sweep against the conjugate-gradient reference.
+//! Kernel-layer micro-benchmarks: the register-blocked differential-pair
+//! matvec (scalar and bit-packed inputs) against the uncached cell walk,
+//! at the jpeg layer and at the two layers of the inversek2j MEI chip
+//! servebench serves, and the red-black Gauss–Seidel IR-drop sweep
+//! against the conjugate-gradient reference.
 //!
 //! Before timing anything the binary asserts the correctness contracts
 //! the kernels are sold on — packed output bit-identical to the scalar
@@ -83,15 +85,62 @@ fn bench_matvec_paths(r: &mut Runner) {
         || pair.matvec_binary(black_box(&bits)),
     );
     let mut out = vec![0.0; outputs];
-    let mut scratch = vec![0.0; outputs];
     r.bench(
         &format!("differential_matvec_binary_into/{inputs}x{outputs}"),
         || {
-            pair.matvec_binary_into(black_box(&bits), &mut out, &mut scratch);
+            pair.matvec_binary_into(black_box(&bits), &mut out);
             out[0]
         },
     );
     assert_eq!(out, scalar, "allocation-free path diverged");
+}
+
+/// The two layers of the inversek2j MEI chip: 16 input bits plus the
+/// bias row into 32 hidden columns (packed), and 32 sigmoid activations
+/// plus the bias row into 16 output bits (scalar). Each fused pass is
+/// checked against the cell walk before it is timed.
+fn bench_mei_serving_shapes(r: &mut Runner) {
+    let mut rng = StdRng::seed_from_u64(MEI_SEED);
+    let first = DifferentialPair::from_weights(
+        &random_weights(32, 17, MEI_SEED + 1),
+        DeviceParams::hfox(),
+        &MappingConfig::default(),
+    )
+    .expect("mapping");
+    let mut x: Vec<f64> = (0..16).map(|_| f64::from(rng.gen_bool(0.5))).collect();
+    x.push(1.0);
+    let bits = BitInput::try_from_values(&x).expect("interface bits");
+    let mut out = vec![0.0; 32];
+    first.matvec_binary_into(&bits, &mut out);
+    assert_eq!(
+        out,
+        first.matvec_uncached(&x),
+        "packed 17x32 pass diverged from the cell walk"
+    );
+    r.bench("differential_matvec_binary_into/17x32", || {
+        first.matvec_binary_into(black_box(&bits), &mut out);
+        out[0]
+    });
+
+    let second = DifferentialPair::from_weights(
+        &random_weights(16, 33, MEI_SEED + 2),
+        DeviceParams::hfox(),
+        &MappingConfig::default(),
+    )
+    .expect("mapping");
+    let mut h: Vec<f64> = (0..32).map(|_| rng.gen_range(0.0..1.0)).collect();
+    h.push(1.0);
+    let mut out = vec![0.0; 16];
+    second.matvec_into(&h, &mut out);
+    assert_eq!(
+        out,
+        second.matvec_uncached(&h),
+        "scalar 33x16 pass diverged from the cell walk"
+    );
+    r.bench("differential_matvec_into/33x16", || {
+        second.matvec_into(black_box(&h), &mut out);
+        out[0]
+    });
 }
 
 /// IR-drop solve at the crossbar_ops sizes: the default red-black
@@ -142,6 +191,7 @@ fn main() {
     print_header("kernels");
     let mut r = Runner::new("kernels");
     bench_matvec_paths(&mut r);
+    bench_mei_serving_shapes(&mut r);
     bench_ir_drop(&mut r);
 
     let scalar_ns = median(&r, "differential_matvec/64x448");

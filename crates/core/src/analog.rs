@@ -22,16 +22,18 @@ use neural::{Activation, Mlp};
 use prng::{Rng, RngCore};
 use rram::{DeviceParams, VariationModel};
 
-/// Reusable scratch for a [`Network`](crate::Network) pass: the
-/// activation ping-pong buffers, the minus-array current scratch and a
-/// packed-bit lane buffer of [`AnalogMlp::forward_driven`], plus the conv
-/// tiles' scratch. One workspace per serving thread removes every
-/// per-call allocation except the layers' output vectors.
+/// Reusable scratch for a [`Network`](crate::Network) pass: the two
+/// value buffers its layers pass between them, the packed-bit lanes of
+/// [`AnalogMlp::forward_driven`] and the conv tiles' scratch. On a
+/// thread that reuses its workspace, an MEI or AD/DA pass allocates only
+/// the output it returns.
 #[derive(Debug, Clone, Default)]
 pub struct AnalogWorkspace {
-    a: Vec<f64>,
-    z: Vec<f64>,
-    scratch: Vec<f64>,
+    /// The current layer's values: a pass's input, then each layer's
+    /// output in turn.
+    pub(crate) a: Vec<f64>,
+    /// The buffer the next layer writes before the two swap.
+    pub(crate) z: Vec<f64>,
     bits: BitInput,
     pub(crate) conv: ConvWorkspace,
 }
@@ -186,12 +188,11 @@ impl AnalogMlp {
 
     /// The forward pass: every layer under the analog condition `drive`.
     ///
-    /// Per-layer activation buffers, the minus-array current scratch and
-    /// the packed-bit lanes all live in `ws`, so a thread reusing its
-    /// workspace allocates only the returned vector. A layer whose input
-    /// is an exact interface-bit vector (MEI's whole first layer, bias
-    /// included, is 0/1) rides the bit-packed kernel, bit-identical to the
-    /// scalar one either way.
+    /// The activations and the packed-bit lanes live in `ws`, so a thread
+    /// reusing its workspace allocates only the returned vector. A layer
+    /// whose input is an exact interface-bit vector (MEI's whole first
+    /// layer, bias included, is 0/1) rides the bit-packed kernel,
+    /// bit-identical to the scalar one either way.
     ///
     /// # Panics
     ///
@@ -203,30 +204,36 @@ impl AnalogMlp {
         drive: &mut Drive<'_>,
         ws: &mut AnalogWorkspace,
     ) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim, "analog input length");
         ws.a.clear();
         ws.a.extend_from_slice(x);
+        self.forward_in(drive, ws);
+        ws.a.clone()
+    }
+
+    /// The body of [`forward_driven`](Self::forward_driven): the pass from
+    /// the workspace's current values to its outputs, left in their place.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the workspace holds `input_dim()` values.
+    pub(crate) fn forward_in(&self, drive: &mut Drive<'_>, ws: &mut AnalogWorkspace) {
+        assert_eq!(ws.a.len(), self.input_dim, "analog input length");
         for layer in &self.layers {
             ws.a.push(1.0); // bias port
-            let outputs = layer.pair.outputs();
-            ws.z.resize(outputs, 0.0);
-            ws.scratch.resize(outputs, 0.0);
+            ws.z.resize(layer.pair.outputs(), 0.0);
             if let Drive::Fluctuating(fluctuation, rng) = drive {
                 fluctuation.apply_in_place(&mut ws.a, &mut **rng);
             }
             if let Drive::IrDrop(config) = drive {
                 ws.z = layer.pair.matvec_ir(&ws.a, config);
             } else if ws.bits.try_pack(&ws.a) {
-                layer
-                    .pair
-                    .matvec_binary_into(&ws.bits, &mut ws.z, &mut ws.scratch);
+                layer.pair.matvec_binary_into(&ws.bits, &mut ws.z);
             } else {
-                layer.pair.matvec_into(&ws.a, &mut ws.z, &mut ws.scratch);
+                layer.pair.matvec_into(&ws.a, &mut ws.z);
             }
             layer.activation.apply_in_place(&mut ws.z);
             std::mem::swap(&mut ws.a, &mut ws.z);
         }
-        ws.a.clone()
     }
 
     /// Disturb every device with a variation model (process variation).

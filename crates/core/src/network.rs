@@ -8,7 +8,6 @@
 //! layer in layer order (SAAB: learner order); the conv tile boundary is
 //! digital (integer-sensed), so the conv layer ignores it.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -272,7 +271,10 @@ pub(crate) fn check_len(x: &[f64], expected: usize) -> Result<(), InferError> {
     }
 }
 
-/// The forward loop: check `x`, then run `layers` in order.
+/// The forward loop: check `x`, then run `layers` in order. The values
+/// live in `ws.a`; a layer that changes their length writes `ws.z` and
+/// the two swap, so only the returned output is allocated (conv and vote
+/// layers allocate their own results).
 fn run(
     layers: &[Layer],
     input_len: usize,
@@ -281,37 +283,57 @@ fn run(
     ws: &mut AnalogWorkspace,
 ) -> Result<Vec<f64>, InferError> {
     check_len(x, input_len)?;
-    let mut values = Cow::Borrowed(x);
+    ws.a.clear();
+    ws.a.extend_from_slice(x);
     for layer in layers {
-        values = Cow::Owned(match layer {
-            Layer::Encode(spec) => spec.encode(&values),
+        match layer {
+            Layer::Encode(spec) => {
+                ws.z.resize(spec.ports(), 0.0);
+                spec.encode_into(&ws.a, &mut ws.z);
+                std::mem::swap(&mut ws.a, &mut ws.z);
+            }
             Layer::Quantize(bits) => {
-                let mut values = values.into_owned();
-                values
-                    .iter_mut()
-                    .for_each(|v| *v = quantize_fraction(*v, *bits));
-                values
+                for v in &mut ws.a {
+                    *v = quantize_fraction(*v, *bits);
+                }
             }
-            Layer::Crossbar(mlp) => mlp.forward_driven(&values, drive, ws),
+            Layer::Crossbar(mlp) => mlp.forward_in(drive, ws),
             Layer::Conv(conv) => {
-                let mut features = conv.forward_with(&values, &mut ws.conv);
-                features.iter_mut().for_each(|v| *v = binarize(*v));
-                features
+                let features = conv.forward_with(&ws.a, &mut ws.conv);
+                ws.a.clear();
+                ws.a.extend(features.into_iter().map(binarize));
             }
-            Layer::Sense(comparator) => comparator.bits(&values),
-            Layer::Decode(spec) => spec.decode(&values),
-            Layer::Digital(mlp) => mlp.forward(&values),
+            Layer::Sense(comparator) => {
+                for v in &mut ws.a {
+                    *v = comparator.bit(*v);
+                }
+            }
+            Layer::Decode(spec) => {
+                ws.z.resize(spec.groups(), 0.0);
+                spec.decode_into(&ws.a, &mut ws.z);
+                std::mem::swap(&mut ws.a, &mut ws.z);
+            }
+            Layer::Digital(mlp) => {
+                for layer in mlp.layers() {
+                    ws.z.resize(layer.outputs(), 0.0);
+                    layer.forward_into(&ws.a, &mut ws.z);
+                    std::mem::swap(&mut ws.a, &mut ws.z);
+                }
+            }
             Layer::Vote(learners) => {
+                // Each learner's pass reuses the workspace, so the shared
+                // input bits move out of it first.
+                let bits = std::mem::take(&mut ws.a);
                 let mut outputs = Vec::with_capacity(learners.len());
                 for (learner, alpha) in learners {
-                    let bits = learner.network.forward_bits(&values, drive, ws)?;
-                    outputs.push((bits, *alpha));
+                    let out = learner.network.forward_bits(&bits, drive, ws)?;
+                    outputs.push((out, *alpha));
                 }
-                tally(&outputs, learners[0].0.output_spec().bits())
+                ws.a = tally(&outputs, learners[0].0.output_spec().bits());
             }
-        });
+        }
     }
-    Ok(values.into_owned())
+    Ok(ws.a.clone())
 }
 
 /// `argmax_y Σ_k α_k·[R_k(x) = y]` over every `bits`-wide output group

@@ -260,7 +260,7 @@ impl CrossbarArray {
     pub fn column_currents_into(&self, inputs: &[f64], out: &mut [f64]) {
         assert_eq!(inputs.len(), self.rows, "input vector length");
         assert_eq!(out.len(), self.cols, "output buffer length");
-        kernel::matvec_scalar(self.plane(), self.cols, inputs, out);
+        kernel::matvec([self.plane()], self.cols, inputs, out, |[i]| i);
     }
 
     /// Masked-column-sum readout for exact-binary inputs: bit-identical to
@@ -286,7 +286,7 @@ impl CrossbarArray {
     pub fn column_currents_binary_into(&self, bits: &BitInput, out: &mut [f64]) {
         assert_eq!(bits.len(), self.rows, "input vector length");
         assert_eq!(out.len(), self.cols, "output buffer length");
-        kernel::matvec_binary(self.plane(), self.cols, bits, out);
+        kernel::matvec([self.plane()], self.cols, bits, out, |[i]| i);
     }
 
     /// The original cell-walk readout, kept as the bit-exact reference the

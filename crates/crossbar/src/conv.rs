@@ -298,12 +298,11 @@ struct ConvTile {
 }
 
 /// Reusable scratch for [`TiledConv::forward_with`]: the im2col patch,
-/// per-tile output/scratch currents, and the packed-bit lanes.
+/// per-tile output currents, and the packed-bit lanes.
 #[derive(Debug, Clone, Default)]
 pub struct ConvWorkspace {
     patch: Vec<f64>,
     tile_out: Vec<f64>,
-    scratch: Vec<f64>,
     bits: BitInput,
 }
 
@@ -475,7 +474,6 @@ impl TiledConv {
         let mut out = vec![0.0; shape.output_len()];
         ws.patch.resize(shape.patch_len(), 0.0);
         ws.tile_out.resize(filters, 0.0);
-        ws.scratch.resize(filters, 0.0);
         for oy in 0..out_h {
             for ox in 0..out_w {
                 shape.patch_into(input, ox, oy, &mut ws.patch);
@@ -484,11 +482,9 @@ impl TiledConv {
                 for (t, tile) in self.tiles.iter().enumerate() {
                     let slice = &ws.patch[tile.start..tile.start + tile.len];
                     if packed && ws.bits.try_pack(slice) {
-                        tile.pair
-                            .matvec_binary_into(&ws.bits, &mut ws.tile_out, &mut ws.scratch);
+                        tile.pair.matvec_binary_into(&ws.bits, &mut ws.tile_out);
                     } else {
-                        tile.pair
-                            .matvec_into(slice, &mut ws.tile_out, &mut ws.scratch);
+                        tile.pair.matvec_into(slice, &mut ws.tile_out);
                     }
                     debug_assert!(t < self.tiles.len());
                     for (f, &current) in ws.tile_out.iter().enumerate() {

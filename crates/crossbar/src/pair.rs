@@ -8,6 +8,7 @@ use rram::{DeviceParams, VariationModel};
 use crate::array::CrossbarArray;
 use crate::bitvec::BitInput;
 use crate::ir_drop::IrDropConfig;
+use crate::kernel::{self, Rows};
 use crate::mapping::{map_differential, MapWeightsError, MappingConfig};
 
 /// A pair of crossbar arrays computing `y = W·x` for a signed weight matrix.
@@ -121,25 +122,21 @@ impl DifferentialPair {
     #[must_use]
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.outputs];
-        let mut scratch = vec![0.0; self.outputs];
-        self.matvec_into(x, &mut out, &mut scratch);
+        self.matvec_into(x, &mut out);
         out
     }
 
-    /// [`matvec`](Self::matvec) into caller-provided buffers: `out` receives
-    /// the result, `scratch` holds the minus-array currents. Both are
-    /// overwritten. This is the allocation-free serving hot path.
+    /// [`matvec`](Self::matvec) into a caller-provided buffer (overwritten):
+    /// the allocation-free serving hot path. One kernel pass reads the
+    /// plus and minus planes together and senses `(I⁺ − I⁻) · scale` per
+    /// column.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != inputs()` or either buffer's length differs
-    /// from `outputs()`.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        self.plus.column_currents_into(x, out);
-        self.minus.column_currents_into(x, scratch);
-        for (o, &b) in out.iter_mut().zip(scratch.iter()) {
-            *o = (*o - b) * self.current_scale;
-        }
+    /// Panics if `x.len() != inputs()` or `out.len() != outputs()`.
+    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.inputs, "input vector length");
+        self.sense_into(x, out);
     }
 
     /// Matrix-vector product over a bit-packed binary input: bit-identical
@@ -153,24 +150,30 @@ impl DifferentialPair {
     #[must_use]
     pub fn matvec_binary(&self, bits: &BitInput) -> Vec<f64> {
         let mut out = vec![0.0; self.outputs];
-        let mut scratch = vec![0.0; self.outputs];
-        self.matvec_binary_into(bits, &mut out, &mut scratch);
+        self.matvec_binary_into(bits, &mut out);
         out
     }
 
-    /// [`matvec_binary`](Self::matvec_binary) into caller-provided buffers
-    /// (both overwritten; `scratch` holds the minus-array currents).
+    /// [`matvec_binary`](Self::matvec_binary) into a caller-provided
+    /// buffer (overwritten), in one pass over both planes.
     ///
     /// # Panics
     ///
-    /// Panics if `bits.len() != inputs()` or either buffer's length differs
-    /// from `outputs()`.
-    pub fn matvec_binary_into(&self, bits: &BitInput, out: &mut [f64], scratch: &mut [f64]) {
-        self.plus.column_currents_binary_into(bits, out);
-        self.minus.column_currents_binary_into(bits, scratch);
-        for (o, &b) in out.iter_mut().zip(scratch.iter()) {
-            *o = (*o - b) * self.current_scale;
-        }
+    /// Panics if `bits.len() != inputs()` or `out.len() != outputs()`.
+    pub fn matvec_binary_into(&self, bits: &BitInput, out: &mut [f64]) {
+        assert_eq!(bits.len(), self.inputs, "input vector length");
+        self.sense_into(bits, out);
+    }
+
+    /// The one kernel pass over both planes, sensing each column as
+    /// `(I⁺ − I⁻) · scale`.
+    fn sense_into(&self, rows: impl Rows, out: &mut [f64]) {
+        assert_eq!(out.len(), self.outputs, "output buffer length");
+        let planes = [self.plus.plane(), self.minus.plane()];
+        let scale = self.current_scale;
+        kernel::matvec(planes, self.outputs, rows, out, |[plus, minus]| {
+            (plus - minus) * scale
+        });
     }
 
     /// [`matvec`](Self::matvec), routing through the bit-packed path when
@@ -397,10 +400,10 @@ mod tests {
         assert_eq!(scalar, p.matvec_auto(&x));
         let bits = BitInput::try_from_values(&x).unwrap();
         assert_eq!(scalar, p.matvec_binary(&bits));
-        let (mut out, mut scratch) = (vec![f64::NAN; 2], vec![f64::NAN; 2]);
-        p.matvec_into(&x, &mut out, &mut scratch);
+        let mut out = vec![f64::NAN; 2];
+        p.matvec_into(&x, &mut out);
         assert_eq!(out, scalar);
-        p.matvec_binary_into(&bits, &mut out, &mut scratch);
+        p.matvec_binary_into(&bits, &mut out);
         assert_eq!(out, scalar);
         // Non-binary inputs fall back to the scalar path.
         let y = [0.5, -0.25, 1.0];

@@ -184,6 +184,69 @@ fn packed_matvec_is_bit_identical_for_any_bits_and_state() {
     });
 }
 
+/// The bits of every value, so `-0.0` and `0.0` differ.
+fn to_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fused pair kernel, scalar and packed, and the one-plane array
+/// readout equal the cell walk bit for bit at every output width around
+/// the 8-column register block (1–40 columns: below, at and past it,
+/// every remainder) and at row counts that cross 64-bit lanes, on inputs
+/// holding `0.0` and `-0.0`, both fresh and after `disturb` and then
+/// `restore` invalidate the planes.
+#[test]
+fn fused_kernels_match_the_cell_walk_around_the_register_block() {
+    prop_check!(|g| {
+        let outputs = g.usize_in(1, 41);
+        let inputs = g.usize_in(1, 131);
+        let w = g.matrix_f64(-2.0, 2.0, outputs, inputs);
+        let mut pair =
+            DifferentialPair::from_weights(&w, DeviceParams::hfox(), &MappingConfig::default())
+                .unwrap();
+        let zero = |g: &mut Gen| if g.bool_any() { -0.0 } else { 0.0 };
+        let scalar: Vec<f64> = (0..inputs)
+            .map(|_| match g.usize_in(0, 4) {
+                0 => zero(g),
+                _ => g.f64_in(-1.0, 1.0),
+            })
+            .collect();
+        let binary: Vec<f64> = (0..inputs)
+            .map(|_| if g.bool_any() { 1.0 } else { zero(g) })
+            .collect();
+        let bits = BitInput::try_from_values(&binary).expect("interface bits");
+        let mut rng = StdRng::seed_from_u64(g.u64_any());
+        for stage in ["fresh", "disturbed", "restored"] {
+            match stage {
+                "disturbed" => pair.disturb(&VariationModel::process_variation(0.3), &mut rng),
+                "restored" => pair.restore(),
+                _ => {}
+            }
+            let mut out = vec![f64::NAN; outputs];
+            pair.matvec_into(&scalar, &mut out);
+            let walk = pair.matvec_uncached(&scalar);
+            assert_eq!(to_bits(&out), to_bits(&walk), "scalar pair, {stage}");
+            out.fill(f64::NAN);
+            pair.matvec_binary_into(&bits, &mut out);
+            let walk = pair.matvec_uncached(&binary);
+            assert_eq!(to_bits(&out), to_bits(&walk), "packed pair, {stage}");
+            let plus = pair.plus();
+            let walk = plus.column_currents_uncached(&scalar);
+            assert_eq!(
+                to_bits(&plus.column_currents(&scalar)),
+                to_bits(&walk),
+                "scalar array, {stage}"
+            );
+            let walk = plus.column_currents_uncached(&binary);
+            assert_eq!(
+                to_bits(&plus.column_currents_binary(&bits)),
+                to_bits(&walk),
+                "packed array, {stage}"
+            );
+        }
+    });
+}
+
 /// The cached conductance plane stays bit-identical to the cell walk
 /// across every mutation path (reprogram, disturb, age, restore,
 /// direct cell writes).

@@ -69,6 +69,17 @@ pub fn encode_fraction(x: f64, bits: usize) -> Vec<f64> {
 /// Panics if `bits` is zero or exceeds [`MAX_BITS`].
 #[must_use]
 pub fn encode_fraction_coded(x: f64, bits: usize, coding: BitCoding) -> Vec<f64> {
+    let mut out = vec![0.0; bits];
+    encode_into(x, coding, &mut out);
+    out
+}
+
+/// The `bits`-bit code of `x`: `⌊x·2^B + ½⌋` clamped to `2^B − 1`.
+///
+/// # Panics
+///
+/// Panics if `bits` is zero or exceeds [`MAX_BITS`].
+fn code(x: f64, bits: usize) -> u64 {
     assert!(
         bits > 0 && bits <= MAX_BITS,
         "bit width must be in 1..={MAX_BITS}, got {bits}"
@@ -76,16 +87,19 @@ pub fn encode_fraction_coded(x: f64, bits: usize, coding: BitCoding) -> Vec<f64>
     let levels = (1u64 << bits) as f64;
     // NaN reads as zero drive; ±∞ saturate like any other out-of-range value.
     let x = if x.is_nan() { 0.0 } else { x.clamp(0.0, 1.0) };
-    let mut k = ((x * levels).round() as u64).min((1u64 << bits) - 1);
+    ((x * levels).round() as u64).min((1u64 << bits) - 1)
+}
+
+/// Encode `x` into `out.len()` bits under `coding`, MSB first.
+fn encode_into(x: f64, coding: BitCoding, out: &mut [f64]) {
+    let bits = out.len();
+    let mut k = code(x, bits);
     if coding == BitCoding::Gray {
         k ^= k >> 1;
     }
-    (0..bits)
-        .map(|b| {
-            let bit = (k >> (bits - 1 - b)) & 1;
-            bit as f64
-        })
-        .collect()
+    for (b, o) in out.iter_mut().enumerate() {
+        *o = ((k >> (bits - 1 - b)) & 1) as f64;
+    }
 }
 
 /// Decode a bit array (MSB first) back to the fraction `k / 2^B`.
@@ -136,16 +150,21 @@ pub fn decode_bits_coded(bits: &[f64], coding: BitCoding) -> f64 {
 }
 
 /// Round-trip a value through the B-bit codec: the value a B-bit AD/DA pair
-/// would deliver.
+/// would deliver, `decode_bits(&encode_fraction(x, bits))` without the
+/// bit array.
 ///
 /// ```
 /// use interface::quantize_fraction;
 /// let q = quantize_fraction(0.3, 8);
 /// assert!((q - 0.3).abs() <= 1.0 / 512.0); // ≤ half an LSB
 /// ```
+///
+/// # Panics
+///
+/// Panics if `bits` is zero or exceeds [`MAX_BITS`].
 #[must_use]
 pub fn quantize_fraction(x: f64, bits: usize) -> f64 {
-    decode_bits(&encode_fraction(x, bits))
+    code(x, bits) as f64 / (1u64 << bits) as f64
 }
 
 /// A grouped binary interface: `groups` analog dimensions, each carried by
@@ -254,12 +273,23 @@ impl InterfaceSpec {
     /// Panics if `values.len() != groups()`.
     #[must_use]
     pub fn encode(&self, values: &[f64]) -> Vec<f64> {
-        assert_eq!(values.len(), self.groups, "one value per group");
-        let mut out = Vec::with_capacity(self.ports());
-        for &v in values {
-            out.extend(encode_fraction_coded(v, self.bits, self.coding));
-        }
+        let mut out = vec![0.0; self.ports()];
+        self.encode_into(values, &mut out);
         out
+    }
+
+    /// [`encode`](Self::encode) into a caller-provided buffer of `ports()`
+    /// values (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != groups()` or `out.len() != ports()`.
+    pub fn encode_into(&self, values: &[f64], out: &mut [f64]) {
+        assert_eq!(values.len(), self.groups, "one value per group");
+        assert_eq!(out.len(), self.ports(), "bit vector length");
+        for (&v, group) in values.iter().zip(out.chunks_exact_mut(self.bits)) {
+            encode_into(v, self.coding, group);
+        }
     }
 
     /// Decode `ports()` binary (or analog, thresholded) values back into
@@ -270,10 +300,23 @@ impl InterfaceSpec {
     /// Panics if `bits.len() != ports()`.
     #[must_use]
     pub fn decode(&self, bits: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.groups];
+        self.decode_into(bits, &mut out);
+        out
+    }
+
+    /// [`decode`](Self::decode) into a caller-provided buffer of
+    /// `groups()` values (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len() != ports()` or `out.len() != groups()`.
+    pub fn decode_into(&self, bits: &[f64], out: &mut [f64]) {
         assert_eq!(bits.len(), self.ports(), "bit vector length");
-        bits.chunks(self.bits)
-            .map(|c| decode_bits_coded(c, self.coding))
-            .collect()
+        assert_eq!(out.len(), self.groups, "one value per group");
+        for (o, group) in out.iter_mut().zip(bits.chunks_exact(self.bits)) {
+            *o = decode_bits_coded(group, self.coding);
+        }
     }
 
     /// Worst-case quantization error of one group: half an LSB plus the
@@ -333,6 +376,21 @@ mod tests {
         }
         let q = quantize_fraction(0.9999, 8);
         assert!((q - 0.9999).abs() <= 1.0 / 256.0, "q={q}");
+    }
+
+    #[test]
+    fn quantize_is_the_codec_round_trip_bit_for_bit() {
+        let values = [0.0, 0.3, 0.5, 0.999_9, 1.0, -0.5, 2.0, f64::NAN, f64::MAX];
+        for bits in [1, 3, 8, 16, MAX_BITS] {
+            for x in values {
+                let round_trip = decode_bits(&encode_fraction(x, bits));
+                assert_eq!(
+                    quantize_fraction(x, bits).to_bits(),
+                    round_trip.to_bits(),
+                    "x={x} bits={bits}"
+                );
+            }
+        }
     }
 
     #[test]

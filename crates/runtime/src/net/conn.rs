@@ -90,6 +90,14 @@ impl ConnMachine {
         self.dead
     }
 
+    /// Give the stream up: drop every undecoded byte, and decode and
+    /// buffer nothing more (its answers could not be delivered).
+    pub(crate) fn abandon(&mut self) {
+        self.buf = Vec::new();
+        self.read = 0;
+        self.dead = true;
+    }
+
     /// Append bytes read off the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
         if !self.dead {

@@ -262,12 +262,18 @@ impl<'r, R: Runner> ServerCore<'r, R> {
         self.progress = true;
     }
 
-    /// Connection `id`'s output cannot be delivered: drop it and read no
-    /// more, so the connection can still drain and free its slot.
+    /// Connection `id`'s output cannot be delivered: drop it, its pending
+    /// events and its undecoded bytes, and read no more. No job of the
+    /// connection runs again, and the next [`reap`](Self::reap) frees its
+    /// slot.
     pub(crate) fn failed(&mut self, id: usize) {
         let conn = self.slab[id].as_mut().expect(LIVE);
+        conn.machine.abandon();
+        conn.pending.clear();
+        conn.pending_bytes = 0;
         conn.out.clear();
         conn.eof = true;
+        conn.drained = true;
     }
 
     /// Whether connection `id` is finished: it is not listening, and
@@ -844,6 +850,36 @@ mod tests {
         let answers =
             [fake_line(&long), fake_line("0 2 ")].map(|r| r.expect("served").line_bytes());
         assert_eq!(received, answers.concat());
+    }
+
+    /// After a failed write the connection's queued jobs are not run:
+    /// neither its pending events nor the whole lines still in its
+    /// machine, whose answers could not be delivered either. Its slot is
+    /// freed at the next reap.
+    #[test]
+    fn a_failed_write_runs_no_more_jobs_and_frees_the_slot() {
+        let fake = Fake::default();
+        let config = EventServerConfig {
+            max_frame_bytes: 64,
+            max_line_bytes: 32,
+        };
+        let mut core = ServerCore::new(&fake, &["toy"], &config);
+        let id = core.accept();
+        let lines: String = (0..40).map(|seq| format!("0 {seq} \n")).collect();
+        core.read(id, lines.as_bytes());
+        core.decode(id, || 0.0);
+        core.serve();
+        assert_eq!(fake.ran.borrow().len(), 1, "one job per scan");
+        let conn = core.slab[id].as_ref().expect("live");
+        assert!(!conn.pending.is_empty() && conn.machine.buffered() > 0);
+        core.failed(id);
+        fake.ran.borrow_mut().clear();
+        for _ in 0..3 {
+            core.decode(id, || 0.0);
+            core.serve();
+        }
+        assert_eq!(fake.ran.borrow().len(), 0, "jobs ran after the failure");
+        assert!(core.reap(id), "the slot is freed at once");
     }
 
     #[test]
