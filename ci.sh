@@ -72,8 +72,8 @@ echo "==> paper reproduction goldens (Table 1, Figs 2 to 5, the ablations)"
 # FAST stdout must equal its golden in results/fast/ byte for byte: the
 # goldens are host-independent (no thread count on stdout) and hold at
 # any MEI_THREADS. A golden changes only in a PR that names the numbers
-# and verdicts that moved, and why. fig4_methods and fig5_noise take
-# about 2 and 1 minutes: their Monte-Carlo trials and SAAB scoring send
+# and verdicts that moved, and why. fig4_methods and fig5_noise take 2
+# to 4 minutes each: their Monte-Carlo trials and SAAB scoring send
 # every noisy forward pass through the crossbar kernels.
 for bin in table1 fig2_breakdown fig3_exp_fit fig4_methods fig5_noise ablation_bc \
     ablation_bitlength ablation_encoding ablation_irdrop ablation_loss ablation_mapping \
