@@ -178,11 +178,11 @@ MEI_BENCH_FAST=1 MEI_BENCH_SECONDS=0.25 \
     cargo run --release --offline -p mei-bench --bin fleet_cost > /dev/null 2>&1
 test -s target/BENCH_fleet_cost_smoke.json
 
-echo "==> kernels bench smoke (packed ≡ scalar bits, GS ≡ CG currents)"
+echo "==> kernels bench smoke (kernel ≡ cell walk bits, GS ≡ CG currents)"
 # FAST mode uses 5 samples / 200 µs windows; the binary always asserts
-# the correctness contracts (bit-identical packed/scalar/uncached matvec,
-# solver agreement) before timing, self-validates its JSON, and skips the
-# speedup floors (those are enforced on full runs only).
+# the correctness contracts (every timed matvec bit-identical to the
+# cell walk, solver agreement) before timing, self-validates its JSON,
+# and skips the speedup floors (those are enforced on full runs only).
 MEI_BENCH_FAST=1 MEI_BENCH_JSON=target/BENCH_kernels_smoke.json \
     cargo run --release --offline -p mei-bench --bin kernels > /dev/null
 test -s target/BENCH_kernels_smoke.json
@@ -199,9 +199,10 @@ MEI_BENCH_FAST=1 MEI_BENCH_SECONDS=0.25 \
 test -s target/BENCH_cnn_smoke.json
 
 echo "==> conv + wear test suites (oracle properties, wear placement, endurance)"
-# The conv property suite pins tiled conv ≡ direct oracle bitwise over
-# random shapes/tilings and the packed ≡ scalar path; the wear suite pins
-# bit-identical wear-aware replay and the load-shift off worn chips.
+# The crossbar property suite pins tiled conv ≡ direct oracle bitwise
+# over random shapes/tilings and kernel ≡ cell walk on interface bits;
+# the wear suite pins bit-identical wear-aware replay and the load-shift
+# off worn chips.
 MEI_PROP_CASES=32 cargo test -q --offline -p crossbar --test properties > /dev/null
 cargo test -q --offline -p runtime --test wear > /dev/null
 cargo test -q --offline -p rram --lib > /dev/null

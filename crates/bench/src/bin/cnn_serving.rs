@@ -6,9 +6,9 @@
 //! 1. **Tiling identity (asserted, before any timing)** — the trained
 //!    ternary conv layer is re-tiled at 1, 2 and `patch_len` crossbar
 //!    tiles and every tiling must reproduce the digital
-//!    direct-convolution oracle **bitwise** on every test image, on both
-//!    the packed `BitInput` and the scalar matvec path. A bench that
-//!    times a wrong kernel is worse than no bench; this phase aborts it.
+//!    direct-convolution oracle **bitwise** on every test image. A bench
+//!    that times a wrong kernel is worse than no bench; this phase aborts
+//!    it.
 //! 2. **Accuracy** — held-out classification accuracy of the digital
 //!    twin, the clean analog pipeline (must match the twin exactly — the
 //!    tile boundary is digital) and the analog pipeline under lognormal
@@ -196,13 +196,7 @@ fn main() {
             assert_eq!(
                 retiled.forward(x),
                 oracle,
-                "{}-tile packed conv diverged from the digital oracle",
-                retiled.tile_count()
-            );
-            assert_eq!(
-                retiled.forward_scalar(x),
-                oracle,
-                "{}-tile scalar conv diverged from the digital oracle",
+                "{}-tile conv diverged from the digital oracle",
                 retiled.tile_count()
             );
         }

@@ -1,24 +1,26 @@
 //! Kernel-layer micro-benchmarks: the register-blocked differential-pair
-//! matvec (scalar and bit-packed inputs) against the uncached cell walk,
-//! at the jpeg layer and at the two layers of the inversek2j MEI chip
-//! servebench serves, and the red-black Gauss–Seidel IR-drop sweep
-//! against the conjugate-gradient reference.
+//! matvec against the uncached cell walk, at the jpeg layer and at the
+//! two layers of the inversek2j MEI chip servebench serves, and the
+//! red-black Gauss–Seidel IR-drop sweep against the conjugate-gradient
+//! reference.
 //!
 //! Before timing anything the binary asserts the correctness contracts
-//! the kernels are sold on — packed output bit-identical to the scalar
-//! path, both bit-identical to the cell-walk reference, and the two
-//! IR-drop solvers agreeing within the configured tolerance — so a CI
-//! smoke run of this bench doubles as an end-to-end kernel check.
+//! the kernels are sold on — every timed matvec bit-identical to the
+//! cell-walk reference on its input (interface bits for the jpeg layer
+//! and the chip's first layer), and the two IR-drop solvers agreeing
+//! within the configured tolerance — so a CI smoke run of this bench
+//! doubles as an end-to-end kernel check.
 //!
 //! The report (shared `meta` header first) goes to stdout and, when
 //! `MEI_BENCH_JSON=<path>` is set, to that file. It carries a `speedup`
-//! object comparing the new kernels both in-run (packed vs. scalar,
-//! Gauss–Seidel vs. CG) and against the pre-kernel baseline medians
-//! recorded below. In full mode (no `MEI_BENCH_FAST=1`) the run fails
-//! if the ISSUE floors — packed matvec ≥ 4× baseline at 64×448,
-//! IR-drop ≥ 3× baseline at 32×32 — are not met.
+//! object comparing the kernels in-run (kernel vs. cell walk,
+//! Gauss–Seidel vs. CG) and the IR-drop sweep against the pre-kernel
+//! baseline median recorded below. In full mode (no `MEI_BENCH_FAST=1`)
+//! the run fails unless the 64×448 kernel matvec is at least 4× faster
+//! than the same run's cell walk and the 32×32 IR-drop sweep at least
+//! 3× faster than the baseline.
 
-use crossbar::{ir_drop, BitInput, CrossbarArray, DifferentialPair, IrDropConfig, MappingConfig};
+use crossbar::{ir_drop, CrossbarArray, DifferentialPair, IrDropConfig, MappingConfig};
 use mei_bench::timing::{print_header, Runner};
 use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
@@ -28,10 +30,9 @@ use std::hint::black_box;
 /// Root seed for this bench's randomness (weights and conductances).
 const MEI_SEED: u64 = 1;
 
-/// Pre-kernel baseline medians on the reference host (committed
-/// `results/BENCH_crossbar_ops.json` before the kernel layer landed):
-/// the scalar `differential_matvec/64x448` and the CG `ir_drop_solve/32`.
-const BASELINE_MATVEC_64X448_NS: f64 = 148_107.446;
+/// Pre-kernel baseline median of the CG `ir_drop_solve/32` on the
+/// reference host (committed `results/BENCH_crossbar_ops.json` before
+/// the kernel layer landed).
 const BASELINE_IR_DROP_32_NS: f64 = 2_050_696.0;
 
 fn random_weights(outputs: usize, inputs: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -51,27 +52,18 @@ fn bench_matvec_paths(r: &mut Runner) {
         &MappingConfig::default(),
     )
     .expect("mapping");
-    let pattern: Vec<bool> = (0..inputs).map(|k| k % 3 != 0).collect();
-    let bits = BitInput::from_bools(&pattern);
-    let x: Vec<f64> = pattern.iter().map(|&b| f64::from(b)).collect();
+    let x: Vec<f64> = (0..inputs).map(|k| f64::from(k % 3 != 0)).collect();
 
-    // The contract the packed path is sold on: bit-identical outputs.
-    let scalar = pair.matvec(&x);
+    // The contract the kernel is sold on: the cell walk's bits.
+    let kernel = pair.matvec(&x);
     assert_eq!(
-        scalar,
+        kernel,
         pair.matvec_uncached(&x),
-        "cached plane diverged from the cell-walk reference"
+        "kernel matvec diverged from the cell-walk reference"
     );
-    assert_eq!(
-        scalar,
-        pair.matvec_binary(&bits),
-        "packed matvec not bit-identical to the scalar path"
-    );
-    assert_eq!(
-        scalar,
-        pair.matvec_auto(&x),
-        "auto path did not reproduce the scalar result"
-    );
+    let mut out = vec![f64::NAN; outputs];
+    pair.matvec_into(&x, &mut out);
+    assert_eq!(out, kernel, "allocation-free path diverged");
 
     r.bench(
         &format!("differential_matvec_uncached/{inputs}x{outputs}"),
@@ -81,24 +73,18 @@ fn bench_matvec_paths(r: &mut Runner) {
         pair.matvec(black_box(&x))
     });
     r.bench(
-        &format!("differential_matvec_binary/{inputs}x{outputs}"),
-        || pair.matvec_binary(black_box(&bits)),
-    );
-    let mut out = vec![0.0; outputs];
-    r.bench(
-        &format!("differential_matvec_binary_into/{inputs}x{outputs}"),
+        &format!("differential_matvec_into/{inputs}x{outputs}"),
         || {
-            pair.matvec_binary_into(black_box(&bits), &mut out);
+            pair.matvec_into(black_box(&x), &mut out);
             out[0]
         },
     );
-    assert_eq!(out, scalar, "allocation-free path diverged");
 }
 
 /// The two layers of the inversek2j MEI chip: 16 input bits plus the
-/// bias row into 32 hidden columns (packed), and 32 sigmoid activations
-/// plus the bias row into 16 output bits (scalar). Each fused pass is
-/// checked against the cell walk before it is timed.
+/// bias row into 32 hidden columns, and 32 sigmoid activations plus the
+/// bias row into 16 output bits. Each fused pass is checked against the
+/// cell walk before it is timed.
 fn bench_mei_serving_shapes(r: &mut Runner) {
     let mut rng = StdRng::seed_from_u64(MEI_SEED);
     let first = DifferentialPair::from_weights(
@@ -109,16 +95,15 @@ fn bench_mei_serving_shapes(r: &mut Runner) {
     .expect("mapping");
     let mut x: Vec<f64> = (0..16).map(|_| f64::from(rng.gen_bool(0.5))).collect();
     x.push(1.0);
-    let bits = BitInput::try_from_values(&x).expect("interface bits");
     let mut out = vec![0.0; 32];
-    first.matvec_binary_into(&bits, &mut out);
+    first.matvec_into(&x, &mut out);
     assert_eq!(
         out,
         first.matvec_uncached(&x),
-        "packed 17x32 pass diverged from the cell walk"
+        "17x32 pass on interface bits diverged from the cell walk"
     );
-    r.bench("differential_matvec_binary_into/17x32", || {
-        first.matvec_binary_into(black_box(&bits), &mut out);
+    r.bench("differential_matvec_into/17x32", || {
+        first.matvec_into(black_box(&x), &mut out);
         out[0]
     });
 
@@ -135,7 +120,7 @@ fn bench_mei_serving_shapes(r: &mut Runner) {
     assert_eq!(
         out,
         second.matvec_uncached(&h),
-        "scalar 33x16 pass diverged from the cell walk"
+        "33x16 pass diverged from the cell walk"
     );
     r.bench("differential_matvec_into/33x16", || {
         second.matvec_into(black_box(&h), &mut out);
@@ -194,25 +179,24 @@ fn main() {
     bench_mei_serving_shapes(&mut r);
     bench_ir_drop(&mut r);
 
-    let scalar_ns = median(&r, "differential_matvec/64x448");
-    let packed_ns = median(&r, "differential_matvec_binary/64x448");
+    let walk_ns = median(&r, "differential_matvec_uncached/64x448");
+    let kernel_ns = median(&r, "differential_matvec/64x448");
     let gs_ns = median(&r, "ir_drop_solve/32");
     let cg_ns = median(&r, "ir_drop_solve_cg/32");
-    let packed_vs_scalar = scalar_ns / packed_ns;
-    let packed_vs_baseline = BASELINE_MATVEC_64X448_NS / packed_ns;
+    let kernel_vs_cell_walk = walk_ns / kernel_ns;
     let gs_vs_cg = cg_ns / gs_ns;
     let gs_vs_baseline = BASELINE_IR_DROP_32_NS / gs_ns;
-    eprintln!("packed matvec 64x448: {packed_vs_scalar:.2}x vs in-run scalar, {packed_vs_baseline:.2}x vs baseline");
+    eprintln!("kernel matvec 64x448: {kernel_vs_cell_walk:.2}x vs in-run cell walk");
     eprintln!(
         "ir_drop GS 32x32:     {gs_vs_cg:.2}x vs in-run CG, {gs_vs_baseline:.2}x vs baseline"
     );
 
-    // ISSUE floors, asserted only in full mode — FAST smoke runs use too
-    // few samples for the medians to be floors-grade evidence.
+    // Floors, asserted only in full mode — FAST smoke runs use too few
+    // samples for the medians to be floors-grade evidence.
     if !fast {
         assert!(
-            packed_vs_baseline >= 4.0,
-            "packed matvec {packed_vs_baseline:.2}x vs baseline, floor is 4x"
+            kernel_vs_cell_walk >= 4.0,
+            "kernel matvec {kernel_vs_cell_walk:.2}x vs in-run cell walk, floor is 4x"
         );
         assert!(
             gs_vs_baseline >= 3.0,
@@ -224,15 +208,12 @@ fn main() {
     let body: Vec<String> = r.reports().iter().map(|rep| rep.to_json()).collect();
     let json = format!(
         "{{\"meta\":{meta},\"suite\":\"kernels\",\"benchmarks\":[{}],\
-         \"speedup\":{{\"packed_vs_scalar\":{},\"packed_vs_baseline\":{},\
-         \"gs_vs_cg\":{},\"gs_vs_baseline\":{},\
-         \"baseline_matvec_64x448_ns\":{},\"baseline_ir_drop_32_ns\":{}}}}}",
+         \"speedup\":{{\"kernel_vs_cell_walk\":{},\
+         \"gs_vs_cg\":{},\"gs_vs_baseline\":{},\"baseline_ir_drop_32_ns\":{}}}}}",
         body.join(","),
-        runtime::json_num(packed_vs_scalar, 3),
-        runtime::json_num(packed_vs_baseline, 3),
+        runtime::json_num(kernel_vs_cell_walk, 3),
         runtime::json_num(gs_vs_cg, 3),
         runtime::json_num(gs_vs_baseline, 3),
-        runtime::json_num(BASELINE_MATVEC_64X448_NS, 3),
         runtime::json_num(BASELINE_IR_DROP_32_NS, 3),
     );
     mei_bench::json::emit(&json, "MEI_BENCH_JSON");

@@ -15,18 +15,15 @@
 use std::fmt;
 
 use crossbar::conv::ConvWorkspace;
-use crossbar::{
-    BitInput, DifferentialPair, IrDropConfig, MapWeightsError, MappingConfig, SignalFluctuation,
-};
+use crossbar::{DifferentialPair, IrDropConfig, MapWeightsError, MappingConfig, SignalFluctuation};
 use neural::{Activation, Mlp};
 use prng::{Rng, RngCore};
 use rram::{DeviceParams, VariationModel};
 
 /// Reusable scratch for a [`Network`](crate::Network) pass: the two
-/// value buffers its layers pass between them, the packed-bit lanes of
-/// [`AnalogMlp::forward_driven`] and the conv tiles' scratch. On a
-/// thread that reuses its workspace, an MEI or AD/DA pass allocates only
-/// the output it returns.
+/// value buffers its layers pass between them and the conv tiles'
+/// scratch. On a thread that reuses its workspace, an MEI or AD/DA pass
+/// allocates only the output it returns.
 #[derive(Debug, Clone, Default)]
 pub struct AnalogWorkspace {
     /// The current layer's values: a pass's input, then each layer's
@@ -34,7 +31,6 @@ pub struct AnalogWorkspace {
     pub(crate) a: Vec<f64>,
     /// The buffer the next layer writes before the two swap.
     pub(crate) z: Vec<f64>,
-    bits: BitInput,
     pub(crate) conv: ConvWorkspace,
 }
 
@@ -188,11 +184,10 @@ impl AnalogMlp {
 
     /// The forward pass: every layer under the analog condition `drive`.
     ///
-    /// The activations and the packed-bit lanes live in `ws`, so a thread
-    /// reusing its workspace allocates only the returned vector. A layer
-    /// whose input is an exact interface-bit vector (MEI's whole first
-    /// layer, bias included, is 0/1) rides the bit-packed kernel,
-    /// bit-identical to the scalar one either way.
+    /// The activations live in `ws`, so a thread reusing its workspace
+    /// allocates only the returned vector. Every layer reads its input
+    /// through [`DifferentialPair::matvec_into`]; MEI's 0/1 first layer
+    /// takes the same kernel, which skips the zero rows.
     ///
     /// # Panics
     ///
@@ -226,8 +221,6 @@ impl AnalogMlp {
             }
             if let Drive::IrDrop(config) = drive {
                 ws.z = layer.pair.matvec_ir(&ws.a, config);
-            } else if ws.bits.try_pack(&ws.a) {
-                layer.pair.matvec_binary_into(&ws.bits, &mut ws.z);
             } else {
                 layer.pair.matvec_into(&ws.a, &mut ws.z);
             }
@@ -403,8 +396,8 @@ mod tests {
     fn forward_with_reused_workspace_is_bit_identical() {
         let p = analog();
         let mut ws = AnalogWorkspace::new();
-        // Binary inputs hit the packed path; fractional ones the scalar
-        // path; a reused (dirty) workspace must never change the bits.
+        // Binary, fractional and all-zero inputs: a reused (dirty)
+        // workspace must never change the bits.
         for x in [[1.0, 0.0, 1.0], [0.1, 0.5, 0.9], [0.0, 0.0, 0.0]] {
             assert_eq!(p.forward_with(&x, &mut ws), p.forward(&x));
         }

@@ -250,8 +250,7 @@ impl MeiRcs {
 
     /// [`infer_bits`](Self::infer_bits) against a caller-owned workspace:
     /// the allocation-light bit-domain path ([`Network::forward_bits`]
-    /// under [`Drive::Ideal`]; the 0/1 input rides the bit-packed crossbar
-    /// kernel).
+    /// under [`Drive::Ideal`]).
     ///
     /// # Errors
     ///

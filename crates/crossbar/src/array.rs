@@ -6,7 +6,6 @@ use std::sync::OnceLock;
 use prng::Rng;
 use rram::{DeviceParams, RramDevice, VariationModel};
 
-use crate::bitvec::BitInput;
 use crate::ir_drop::IrDropConfig;
 use crate::kernel;
 
@@ -261,32 +260,6 @@ impl CrossbarArray {
         assert_eq!(inputs.len(), self.rows, "input vector length");
         assert_eq!(out.len(), self.cols, "output buffer length");
         kernel::matvec([self.plane()], self.cols, inputs, out, |[i]| i);
-    }
-
-    /// Masked-column-sum readout for exact-binary inputs: bit-identical to
-    /// [`column_currents`](Self::column_currents) on the unpacked vector,
-    /// but multiply-free and skipping 64 zero rows per word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != rows`.
-    #[must_use]
-    pub fn column_currents_binary(&self, bits: &BitInput) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.column_currents_binary_into(bits, &mut out);
-        out
-    }
-
-    /// [`column_currents_binary`](Self::column_currents_binary) into a
-    /// caller-provided buffer (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != rows` or `out.len() != cols`.
-    pub fn column_currents_binary_into(&self, bits: &BitInput, out: &mut [f64]) {
-        assert_eq!(bits.len(), self.rows, "input vector length");
-        assert_eq!(out.len(), self.cols, "output buffer length");
-        kernel::matvec([self.plane()], self.cols, bits, out, |[i]| i);
     }
 
     /// The original cell-walk readout, kept as the bit-exact reference the
@@ -582,16 +555,6 @@ mod tests {
         let mut buf = vec![f64::NAN; 2];
         x.column_currents_into(&inputs, &mut buf);
         assert_eq!(buf, cached);
-    }
-
-    #[test]
-    fn binary_readout_matches_scalar_bits() {
-        let x = two_by_two();
-        let bits = BitInput::try_from_values(&[1.0, 0.0]).unwrap();
-        assert_eq!(
-            x.column_currents_binary(&bits),
-            x.column_currents(&[1.0, 0.0])
-        );
     }
 
     #[test]

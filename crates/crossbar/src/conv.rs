@@ -4,9 +4,9 @@
 //! (arXiv:1811.02187, arXiv:2505.07490): an im2col tiler lowers a small
 //! conv layer to matrix-vector products, then shards the patch dimension
 //! across several [`DifferentialPair`] tiles. Inputs are interface bits
-//! (`0.0`/`1.0`, ridden through the packed [`BitInput`] kernels) and
-//! weights are **ternary** (`−1`, `0`, `+1`), so every true partial dot
-//! product is a small integer.
+//! (`0.0`/`1.0`, each tile reading its patch slice through
+//! [`DifferentialPair::matvec_into`]) and weights are **ternary** (`−1`,
+//! `0`, `+1`), so every true partial dot product is a small integer.
 //!
 //! ## The bit-identity argument
 //!
@@ -33,7 +33,6 @@ use std::fmt;
 use prng::Rng;
 use rram::{DeviceParams, RetentionModel, VariationModel};
 
-use crate::bitvec::BitInput;
 use crate::mapping::{MapWeightsError, MappingConfig};
 use crate::pair::DifferentialPair;
 
@@ -297,13 +296,12 @@ struct ConvTile {
     len: usize,
 }
 
-/// Reusable scratch for [`TiledConv::forward_with`]: the im2col patch,
-/// per-tile output currents, and the packed-bit lanes.
+/// Reusable scratch for [`TiledConv::forward_with`]: the im2col patch
+/// and the per-tile output currents.
 #[derive(Debug, Clone, Default)]
 pub struct ConvWorkspace {
     patch: Vec<f64>,
     tile_out: Vec<f64>,
-    bits: BitInput,
 }
 
 impl ConvWorkspace {
@@ -428,7 +426,7 @@ impl TiledConv {
     }
 
     /// Forward pass over a binary input image (`0.0`/`1.0` entries,
-    /// channel-major): im2col per output pixel, per-tile packed matvec,
+    /// channel-major): im2col per output pixel, per-tile matvec,
     /// integer sense, fixed-order fold. Output is filter-major
     /// (`filters × out_h × out_w`).
     ///
@@ -450,25 +448,6 @@ impl TiledConv {
     /// Panics if `input.len() != shape.input_len()`.
     #[must_use]
     pub fn forward_with(&self, input: &[f64], ws: &mut ConvWorkspace) -> Vec<f64> {
-        self.run(input, ws, true)
-    }
-
-    /// The scalar-kernel reference path: identical tiling and sensing,
-    /// but every tile matvec takes the unpacked scalar kernel. Pinned
-    /// bit-identical to [`forward`](Self::forward) by the property
-    /// suite; exists so the packed/scalar agreement is testable at the
-    /// conv level, not just per pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != shape.input_len()`.
-    #[must_use]
-    pub fn forward_scalar(&self, input: &[f64]) -> Vec<f64> {
-        let mut ws = ConvWorkspace::new();
-        self.run(input, &mut ws, false)
-    }
-
-    fn run(&self, input: &[f64], ws: &mut ConvWorkspace, packed: bool) -> Vec<f64> {
         let shape = &self.shape;
         let (out_h, out_w, filters) = (shape.out_h(), shape.out_w(), shape.filters);
         let mut out = vec![0.0; shape.output_len()];
@@ -479,14 +458,9 @@ impl TiledConv {
                 shape.patch_into(input, ox, oy, &mut ws.patch);
                 let pixel = oy * out_w + ox;
                 // Fixed tile order: the fold visits tiles 0..T always.
-                for (t, tile) in self.tiles.iter().enumerate() {
+                for tile in &self.tiles {
                     let slice = &ws.patch[tile.start..tile.start + tile.len];
-                    if packed && ws.bits.try_pack(slice) {
-                        tile.pair.matvec_binary_into(&ws.bits, &mut ws.tile_out);
-                    } else {
-                        tile.pair.matvec_into(slice, &mut ws.tile_out);
-                    }
-                    debug_assert!(t < self.tiles.len());
+                    tile.pair.matvec_into(slice, &mut ws.tile_out);
                     for (f, &current) in ws.tile_out.iter().enumerate() {
                         // The tile's sense stage: quantize the analog
                         // column current to the nearest integer partial
@@ -638,13 +612,6 @@ mod tests {
             let c = conv(tiles);
             assert_eq!(c.forward(&x), oracle, "tiles = {tiles}");
         }
-    }
-
-    #[test]
-    fn scalar_and_packed_paths_agree() {
-        let c = conv(2);
-        let x = binary_input(&shape(), 5);
-        assert_eq!(c.forward(&x), c.forward_scalar(&x));
     }
 
     #[test]

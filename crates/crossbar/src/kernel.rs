@@ -18,50 +18,16 @@
 //! cell walk. The kernel is therefore bit-identical to the unblocked
 //! reference path.
 //!
-//! The input kind is a [`Rows`] source: a scalar slice, or a packed
-//! [`BitInput`] whose set bits drive `1.0` (so `g · 1.0 == g` and the
-//! multiply folds away).
-
-use crate::bitvec::BitInput;
+//! The input is a plain `&[f64]`. MEI's interface bits are `0.0`/`1.0`
+//! values of that one kind: their zero rows are skipped like any other,
+//! and `g · 1.0 == g` exactly.
 
 /// Output columns per register block: 8 accumulators per plane, 16 for a
 /// differential pair.
 const BLOCK: usize = 8;
 
-/// An input vector as the rows it drives: `(k, v_k)` for every nonzero
-/// `v_k`, in ascending row order.
-pub(crate) trait Rows: Copy {
-    /// Visit every driven row.
-    fn each(self, visit: impl FnMut(usize, f64));
-}
-
-impl Rows for &[f64] {
-    #[inline(always)]
-    fn each(self, mut visit: impl FnMut(usize, f64)) {
-        for (k, &v) in self.iter().enumerate() {
-            // `-0.0` is skipped too; NaN is driven, as in the cell walk.
-            if v != 0.0 {
-                visit(k, v);
-            }
-        }
-    }
-}
-
-impl Rows for &BitInput {
-    #[inline(always)]
-    fn each(self, mut visit: impl FnMut(usize, f64)) {
-        for (w, &lane) in self.words().iter().enumerate() {
-            let mut lane = lane;
-            while lane != 0 {
-                visit(w * 64 + lane.trailing_zeros() as usize, 1.0);
-                lane &= lane - 1;
-            }
-        }
-    }
-}
-
 /// `out[j] = combine([Σ_k planes[p][k·cols + j] · v_k for each plane p])`
-/// over the rows `rows` drives.
+/// over every nonzero `v_k` of `inputs`.
 ///
 /// # Panics
 ///
@@ -70,7 +36,7 @@ impl Rows for &BitInput {
 pub(crate) fn matvec<const P: usize>(
     planes: [&[f64]; P],
     cols: usize,
-    rows: impl Rows,
+    inputs: &[f64],
     out: &mut [f64],
     combine: impl Fn([f64; P]) -> f64,
 ) {
@@ -78,12 +44,12 @@ pub(crate) fn matvec<const P: usize>(
     debug_assert_eq!(out.len(), cols);
     let mut blocks = out.chunks_exact_mut(BLOCK);
     for (b, chunk) in blocks.by_ref().enumerate() {
-        let sums = block(&planes, cols, b * BLOCK, BLOCK, rows);
+        let sums = block(&planes, cols, b * BLOCK, BLOCK, inputs);
         emit(&sums, chunk, &combine);
     }
     let rest = blocks.into_remainder();
     if !rest.is_empty() {
-        let sums = block(&planes, cols, cols - rest.len(), rest.len(), rows);
+        let sums = block(&planes, cols, cols - rest.len(), rest.len(), inputs);
         emit(&sums, rest, &combine);
     }
 }
@@ -97,17 +63,21 @@ fn block<const P: usize>(
     cols: usize,
     j0: usize,
     width: usize,
-    rows: impl Rows,
+    inputs: &[f64],
 ) -> [[f64; BLOCK]; P] {
     let mut sums = [[0.0; BLOCK]; P];
-    rows.each(|k, v| {
+    for (k, &v) in inputs.iter().enumerate() {
+        // `-0.0` is skipped too; NaN is driven, as in the cell walk.
+        if v == 0.0 {
+            continue;
+        }
         let at = k * cols + j0;
         for (sums, plane) in sums.iter_mut().zip(planes) {
             for (sum, &g) in sums.iter_mut().zip(&plane[at..at + width]) {
                 *sum += g * v;
             }
         }
-    });
+    }
     sums
 }
 
@@ -140,9 +110,9 @@ mod tests {
         out
     }
 
-    fn single(plane: &[f64], cols: usize, rows: impl Rows) -> Vec<f64> {
+    fn single(plane: &[f64], cols: usize, inputs: &[f64]) -> Vec<f64> {
         let mut out = vec![f64::NAN; cols];
-        matvec([plane], cols, rows, &mut out, |[sum]| sum);
+        matvec([plane], cols, inputs, &mut out, |[sum]| sum);
         out
     }
 
@@ -154,23 +124,8 @@ mod tests {
         let plane: Vec<f64> = (0..rows * cols).map(|i| (i as f64).sin() * 1e-4).collect();
         let inputs = [0.25, 0.0, -1.5, -0.0, 0.75];
         assert_eq!(
-            single(&plane, cols, &inputs[..]),
+            single(&plane, cols, &inputs),
             reference(&plane, cols, &inputs)
-        );
-    }
-
-    #[test]
-    fn binary_kernel_matches_scalar_bits() {
-        let cols = BLOCK * 2 + 5;
-        let rows = 70; // crosses a u64 lane boundary
-        let plane: Vec<f64> = (0..rows * cols).map(|i| (i as f64).cos() * 1e-4).collect();
-        let mask: Vec<bool> = (0..rows).map(|k| k % 3 != 1).collect();
-        let values: Vec<f64> = mask.iter().map(|&b| f64::from(u8::from(b))).collect();
-        let bits = BitInput::from_bools(&mask);
-        assert_eq!(
-            single(&plane, cols, &bits),
-            single(&plane, cols, &values[..]),
-            "packed and scalar paths must agree in bits"
         );
     }
 
@@ -181,7 +136,7 @@ mod tests {
         let minus: Vec<f64> = (0..4 * cols).map(|i| (i as f64).cos() * 1e-4).collect();
         let inputs = [1.0, 0.5, 0.0, -2.0];
         let mut out = vec![f64::NAN; cols];
-        matvec([&plus, &minus], cols, &inputs[..], &mut out, |[p, m]| {
+        matvec([&plus, &minus], cols, &inputs, &mut out, |[p, m]| {
             (p - m) * 3.0
         });
         let (p, m) = (
@@ -193,9 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn all_zero_bits_give_zero_output() {
-        let bits = BitInput::from_bools(&[false; 9]);
+    fn all_zero_inputs_give_zero_output() {
         let plane = vec![1e-4; 9 * 4];
-        assert_eq!(single(&plane, 4, &bits), vec![0.0; 4]);
+        let inputs = [0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0];
+        assert_eq!(single(&plane, 4, &inputs), vec![0.0; 4]);
     }
 }

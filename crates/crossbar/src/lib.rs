@@ -17,10 +17,11 @@
 //! * [`pair::DifferentialPair`] — the two-array tile that computes `W·x` in
 //!   analog, with process variation applied at program time and signal
 //!   fluctuation at evaluation time.
-//! * [`bitvec::BitInput`] — interface-bit input vectors packed into `u64`
-//!   lanes, turning the MVM into a multiply-free masked column sum that is
-//!   bit-identical to the scalar path (the kernels themselves live in the
-//!   private `kernel` module and run over a cached flat conductance plane).
+//! * The private `kernel` module — the one matvec body behind the array's
+//!   column currents and the pair's matvec. It runs over a cached flat
+//!   conductance plane, takes its input as a plain `&[f64]` (MEI's
+//!   interface bits are `0.0`/`1.0` values of it) and is bit-identical to
+//!   the cell walk it replaced.
 //! * [`ir_drop`] — an iterative nodal-analysis solver for the wire-resistance
 //!   grid, for studying IR drop (the paper picks 90 nm interconnect exactly
 //!   to suppress this effect; we make it measurable): line-based red-black
@@ -49,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod bitvec;
 pub mod conv;
 pub mod divider;
 pub mod ir_drop;
@@ -60,11 +60,10 @@ pub mod pair;
 pub mod sense;
 
 pub use array::CrossbarArray;
-pub use bitvec::BitInput;
 pub use conv::{direct_conv, tile_ranges, ConvError, ConvShape, ConvWorkspace, TiledConv};
 pub use divider::{DividerLayer, SignedDividerLayer};
 pub use ir_drop::IrDropConfig;
-pub use mapping::{MapWeightsError, MappingConfig, WeightMapping};
+pub use mapping::{MapWeightsError, MappingConfig};
 pub use noise::SignalFluctuation;
 pub use pair::DifferentialPair;
 pub use sense::{Comparator, TransimpedanceAmp};

@@ -19,24 +19,9 @@ use std::fmt;
 
 use rram::DeviceParams;
 
-/// Which physical mapping a [`MappingConfig`] requests.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum WeightMapping {
-    /// Differential pair with linear conductance coding (default).
-    #[default]
-    LinearDifferential,
-    /// Single-array resistive-divider solve with load conductance `g_s`.
-    DividerExact {
-        /// Load conductance at each column output, in siemens.
-        g_s: f64,
-    },
-}
-
-/// Configuration of the weight-mapping layer.
+/// Configuration of the differential mapping ([`map_differential`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MappingConfig {
-    /// The physical mapping scheme.
-    pub mapping: WeightMapping,
     /// Optional clip applied to `|w|` before scaling. Weights beyond the
     /// clip saturate; a tight clip improves the conductance resolution used
     /// by typical weights at the cost of distorting outliers. `None` scales
@@ -45,7 +30,7 @@ pub struct MappingConfig {
 }
 
 impl MappingConfig {
-    /// Default configuration: differential mapping, no clipping.
+    /// Default configuration: no clipping.
     #[must_use]
     pub fn new() -> Self {
         Self::default()

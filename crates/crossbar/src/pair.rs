@@ -6,9 +6,8 @@ use prng::Rng;
 use rram::{DeviceParams, VariationModel};
 
 use crate::array::CrossbarArray;
-use crate::bitvec::BitInput;
 use crate::ir_drop::IrDropConfig;
-use crate::kernel::{self, Rows};
+use crate::kernel;
 use crate::mapping::{map_differential, MapWeightsError, MappingConfig};
 
 /// A pair of crossbar arrays computing `y = W·x` for a signed weight matrix.
@@ -136,60 +135,12 @@ impl DifferentialPair {
     /// Panics if `x.len() != inputs()` or `out.len() != outputs()`.
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.inputs, "input vector length");
-        self.sense_into(x, out);
-    }
-
-    /// Matrix-vector product over a bit-packed binary input: bit-identical
-    /// to [`matvec`](Self::matvec) on the unpacked `0.0`/`1.0` vector, but
-    /// multiply-free in the column accumulation (masked column sums over
-    /// the cached conductance planes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != inputs()`.
-    #[must_use]
-    pub fn matvec_binary(&self, bits: &BitInput) -> Vec<f64> {
-        let mut out = vec![0.0; self.outputs];
-        self.matvec_binary_into(bits, &mut out);
-        out
-    }
-
-    /// [`matvec_binary`](Self::matvec_binary) into a caller-provided
-    /// buffer (overwritten), in one pass over both planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != inputs()` or `out.len() != outputs()`.
-    pub fn matvec_binary_into(&self, bits: &BitInput, out: &mut [f64]) {
-        assert_eq!(bits.len(), self.inputs, "input vector length");
-        self.sense_into(bits, out);
-    }
-
-    /// The one kernel pass over both planes, sensing each column as
-    /// `(I⁺ − I⁻) · scale`.
-    fn sense_into(&self, rows: impl Rows, out: &mut [f64]) {
         assert_eq!(out.len(), self.outputs, "output buffer length");
         let planes = [self.plus.plane(), self.minus.plane()];
         let scale = self.current_scale;
-        kernel::matvec(planes, self.outputs, rows, out, |[plus, minus]| {
+        kernel::matvec(planes, self.outputs, x, out, |[plus, minus]| {
             (plus - minus) * scale
         });
-    }
-
-    /// [`matvec`](Self::matvec), routing through the bit-packed path when
-    /// `x` is an exact interface-bit vector (every entry `0.0` or `1.0`).
-    /// Always bit-identical to [`matvec`](Self::matvec), so callers can use
-    /// it unconditionally; the packed detour only changes speed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != inputs()`.
-    #[must_use]
-    pub fn matvec_auto(&self, x: &[f64]) -> Vec<f64> {
-        match BitInput::try_from_values(x) {
-            Some(bits) => self.matvec_binary(&bits),
-            None => self.matvec(x),
-        }
     }
 
     /// The pre-kernel cell-walk matvec, kept as the bit-exact reference for
@@ -392,22 +343,14 @@ mod tests {
     }
 
     #[test]
-    fn into_binary_auto_and_uncached_paths_agree_bitwise() {
+    fn into_and_uncached_paths_agree_bitwise() {
         let p = pair();
         let x = [1.0, 0.0, 1.0];
         let scalar = p.matvec(&x);
         assert_eq!(scalar, p.matvec_uncached(&x));
-        assert_eq!(scalar, p.matvec_auto(&x));
-        let bits = BitInput::try_from_values(&x).unwrap();
-        assert_eq!(scalar, p.matvec_binary(&bits));
         let mut out = vec![f64::NAN; 2];
         p.matvec_into(&x, &mut out);
         assert_eq!(out, scalar);
-        p.matvec_binary_into(&bits, &mut out);
-        assert_eq!(out, scalar);
-        // Non-binary inputs fall back to the scalar path.
-        let y = [0.5, -0.25, 1.0];
-        assert_eq!(p.matvec_auto(&y), p.matvec(&y));
     }
 
     #[test]

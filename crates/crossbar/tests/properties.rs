@@ -7,8 +7,8 @@ use prng::rngs::StdRng;
 use prng::SeedableRng;
 
 use crossbar::{
-    direct_conv, ir_drop, BitInput, ConvShape, CrossbarArray, DifferentialPair, IrDropConfig,
-    MappingConfig, TiledConv,
+    direct_conv, ir_drop, ConvShape, CrossbarArray, DifferentialPair, IrDropConfig, MappingConfig,
+    TiledConv,
 };
 use rram::{DeviceParams, RetentionModel, VariationModel};
 
@@ -148,11 +148,12 @@ fn divider_layer_realizes_coefficients() {
     });
 }
 
-/// The bit-packed matvec is bit-identical to the scalar path (and both
-/// to the uncached cell-walk) for arbitrary bit patterns and shapes —
-/// including after device-state mutations (variation, aging).
+/// The kernel matvec on interface bits (a 0/1 vector, MEI's interface
+/// traffic) is bit-identical to the uncached cell walk for arbitrary bit
+/// patterns and shapes — including after device-state mutations
+/// (variation, aging).
 #[test]
-fn packed_matvec_is_bit_identical_for_any_bits_and_state() {
+fn matvec_on_interface_bits_matches_the_cell_walk_in_any_state() {
     prop_check!(|g| {
         // Shapes up to the jpeg layer (64 inputs × 448 outputs), biased
         // small so most cases stay cheap.
@@ -175,12 +176,8 @@ fn packed_matvec_is_bit_identical_for_any_bits_and_state() {
             _ => {}
         }
         let pattern = g.vec_bool(inputs);
-        let bits = BitInput::from_bools(&pattern);
         let x: Vec<f64> = pattern.iter().map(|&b| f64::from(b)).collect();
-        let scalar = pair.matvec(&x);
-        assert_eq!(scalar, pair.matvec_binary(&bits));
-        assert_eq!(scalar, pair.matvec_uncached(&x));
-        assert_eq!(scalar, pair.matvec_auto(&x));
+        assert_eq!(pair.matvec(&x), pair.matvec_uncached(&x));
     });
 }
 
@@ -189,12 +186,12 @@ fn to_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The fused pair kernel, scalar and packed, and the one-plane array
-/// readout equal the cell walk bit for bit at every output width around
-/// the 8-column register block (1–40 columns: below, at and past it,
-/// every remainder) and at row counts that cross 64-bit lanes, on inputs
-/// holding `0.0` and `-0.0`, both fresh and after `disturb` and then
-/// `restore` invalidate the planes.
+/// The fused pair kernel and the one-plane array readout equal the cell
+/// walk bit for bit at every output width around the 8-column register
+/// block (1–40 columns: below, at and past it, every remainder), on
+/// fractional inputs and on interface bits, both holding `0.0` and
+/// `-0.0`, fresh and after `disturb` and then `restore` invalidate the
+/// planes.
 #[test]
 fn fused_kernels_match_the_cell_walk_around_the_register_block() {
     prop_check!(|g| {
@@ -214,7 +211,6 @@ fn fused_kernels_match_the_cell_walk_around_the_register_block() {
         let binary: Vec<f64> = (0..inputs)
             .map(|_| if g.bool_any() { 1.0 } else { zero(g) })
             .collect();
-        let bits = BitInput::try_from_values(&binary).expect("interface bits");
         let mut rng = StdRng::seed_from_u64(g.u64_any());
         for stage in ["fresh", "disturbed", "restored"] {
             match stage {
@@ -222,27 +218,19 @@ fn fused_kernels_match_the_cell_walk_around_the_register_block() {
                 "restored" => pair.restore(),
                 _ => {}
             }
-            let mut out = vec![f64::NAN; outputs];
-            pair.matvec_into(&scalar, &mut out);
-            let walk = pair.matvec_uncached(&scalar);
-            assert_eq!(to_bits(&out), to_bits(&walk), "scalar pair, {stage}");
-            out.fill(f64::NAN);
-            pair.matvec_binary_into(&bits, &mut out);
-            let walk = pair.matvec_uncached(&binary);
-            assert_eq!(to_bits(&out), to_bits(&walk), "packed pair, {stage}");
-            let plus = pair.plus();
-            let walk = plus.column_currents_uncached(&scalar);
-            assert_eq!(
-                to_bits(&plus.column_currents(&scalar)),
-                to_bits(&walk),
-                "scalar array, {stage}"
-            );
-            let walk = plus.column_currents_uncached(&binary);
-            assert_eq!(
-                to_bits(&plus.column_currents_binary(&bits)),
-                to_bits(&walk),
-                "packed array, {stage}"
-            );
+            for (kind, x) in [("fractional", &scalar), ("interface-bit", &binary)] {
+                let mut out = vec![f64::NAN; outputs];
+                pair.matvec_into(x, &mut out);
+                let walk = pair.matvec_uncached(x);
+                assert_eq!(to_bits(&out), to_bits(&walk), "{kind} pair, {stage}");
+                let plus = pair.plus();
+                let walk = plus.column_currents_uncached(x);
+                assert_eq!(
+                    to_bits(&plus.column_currents(x)),
+                    to_bits(&walk),
+                    "{kind} array, {stage}"
+                );
+            }
         }
     });
 }
@@ -391,27 +379,6 @@ fn tiled_conv_matches_the_direct_oracle_bitwise_for_any_tiling() {
                 "tiles={t} diverged from the oracle on {shape}"
             );
         }
-    });
-}
-
-/// The packed `BitInput` fast path and the scalar matvec path produce
-/// bit-identical conv outputs for any shape, weights, input and tiling.
-#[test]
-fn packed_and_scalar_conv_paths_are_bit_identical() {
-    prop_check!(|g| {
-        let shape = arb_conv_shape(g);
-        let w = arb_ternary_weights(g, &shape);
-        let x = arb_binary_input(g, &shape);
-        let tiles = g.usize_in(1, shape.patch_len() + 3);
-        let conv = TiledConv::new(
-            shape,
-            &w,
-            tiles,
-            DeviceParams::hfox(),
-            &MappingConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(conv.forward(&x), conv.forward_scalar(&x));
     });
 }
 

@@ -33,6 +33,7 @@ use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 
 use crate::data::Dataset;
+use crate::metrics::argmax;
 
 /// Project a shadow weight onto `{−1, 0, +1}`: zero inside the dead zone
 /// `|w| < threshold`, sign outside it.
@@ -371,31 +372,12 @@ pub fn train_ste(
     let mut correct = 0usize;
     for (x, target) in data.iter() {
         let act = conv.features(x);
-        let best = probe
+        let logits: Vec<f64> = probe
             .iter()
             .zip(&probe_bias)
             .map(|(pk, bk)| pk.iter().zip(&act).map(|(a, b)| a * b).sum::<f64>() + bk)
-            .enumerate()
-            .fold((0usize, f64::NEG_INFINITY), |acc, (k, v)| {
-                if v > acc.1 {
-                    (k, v)
-                } else {
-                    acc
-                }
-            })
-            .0;
-        let truth = target
-            .iter()
-            .enumerate()
-            .fold((0usize, f64::NEG_INFINITY), |acc, (k, &v)| {
-                if v > acc.1 {
-                    (k, v)
-                } else {
-                    acc
-                }
-            })
-            .0;
-        correct += usize::from(best == truth);
+            .collect();
+        correct += usize::from(argmax(&logits) == argmax(target));
     }
     let report = SteReport {
         initial_loss,
