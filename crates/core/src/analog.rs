@@ -185,9 +185,9 @@ impl AnalogMlp {
     /// The forward pass: every layer under the analog condition `drive`.
     ///
     /// The activations live in `ws`, so a thread reusing its workspace
-    /// allocates only the returned vector. Every layer reads its input
-    /// through [`DifferentialPair::matvec_into`]; MEI's 0/1 first layer
-    /// takes the same kernel, which skips the zero rows.
+    /// allocates only the returned vector. Unless `drive` is
+    /// [`Drive::IrDrop`], every layer reads its input through
+    /// [`DifferentialPair::matvec_into`], MEI's 0/1 first layer included.
     ///
     /// # Panics
     ///
